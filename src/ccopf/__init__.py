@@ -56,6 +56,7 @@ from .scenario import (
     sample_size_cc,
     sample_size_filtered,
     sample_size_is,
+    sample_size_mixture,
     solve,
 )
 from .uncertainty import build_uncertainty
@@ -118,6 +119,7 @@ __all__ = [
     "sample_size_cc",
     "sample_size_filtered",
     "sample_size_is",
+    "sample_size_mixture",
     "sample_tail",
     "solve",
     "solve_1d_synthetic",

@@ -27,6 +27,7 @@ from .validation import (
     ExperimentConfig,
     ExperimentReport,
     load_case_ref,
+    mixture_tail_mass,
     resolve_scenario_count,
     run_experiment,
     solve_1d_synthetic,
@@ -190,6 +191,9 @@ def _cmd_run(args) -> int:
     for method in config.methods:
         n = resolve_scenario_count(config, case, method)
         origin = "fixed" if config.scenarios != "auto" or method == "dc-opf" else "certified bound"
+        if method == "sa-is" and config.scenarios == "auto":
+            k, s = mixture_tail_mass(config, case)
+            origin += f"; K={k} stochastic rows, tail mass S={s:.3g}"
         print(f"{method}: {n} scenarios ({origin})")
 
     report = run_experiment(config)

@@ -2,11 +2,15 @@
 
 Each stochastic row i contributes one mixture component: a standard
 Gaussian conditioned on the half-space w_i' xi > delta_i. Components are
-weighted proportionally to their tail probabilities p_i, which makes the
-likelihood ratio against the plain Gaussian bounded by
-M = sum(p) / max(p). Sampling and densities run in the reduced
-coordinates of the uncertainty support, so singular covariances (fixed
-loads, slack bus) cost nothing.
+weighted proportionally to their tail probabilities p_i, so the mixture
+density is q = phi |A| / S, with S = sum(p) the total tail mass and A the
+set of half-spaces containing the point. The likelihood ratio phi / q =
+S / |A| is therefore at most S outside the inner set, which certifies the
+sa-is scenario count (scenario.sample_size_mixture). Against the plain
+Gaussian conditioned on the outside of the inner set, the ratio is at
+most the looser M = S / max(p). Sampling and densities run in the
+reduced coordinates of the uncertainty support, so singular covariances
+(fixed loads, slack bus) cost nothing.
 """
 from __future__ import annotations
 
@@ -30,9 +34,12 @@ class MixtureSampler:
     holds the same axes in support coordinates, which is what sampling
     and density evaluation use. thresholds are the margins in standard
     deviations, weights the mixture probabilities, tail_probs the
-    per-component half-space probabilities, and M the likelihood-ratio
-    bound sum(tail_probs) / max(tail_probs). row_indices maps components
-    back to polytope rows.
+    per-component half-space probabilities with total tail mass
+    S = sum(tail_probs), and M = S / max(tail_probs) the likelihood-ratio
+    bound against the nominal law conditioned on the outside of the inner
+    set. The unconditioned ratio is at most S on every mixture draw (see
+    importance_ratio). row_indices maps components back to polytope
+    rows.
     """
 
     directions: np.ndarray
@@ -87,7 +94,8 @@ def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> M
     """Assemble the tail mixture for a tightened polytope.
 
     Weights are proportional to the per-row tail probabilities, the
-    choice that minimises the likelihood-ratio bound M.
+    choice that minimises the largest likelihood ratio outside the inner
+    set.
 
     Raises
     ------
@@ -196,9 +204,12 @@ def mixture_pdf(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
 def importance_ratio(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
     """Base-Gaussian over mixture density; inf where the mixture is zero.
 
-    Conditioning the base density on the outside of the inner set divides
-    this by the outside probability; the bound ms.M applies to that
-    conditioned ratio.
+    The ratio is S / |A(xi)|, with S = sum(ms.tail_probs) and A(xi) the
+    set of component half-spaces containing xi, so it is at most S on
+    every mixture draw, with equality where exactly one half-space
+    contains xi. Conditioning the base density on the outside of the
+    inner set divides this by the outside probability; the bound ms.M
+    applies to that conditioned ratio.
     """
     w = ms.gaussian.to_reduced(xi)
     batched = np.asarray(xi).ndim > 1

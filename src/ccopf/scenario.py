@@ -84,6 +84,33 @@ def sample_size_is(eta: float, delta: float, d: int, pi: float, M: float) -> int
     return _size(eta, delta, d, M * (1.0 - pi))
 
 
+def sample_size_mixture(eta: float, delta: float, d: int, tail_mass: float) -> int:
+    """Scenario count for tail-mixture draws, from the total tail mass S.
+
+    Let phi be the nominal density, H_i the half-space where stochastic
+    row i exceeds its margin, p_i = P(H_i) and S = sum(p_i). Weights
+    p_i / S make the mixture density q(xi) = phi(xi) |A(xi)| / S, with
+    A(xi) the set of half-spaces containing xi. Outside the inner set
+    |A| >= 1, so phi <= S q there. A dispatch meeting the
+    margin-tightened rows stays feasible on the whole inner set, so its
+    violation event V lies outside it and P(V) <= S Q(V). The tightened
+    rows are deterministic constraints of the scenario program, so the
+    classical bound (Campi & Garatti 2008) at level eta / S gives
+    Q(V) <= eta / S, hence P(V) <= eta, with confidence 1 - delta over
+    N draws from q. This is the tight form of the mixture ratio bound
+    (Owen & Zhou 2000); sample_size_is with M (1 - pi) >= S is looser.
+
+    The count is the classical bound with eta / S in place of eta; S < 1
+    gives fewer scenarios than classical sampling. Margins at the upper
+    eta quantile give every row p_i = eta, so S = K eta for K stochastic
+    rows and the count does not depend on eta.
+    """
+    _check_size_args(eta, delta, d)
+    if not tail_mass > 0.0:
+        raise ValueError(f"total tail mass must be positive, got {tail_mass}")
+    return _size(eta, delta, d, tail_mass)
+
+
 # ---------------------------------------------------------------------------
 # scenario sets
 

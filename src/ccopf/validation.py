@@ -25,7 +25,7 @@ from .grid import (
     load_case,
 )
 from .kernels import norm_cdf, norm_isf, tail_quantile
-from .margins import GaussianSpec, compute_margins, estimate_pi, tightened_polytope
+from .margins import GaussianSpec, compute_margins, tightened_polytope
 from .sampler import build_mixture
 from .scenario import (
     SolverError,
@@ -37,7 +37,7 @@ from .scenario import (
     run_sa_is,
     sample_size_cc,
     sample_size_filtered,
-    sample_size_is,
+    sample_size_mixture,
 )
 from .uncertainty import build_uncertainty
 
@@ -47,9 +47,8 @@ METHODS = ("dc-opf", "sa", "sa-is")
 # solver tolerance at active rows.
 _OOS_TOL = 1e-9
 
-# Offsets separating derived seed streams from the repetition seeds.
+# Offset separating the out-of-sample streams from the repetition seeds.
 _TEST_SEED_OFFSET = 2**64
-_PI_SEED_OFFSET = 2**32
 
 
 def out_of_sample_confidence(
@@ -188,8 +187,9 @@ class ExperimentConfig:
     """Everything needed to reproduce an experiment run.
 
     scenarios is a fixed count or 'auto' for the certified bound
-    (classical for sa, importance-sampled with a monte-carlo estimate of
-    the covered mass for sa-is). The dc-opf method ignores it.
+    (classical for sa; for sa-is the classical bound at eta / S, with S
+    the tail mixture's total tail mass, see sample_size_mixture). The
+    dc-opf method ignores it.
     """
 
     case: str
@@ -323,14 +323,29 @@ def load_case_ref(ref: str) -> GridCase:
         ) from None
 
 
+def mixture_tail_mass(config: ExperimentConfig, case: GridCase) -> tuple[int, float]:
+    """Stochastic row count K and total tail mass S of the sa-is mixture.
+
+    S sums the rows' tail probabilities at the config's eta, the same sum
+    build_mixture normalises its weights by; (0, 0.0) when no row sees
+    the uncertainty.
+    """
+    mat = build_matrices(case)
+    poly = build_polytope(case, mat)
+    g = build_uncertainty(case, config.sigma_frac)
+    m = compute_margins(poly, g, config.eta)
+    probs = m.tail_probs[m.stochastic]
+    return int(probs.size), float(np.sum(probs))
+
+
 def resolve_scenario_count(config: ExperimentConfig, case: GridCase, method: str) -> int:
     """Scenario count a method will use under this config.
 
     Fixed counts pass through (dc-opf always uses none). 'auto' applies
     the certified bounds: the classical one for sa; for sa-is the
-    filtered importance-sampling bound with the covered mass estimated by
-    monte carlo and taken three standard errors low, which keeps the
-    bound valid.
+    classical one at eta / S (sample_size_mixture), S being the tail
+    mixture's total tail mass. That bound is closed-form, so no covered
+    mass is estimated, and it does not depend on eta.
     """
     if method == "dc-opf":
         return 0
@@ -339,18 +354,10 @@ def resolve_scenario_count(config: ExperimentConfig, case: GridCase, method: str
     d = max(1, len(case.generators) - 1)
     if method == "sa":
         return sample_size_cc(config.eta, config.delta, d)
-    mat = build_matrices(case)
-    poly = build_polytope(case, mat)
-    g = build_uncertainty(case, config.sigma_frac)
-    m = compute_margins(poly, g, config.eta)
-    if not bool(np.any(m.stochastic)):
+    k, s = mixture_tail_mass(config, case)
+    if k == 0:
         return 0
-    ms = build_mixture(poly, m, g)
-    est = estimate_pi(
-        m, g, mode="monte-carlo", n_samples=100_000, seed=config.seed + _PI_SEED_OFFSET
-    )
-    pi_safe = min(max(0.0, est.value - 3.0 * (est.stderr or 0.0)), 1.0 - 1e-12)
-    return sample_size_is(config.eta, config.delta, d, pi_safe, ms.M)
+    return sample_size_mixture(config.eta, config.delta, d, s)
 
 
 def _run_one(

@@ -97,6 +97,17 @@ def test_run_auto_counts_labelled_certified(tri_path, capsys):
     assert f"sa: {want} scenarios (certified bound)" in out
 
 
+def test_run_auto_sa_is_count_names_its_basis(capsys):
+    code, out, _ = run_cli(
+        ["run", "--case", "case30", "--method", "sa-is", "--reps", "1", "--ntest", "100"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "sa-is: 5656 scenarios (certified bound; K=92 stochastic rows, tail mass S=4.6)"
+    )
+
+
 def test_run_writes_report_files(tri_path, tmp_path, capsys):
     out_path = tmp_path / "reports" / "exp.json"
     code, out, _ = run_cli(

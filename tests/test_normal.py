@@ -194,7 +194,8 @@ def test_backends_agree():
 
 
 def test_env_var_forces_pure_backend():
-    env = dict(os.environ, CCOPF_PURE_PYTHON="1")
+    # the child imports ccopf from wherever this process found it
+    env = dict(os.environ, CCOPF_PURE_PYTHON="1", PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", "from ccopf import kernels; print(kernels.BACKEND)"],
         env=env,

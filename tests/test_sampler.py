@@ -9,7 +9,10 @@ from ccopf import (
     GaussianSpec,
     MarginSet,
     MixtureSampler,
+    build_matrices,
     build_mixture,
+    build_polytope,
+    build_uncertainty,
     compute_margins,
     importance_ratio,
     mixture_pdf,
@@ -268,13 +271,39 @@ def test_importance_ratio_identity():
     assert np.all(ratio <= ms.M + 1e-9)
 
 
-def test_importance_ratio_bounded_by_m():
-    # a draw violating exactly one component attains the bound only in
-    # the uniform case; ratios never exceed M either way
-    ms, m, _ = two_threshold_mixture()
-    xi, _ = sample_mixture_batch(ms, 2000, np.random.default_rng(10))
-    ratio = importance_ratio(ms, xi)
-    assert np.all(ratio <= ms.M + 1e-12)
+def random_polytope_mixture():
+    """Acceptance criterion 3's random polytope at eta 0.05."""
+    rng = np.random.default_rng(31)
+    raw = rng.standard_normal((10, 5))
+    poly = FeasibilityPolytope(
+        normals=raw / np.linalg.norm(raw, axis=1, keepdims=True),
+        offsets=rng.uniform(0.5, 2.0, size=10),
+        labels=tuple(("injection-upper", i) for i in range(10)),
+    )
+    g = iid_gaussian(5)
+    return build_mixture(poly, compute_margins(poly, g, 0.05), g)
+
+
+def grid_mixture(case):
+    poly = build_polytope(case, build_matrices(case))
+    g = build_uncertainty(case, 0.07)
+    return build_mixture(poly, compute_margins(poly, g, 0.05), g)
+
+
+def test_importance_ratio_bounded_by_m(case30):
+    # the ratio is S / |A| for total tail mass S and the set A of
+    # half-spaces holding the draw: never above S, equal to it on draws
+    # in exactly one half-space, and so never above M = S / max(p)
+    for ms in (two_threshold_mixture()[0], random_polytope_mixture(), grid_mixture(case30)):
+        xi, _ = sample_mixture_batch(ms, 4000, np.random.default_rng(10))
+        ratio = importance_ratio(ms, xi)
+        s = float(np.sum(ms.tail_probs))
+        assert np.all(ratio <= s * (1.0 + 1e-12))
+        proj = ms.gaussian.to_reduced(xi) @ ms.reduced_directions.T
+        single = np.count_nonzero(proj > ms.thresholds, axis=1) == 1
+        assert np.any(single)
+        np.testing.assert_allclose(ratio[single], s, rtol=1e-12)
+        assert np.all(ratio <= ms.M + 1e-12)
 
 
 def test_scalar_batch_consistency():

@@ -26,6 +26,7 @@ from ccopf import (
     sample_size_cc,
     sample_size_filtered,
     sample_size_is,
+    sample_size_mixture,
     solve,
     tightened_polytope,
 )
@@ -95,6 +96,11 @@ def test_size_monotone_in_dimension_and_pi():
     assert sample_size_is(0.05, 0.01, 4, 0.5, 2.0) >= base
 
 
+def test_mixture_size_at_unit_tail_mass_is_classical():
+    for eta, delta, d, want in CC_SIZES:
+        assert sample_size_mixture(eta, delta, d, 1.0) == want
+
+
 @given(
     st.floats(min_value=0.01, max_value=0.5),
     st.floats(min_value=0.001, max_value=0.5),
@@ -124,6 +130,8 @@ def test_size_ordering_property(eta, delta, d, pi, M):
         lambda: sample_size_filtered(0.05, 0.01, 2, -0.1),
         lambda: sample_size_filtered(0.05, 0.01, 2, 1.0),
         lambda: sample_size_is(0.05, 0.01, 2, 0.5, 0.99),
+        lambda: sample_size_mixture(0.05, 0.01, 2, 0.0),
+        lambda: sample_size_mixture(0.0, 0.01, 2, 1.0),
     ],
 )
 def test_size_argument_validation(call):

@@ -214,7 +214,7 @@ def test_load_case_ref(tmp_path, case30):
         load_case_ref("case999")
 
 
-def test_resolve_scenario_counts(tmp_path):
+def test_resolve_scenario_counts(tmp_path, case30, case57):
     path = tmp_path / "tri.m"
     path.write_text(TRIANGLE_TEXT)
     case = load_case_ref(str(path))
@@ -228,6 +228,36 @@ def test_resolve_scenario_counts(tmp_path):
     # degenerate uncertainty needs no scenarios at all
     rigid = ExperimentConfig(case=str(path), scenarios="auto", sigma_frac=0.0)
     assert resolve_scenario_count(rigid, case, "sa-is") == 0
+    # on the bundled cases the sa-is count is the classical bound at eta / S
+    # with S = K eta, so it stays put as eta shrinks; the sa count grows
+    bundled = (
+        (case30, 5656, {0.05: 932, 1e-3: 85230}),
+        (case57, 701, {0.05: 1082, 1e-3: 100434}),
+    )
+    for grid, n_is, n_sa in bundled:
+        d = len(grid.generators) - 1
+        for eta in (0.05, 1e-2, 1e-3, 1e-4):
+            cfg = ExperimentConfig(case=grid.name, scenarios="auto", eta=eta, delta=0.01)
+            got = resolve_scenario_count(cfg, grid, "sa-is")
+            assert got == n_is if eta == 0.05 else abs(got - n_is) <= 1
+            want_sa = n_sa.get(eta, sample_size_cc(eta, 0.01, d))
+            assert resolve_scenario_count(cfg, grid, "sa") == want_sa
+
+
+@pytest.mark.parametrize("name", ["case30", "case57"])
+def test_sa_is_auto_count_meets_the_guarantee(name):
+    # "violation <= eta with confidence 1 - delta" at the count 'auto'
+    # picks: at least a 1 - delta share of the optimal repetitions keeps
+    # the out-of-sample violation within eta
+    config = ExperimentConfig(
+        case=name, methods=("sa-is",), eta=0.05, scenarios="auto", reps=20,
+        n_test=100_000, delta=0.01,
+    )
+    report = run_experiment(config)
+    good = [r for r in report.records if r.status == "optimal"]
+    assert len(good) == config.reps
+    within = sum(1.0 - r.confidence <= config.eta for r in good)
+    assert within >= math.ceil((1.0 - config.delta) * len(good))
 
 
 def test_run_experiment_smoke(tmp_path):
