@@ -26,8 +26,8 @@ from .validation import (
     METHODS,
     ExperimentConfig,
     ExperimentReport,
-    load_case_ref,
     mixture_tail_mass,
+    prepare_experiment,
     resolve_scenario_count,
     run_experiment,
     solve_1d_synthetic,
@@ -187,16 +187,17 @@ def _cmd_run(args) -> int:
         delta=args.delta,
         jobs=args.jobs,
     )
-    case = load_case_ref(config.case)
+    # the case is loaded and prepared once; counts and K, S come from its margins
+    problem = prepare_experiment(config)
     for method in config.methods:
-        n = resolve_scenario_count(config, case, method)
+        n = resolve_scenario_count(config, problem.case, method, problem.margins)
         origin = "fixed" if config.scenarios != "auto" or method == "dc-opf" else "certified bound"
         if method == "sa-is" and config.scenarios == "auto":
-            k, s = mixture_tail_mass(config, case)
+            k, s = mixture_tail_mass(config, problem.case, problem.margins)
             origin += f"; K={k} stochastic rows, tail mass S={s:.3g}"
         print(f"{method}: {n} scenarios ({origin})")
 
-    report = run_experiment(config)
+    report = run_experiment(config, problem)
 
     for method, entry in report.summary().items():
         if entry.get("optimal", 0):
@@ -310,3 +311,7 @@ def _cmd_validate(args) -> int:
         print(f"{'PASS' if passed else 'FAIL'}: {label}")
         ok &= passed
     return EXIT_OK if ok else EXIT_USAGE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

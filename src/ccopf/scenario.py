@@ -4,23 +4,30 @@ A scenario set turns the chance constraint into finitely many shifted
 copies of the polytope rows, which collapse to one offset per row
 (reduce_scenarios). The dispatch LP optimises generator outputs against
 those offsets, optionally intersected with the margin-tightened offsets,
-with the generator at the slack bus absorbing the power balance.
+with the generator at the slack bus absorbing the power balance. A
+PreparedProblem holds everything but the draws, so repeated solves
+rebuild nothing.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .grid import FeasibilityPolytope, GridCase, GridMatrices, build_matrices, build_polytope
-from .margins import GaussianSpec, compute_margins, tightened_polytope
+from .margins import GaussianSpec, MarginSet, compute_margins, tightened_polytope
 from .sampler import MixtureSampler, build_mixture, sample_mixture_batch
 
 # Constraint rows with at most this much slack at the optimum are
 # reported as active.
 ACTIVE_TOL = 1e-7
+
+# Most rows one block of Gaussian draws holds: classical draws and the
+# out-of-sample check stream through blocks, so memory stays O(CHUNK)
+# for any count.
+CHUNK = 1 << 14
 
 
 class SolverError(RuntimeError):
@@ -153,13 +160,51 @@ def nominal_scenario_set(n_buses: int, seed: int | None = None) -> ScenarioSet:
     return ScenarioSet(scenarios=np.zeros((1, n_buses)), origin="nominal", seed=seed)
 
 
-def draw_gaussian_scenarios(g: GaussianSpec, n: int, seed: int | None) -> ScenarioSet:
-    """n deviations straight from the uncertainty model."""
+def draw_gaussian_scenarios(
+    g: GaussianSpec, n: int, seed: int | np.random.Generator | None
+) -> ScenarioSet:
+    """n deviations straight from the uncertainty model.
+
+    seed may also be a Generator, whose stream the draw continues; the
+    set then records no seed.
+    """
     if n < 1:
         raise ValueError(f"need at least one scenario, got {n}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, g.cov_half.shape[1]))
+    if isinstance(seed, np.random.Generator):
+        seed = None
     return ScenarioSet(scenarios=z @ g.cov_half.T, origin="gaussian", seed=seed)
+
+
+def chunk_sizes(n: int) -> list[int]:
+    """Split n >= 1 rows into ceil(n / CHUNK) blocks of near-equal size.
+
+    No block is a sliver: BLAS rounds a one-row product (gemv) and very
+    short blocks (small-matrix kernels) differently from a long block,
+    so a short remainder would make results depend on how n falls
+    against CHUNK.
+    """
+    blocks = -(-n // CHUNK)
+    size, longer = divmod(n, blocks)
+    return [size + 1] * longer + [size] * (blocks - longer)
+
+
+def reduce_gaussian(
+    poly: FeasibilityPolytope, g: GaussianSpec, n: int, seed: int | None
+) -> np.ndarray:
+    """reduce_scenarios over n Gaussian deviations, CHUNK rows at a time.
+
+    Blocks are drawn in turn from one generator, so together they are
+    the one-shot draw of draw_gaussian_scenarios(g, n, seed), and the
+    elementwise minimum of their offsets is the offset of the whole set.
+    """
+    rng = np.random.default_rng(seed)
+    offsets = None
+    for size in chunk_sizes(n):
+        block = reduce_scenarios(poly, draw_gaussian_scenarios(g, size, rng))
+        offsets = block if offsets is None else np.minimum(offsets, block)
+    return offsets
 
 
 def draw_mixture_scenarios(ms: MixtureSampler, n: int, seed: int | None) -> ScenarioSet:
@@ -283,6 +328,19 @@ def assemble(
     """
     if pm is not None and pm.n_rows != poly.n_rows:
         raise ValueError("tightened polytope must match the original row for row")
+    lp, shift = _skeleton(case, poly)
+    offsets = reduce_scenarios(poly, scen)
+    if pm is not None:
+        offsets = np.minimum(offsets, pm.offsets)
+    return _with_offsets(lp, shift, offsets)
+
+
+def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> tuple[LinearProgram, np.ndarray]:
+    """The dispatch LP at the polytope's own offsets, and its row shift.
+
+    Only the first poly.n_rows entries of b_ub depend on the offsets:
+    they are offsets - shift (see _with_offsets).
+    """
     slack_bus, residual, decisions = _dispatch_structure(case)
     index = case.index
     base = case.base_mva
@@ -307,12 +365,9 @@ def assemble(
     lower = np.array([case.generators[j].p_min_mw / base for j in decisions])
     upper = np.array([case.generators[j].p_max_mw / base for j in decisions])
 
-    offsets = reduce_scenarios(poly, scen)
-    if pm is not None:
-        offsets = np.minimum(offsets, pm.offsets)
-
     a_ub = poly.normals @ inj_map
-    b_ub = offsets - poly.normals @ inj_fixed
+    shift = poly.normals @ inj_fixed
+    b_ub = poly.offsets - shift
     labels = list(poly.labels)
 
     slack_bus_gens = [j for j, gen in enumerate(case.generators) if gen.bus == slack_bus]
@@ -331,7 +386,7 @@ def assemble(
         )
         labels += [("residual-upper", slack_bus), ("residual-lower", slack_bus)]
 
-    return LinearProgram(
+    lp = LinearProgram(
         cost=cost,
         cost_offset=offset,
         a_ub=a_ub,
@@ -347,6 +402,13 @@ def assemble(
         residual_at_zero=residual_at_zero,
         n_gens=len(case.generators),
     )
+    return lp, shift
+
+
+def _with_offsets(lp: LinearProgram, shift: np.ndarray, offsets: np.ndarray) -> LinearProgram:
+    """The skeleton lp with its polytope rows moved to the given offsets."""
+    b_ub = np.concatenate([offsets - shift, lp.b_ub[shift.shape[0]:]])
+    return replace(lp, b_ub=b_ub)
 
 
 def solve(lp: LinearProgram) -> DispatchSolution:
@@ -410,6 +472,72 @@ def _package_solution(lp: LinearProgram, decisions: np.ndarray) -> DispatchSolut
 # ---------------------------------------------------------------------------
 # end-to-end runs
 
+@dataclass(frozen=True)
+class PreparedProblem:
+    """A case and deviation model prepared once for any number of solves.
+
+    Holds everything a scenario solve at one eta shares, whatever its
+    seed: the polytope, the margins and the tightened polytope, the tail
+    mixture (None when no row is stochastic), and the dispatch LP at the
+    polytope's own offsets. A solve only moves the polytope rows of that
+    LP: b_ub starts with offsets - row_shift.
+    """
+
+    case: GridCase
+    g: GaussianSpec
+    poly: FeasibilityPolytope
+    margins: MarginSet
+    tightened: FeasibilityPolytope
+    mixture: MixtureSampler | None
+    lp: LinearProgram
+    row_shift: np.ndarray
+
+
+def prepare_problem(case: GridCase, g: GaussianSpec, eta: float) -> PreparedProblem:
+    """Build the seed-independent part of run_sa and run_sa_is once."""
+    poly = build_polytope(case, build_matrices(case))
+    m = compute_margins(poly, g, eta)
+    mixture = build_mixture(poly, m, g) if bool(np.any(m.stochastic)) else None
+    lp, shift = _skeleton(case, poly)
+    return PreparedProblem(
+        case=case,
+        g=g,
+        poly=poly,
+        margins=m,
+        tightened=tightened_polytope(poly, m),
+        mixture=mixture,
+        lp=lp,
+        row_shift=shift,
+    )
+
+
+def solve_prepared(
+    prep: PreparedProblem, method: str, n_scenarios: int, seed: int | None
+) -> DispatchSolution:
+    """One scenario solve on a prepared problem.
+
+    'sa' reduces n_scenarios Gaussian deviations against the rows.
+    'sa-is' reduces tail-mixture draws instead and intersects the result
+    with the margin-tightened rows. With n_scenarios = 0, or for 'sa-is'
+    with no stochastic row, the scenario part is the zero deviation, so
+    'sa' then solves the nominal problem.
+    """
+    if method not in ("sa", "sa-is"):
+        raise ValueError(f"unknown method {method!r}; use 'sa' or 'sa-is'")
+    if n_scenarios < 0:
+        raise ValueError(f"scenario count must be non-negative, got {n_scenarios}")
+    poly = prep.poly
+    if n_scenarios > 0 and method == "sa":
+        offsets = reduce_gaussian(poly, prep.g, n_scenarios, seed)
+    elif n_scenarios > 0 and prep.mixture is not None:
+        offsets = reduce_scenarios(poly, draw_mixture_scenarios(prep.mixture, n_scenarios, seed))
+    else:
+        offsets = reduce_scenarios(poly, nominal_scenario_set(prep.case.n, seed))
+    if method == "sa-is":
+        offsets = np.minimum(offsets, prep.tightened.offsets)
+    return solve(_with_offsets(prep.lp, prep.row_shift, offsets))
+
+
 def run_sa(
     case: GridCase,
     g: GaussianSpec,
@@ -419,22 +547,13 @@ def run_sa(
 ) -> DispatchSolution:
     """Plain scenario approximation: Gaussian draws, no margins.
 
-    eta is validated for interface symmetry with run_sa_is but does not
-    change the optimisation; it drives the scenario count bound when one
-    is requested upstream. n_scenarios = 0 solves the nominal problem
-    via the single zero deviation.
+    eta is validated (by the margins the prepared problem carries) for
+    interface symmetry with run_sa_is but does not change the
+    optimisation; it drives the scenario count bound when one is
+    requested upstream. n_scenarios = 0 solves the nominal problem via
+    the single zero deviation.
     """
-    if not 0.0 < eta <= 0.5:
-        raise ValueError(f"eta must lie in (0, 0.5], got {eta}")
-    if n_scenarios < 0:
-        raise ValueError(f"scenario count must be non-negative, got {n_scenarios}")
-    mat = build_matrices(case)
-    poly = build_polytope(case, mat)
-    if n_scenarios == 0:
-        scen = nominal_scenario_set(case.n, seed)
-    else:
-        scen = draw_gaussian_scenarios(g, n_scenarios, seed)
-    return solve(assemble(case, mat, poly, scen, pm=None))
+    return solve_prepared(prepare_problem(case, g, eta), "sa", n_scenarios, seed)
 
 
 def run_sa_is(
@@ -452,15 +571,4 @@ def run_sa_is(
     (degenerate uncertainty) or n_scenarios = 0 the scenario part
     collapses to the zero deviation.
     """
-    if n_scenarios < 0:
-        raise ValueError(f"scenario count must be non-negative, got {n_scenarios}")
-    mat = build_matrices(case)
-    poly = build_polytope(case, mat)
-    m = compute_margins(poly, g, eta)
-    pm = tightened_polytope(poly, m)
-    if n_scenarios == 0 or not bool(np.any(m.stochastic)):
-        scen = nominal_scenario_set(case.n, seed)
-    else:
-        ms = build_mixture(poly, m, g)
-        scen = draw_mixture_scenarios(ms, n_scenarios, seed)
-    return solve(assemble(case, mat, poly, scen, pm=pm))
+    return solve_prepared(prepare_problem(case, g, eta), "sa-is", n_scenarios, seed)

@@ -4,11 +4,13 @@ A dispatch is validated by drawing fresh deviations and counting how
 often the perturbed injections stay feasible. The 1-D problem (one
 decision, one row, unit variance) has a closed-form optimum, which makes
 it the reference point for conservatism checks and for the sample-count
-sweep. run_experiment repeats the full pipeline over seeds and methods
-and aggregates the outcomes into a serialisable report.
+sweep. run_experiment prepares the case once, repeats the draws and
+solves over seeds and methods, and aggregates the outcomes into a
+serialisable report.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -25,19 +27,22 @@ from .grid import (
     load_case,
 )
 from .kernels import norm_cdf, norm_isf, tail_quantile
-from .margins import GaussianSpec, compute_margins, tightened_polytope
+from .margins import GaussianSpec, MarginSet, compute_margins, tightened_polytope
 from .sampler import build_mixture
 from .scenario import (
+    DispatchSolution,
+    PreparedProblem,
     SolverError,
+    chunk_sizes,
     draw_gaussian_scenarios,
     draw_mixture_scenarios,
     nominal_scenario_set,
+    prepare_problem,
     reduce_scenarios,
-    run_sa,
-    run_sa_is,
     sample_size_cc,
     sample_size_filtered,
     sample_size_mixture,
+    solve_prepared,
 )
 from .uncertainty import build_uncertainty
 
@@ -62,6 +67,8 @@ def out_of_sample_confidence(
 
     Returns the estimate and its binomial standard error. Row checks
     allow _OOS_TOL of slack so boundary dispatches are not miscounted.
+    Deviations are drawn and checked in blocks (scenario.chunk_sizes) of
+    one stream, so memory stays bounded for any n_test.
 
     Parameters
     ----------
@@ -80,11 +87,13 @@ def out_of_sample_confidence(
         raise ValueError(f"n_test must be positive, got {n_test}")
     x = np.asarray(x, dtype=float)
     headroom = poly.offsets - poly.normals @ x + _OOS_TOL
+    factor = (poly.normals @ g.cov_half).T
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_test, g.cov_half.shape[1]))
-    proj = z @ (poly.normals @ g.cov_half).T
-    inside = np.all(proj <= headroom, axis=1)
-    prob = float(np.mean(inside))
+    inside = 0
+    for size in chunk_sizes(n_test):
+        z = rng.standard_normal((size, g.cov_half.shape[1]))
+        inside += int(np.count_nonzero(np.all(z @ factor <= headroom, axis=1)))
+    prob = inside / n_test
     stderr = float(np.sqrt(prob * (1.0 - prob) / n_test))
     return prob, stderr
 
@@ -323,29 +332,34 @@ def load_case_ref(ref: str) -> GridCase:
         ) from None
 
 
-def mixture_tail_mass(config: ExperimentConfig, case: GridCase) -> tuple[int, float]:
+def mixture_tail_mass(
+    config: ExperimentConfig, case: GridCase, margins: MarginSet | None = None
+) -> tuple[int, float]:
     """Stochastic row count K and total tail mass S of the sa-is mixture.
 
     S sums the rows' tail probabilities at the config's eta, the same sum
     build_mixture normalises its weights by; (0, 0.0) when no row sees
-    the uncertainty.
+    the uncertainty. margins, when given, are the config's margins on
+    this case (a prepared problem's) and are not rebuilt.
     """
-    mat = build_matrices(case)
-    poly = build_polytope(case, mat)
-    g = build_uncertainty(case, config.sigma_frac)
-    m = compute_margins(poly, g, config.eta)
-    probs = m.tail_probs[m.stochastic]
+    if margins is None:
+        poly = build_polytope(case, build_matrices(case))
+        margins = compute_margins(poly, build_uncertainty(case, config.sigma_frac), config.eta)
+    probs = margins.tail_probs[margins.stochastic]
     return int(probs.size), float(np.sum(probs))
 
 
-def resolve_scenario_count(config: ExperimentConfig, case: GridCase, method: str) -> int:
+def resolve_scenario_count(
+    config: ExperimentConfig, case: GridCase, method: str, margins: MarginSet | None = None
+) -> int:
     """Scenario count a method will use under this config.
 
     Fixed counts pass through (dc-opf always uses none). 'auto' applies
     the certified bounds: the classical one for sa; for sa-is the
     classical one at eta / S (sample_size_mixture), S being the tail
     mixture's total tail mass. That bound is closed-form, so no covered
-    mass is estimated, and it does not depend on eta.
+    mass is estimated, and it does not depend on eta. margins are passed
+    on to mixture_tail_mass.
     """
     if method == "dc-opf":
         return 0
@@ -354,38 +368,57 @@ def resolve_scenario_count(config: ExperimentConfig, case: GridCase, method: str
     d = max(1, len(case.generators) - 1)
     if method == "sa":
         return sample_size_cc(config.eta, config.delta, d)
-    k, s = mixture_tail_mass(config, case)
+    k, s = mixture_tail_mass(config, case, margins)
     if k == 0:
         return 0
     return sample_size_mixture(config.eta, config.delta, d, s)
 
 
-def _run_one(
-    config: ExperimentConfig, case: GridCase, method: str, n_scenarios: int, rep: int
-) -> RepetitionRecord:
-    g = build_uncertainty(case, config.sigma_frac)
-    rep_seed = config.seed + rep
+def prepare_experiment(config: ExperimentConfig) -> PreparedProblem:
+    """Load the config's case and prepare it at the config's sigma and eta."""
+    case = load_case_ref(config.case)
+    return prepare_problem(case, build_uncertainty(case, config.sigma_frac), config.eta)
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What every repetition of one run shares; pool workers get it once.
+
+    nominal is the dc-opf dispatch, which no seed changes: None when the
+    solver broke down, and unused when dc-opf is not among the methods.
+    """
+
+    config: ExperimentConfig
+    problem: PreparedProblem
+    resolved: dict[str, int]
+    nominal: DispatchSolution | None
+
+
+def _solve(problem: PreparedProblem, method: str, n_scenarios: int, seed: int):
     try:
-        if method == "dc-opf":
-            sol = run_sa(case, g, config.eta, 0, rep_seed)
-        elif method == "sa":
-            sol = run_sa(case, g, config.eta, n_scenarios, rep_seed)
-        else:
-            sol = run_sa_is(case, g, config.eta, n_scenarios, rep_seed)
-        status = sol.status
+        return solve_prepared(problem, method, n_scenarios, seed)
     except SolverError:
-        sol = None
-        status = "solver-error"
+        return None
+
+
+def _run_one(experiment: _Experiment, method: str, rep: int) -> RepetitionRecord:
+    config, problem = experiment.config, experiment.problem
+    n_scenarios = experiment.resolved[method]
+    rep_seed = config.seed + rep
+    if method == "dc-opf":
+        sol = experiment.nominal
+    else:
+        sol = _solve(problem, method, n_scenarios, rep_seed)
+    status = "solver-error" if sol is None else sol.status
 
     confidence = math.nan
     stderr = math.nan
     objective = math.nan
-    if sol is not None and status == "optimal":
+    if status == "optimal":
         objective = sol.objective
-        mat = build_matrices(case)
-        poly = build_polytope(case, mat)
         confidence, stderr = out_of_sample_confidence(
-            sol.injection_pu, poly, g, config.n_test, rep_seed + _TEST_SEED_OFFSET
+            sol.injection_pu, problem.poly, problem.g, config.n_test,
+            rep_seed + _TEST_SEED_OFFSET,
         )
     return RepetitionRecord(
         method=method,
@@ -399,27 +432,81 @@ def _run_one(
     )
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+def _openblas(entry: str) -> list:
+    """The named entry point of every OpenBLAS mapped into this process.
+
+    NumPy and SciPy each bundle their own OpenBLAS, with its own symbol
+    prefix and suffix (e.g. scipy_openblas_set_num_threads64_). Empty
+    when none is found: another BLAS, or no /proc to list libraries.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        names = (f"{prefix}_{entry}{suffix}" for prefix in ("scipy_openblas", "openblas")
+                 for suffix in ("64_", ""))
+        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if fn is not None:
+            found.append(fn)
+    return found
+
+
+# The experiment a pool worker runs repetitions of, set by _start_worker.
+_WORKER_EXPERIMENT: _Experiment | None = None
+
+
+def _start_worker(experiment: _Experiment) -> None:
+    # every worker gets one BLAS thread: --jobs workers already fill the
+    # cores, and more threads per worker only oversubscribe them
+    global _WORKER_EXPERIMENT
+    _WORKER_EXPERIMENT = experiment
+    for set_threads in _openblas("set_num_threads"):
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def _run_in_worker(method: str, rep: int) -> RepetitionRecord:
+    return _run_one(_WORKER_EXPERIMENT, method, rep)
+
+
+def run_experiment(
+    config: ExperimentConfig, problem: PreparedProblem | None = None
+) -> ExperimentReport:
     """Run every configured method over the repetition seeds.
 
     Repetition k uses seed config.seed + k for its scenario draws and a
     far-offset stream for its out-of-sample test, so methods see paired
     scenarios and validation never reuses optimisation draws. Failed
-    repetitions are recorded, not raised.
+    repetitions are recorded, not raised. problem, when given, is
+    prepare_experiment(config), so a caller that already prepared the
+    case does not prepare it twice. With jobs > 1 each pool worker
+    receives the prepared experiment once and uses one BLAS thread.
     """
-    case = load_case_ref(config.case)
-    resolved = {m: resolve_scenario_count(config, case, m) for m in config.methods}
+    if problem is None:
+        problem = prepare_experiment(config)
+    case = problem.case
+    resolved = {
+        m: resolve_scenario_count(config, case, m, problem.margins) for m in config.methods
+    }
+    nominal = _solve(problem, "sa", 0, config.seed) if "dc-opf" in config.methods else None
+    experiment = _Experiment(config, problem, resolved, nominal)
     tasks = [(m, rep) for m in config.methods for rep in range(config.reps)]
 
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [
-                pool.submit(_run_one, config, case, m, resolved[m], rep)
-                for m, rep in tasks
-            ]
+        with ProcessPoolExecutor(
+            max_workers=config.jobs, initializer=_start_worker, initargs=(experiment,)
+        ) as pool:
+            futures = [pool.submit(_run_in_worker, m, rep) for m, rep in tasks]
             records = tuple(f.result() for f in futures)
     else:
-        records = tuple(_run_one(config, case, m, resolved[m], rep) for m, rep in tasks)
+        records = tuple(_run_one(experiment, m, rep) for m, rep in tasks)
 
     return ExperimentReport(
         config=config,

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +109,23 @@ def test_run_auto_sa_is_count_names_its_basis(capsys):
     assert out.splitlines()[0] == (
         "sa-is: 5656 scenarios (certified bound; K=92 stochastic rows, tail mass S=4.6)"
     )
+
+
+@pytest.mark.parametrize("module", ["ccopf", "ccopf.cli"])
+def test_python_m_runs_the_cli(module, tri_path):
+    # the child imports ccopf from wherever this process found it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "run", "--case", tri_path, "--method", "dc-opf,sa",
+         "--scenarios", "10", "--reps", "2", "--ntest", "100"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["dc-opf: 0 scenarios (fixed)", "sa: 10 scenarios (fixed)"]
+    assert lines[2].startswith("dc-opf: 2/2 optimal")
+    bad = subprocess.run([sys.executable, "-m", module, "run"], env=env, capture_output=True)
+    assert bad.returncode == 1
 
 
 def test_run_writes_report_files(tri_path, tmp_path, capsys):

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccopf.scenario as scenario
 from ccopf import (
     GaussianSpec,
     ScenarioSet,
@@ -15,6 +17,7 @@ from ccopf import (
     build_matrices,
     build_mixture,
     build_polytope,
+    build_uncertainty,
     compute_margins,
     draw_gaussian_scenarios,
     draw_mixture_scenarios,
@@ -30,6 +33,7 @@ from ccopf import (
     solve,
     tightened_polytope,
 )
+from ccopf.scenario import chunk_sizes, reduce_gaussian
 from conftest import TRIANGLE_TEXT, box_polytope, iid_gaussian
 
 # frozen with 50-digit arithmetic; the formulas must reproduce these exactly
@@ -381,3 +385,64 @@ def test_run_argument_validation(triangle):
         run_sa(triangle, g, eta=0.05, n_scenarios=-1, seed=0)
     with pytest.raises(ValueError, match="non-negative"):
         run_sa_is(triangle, g, eta=0.05, n_scenarios=-1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# streamed Gaussian draws
+
+@pytest.mark.parametrize(
+    "chunk, n", [(7, 1), (7, 7), (7, 8), (7, 50), (16384, 85230), (16384, 1_082_463)]
+)
+def test_chunk_sizes_split_evenly(monkeypatch, chunk, n):
+    monkeypatch.setattr(scenario, "CHUNK", chunk)
+    sizes = chunk_sizes(n)
+    assert sum(sizes) == n
+    assert len(sizes) == -(-n // chunk)
+    assert max(sizes) <= chunk
+    assert max(sizes) - min(sizes) <= 1
+
+
+def test_gaussian_blocks_reproduce_the_one_shot_draw(monkeypatch, case30):
+    # blocks continue one stream and offsets combine by an exact minimum,
+    # so neither the offsets nor the dispatch depend on the block size
+    g = build_uncertainty(case30, 0.07)
+    poly = build_polytope(case30, build_matrices(case30))
+    n, seed = 1000, 4
+    whole = reduce_scenarios(poly, draw_gaussian_scenarios(g, n, seed))
+    monkeypatch.setattr(scenario, "CHUNK", 1 << 62)
+    one = run_sa(case30, g, 0.05, n, seed)
+    monkeypatch.setattr(scenario, "CHUNK", 7)
+    np.testing.assert_array_equal(reduce_gaussian(poly, g, n, seed), whole)
+    many = run_sa(case30, g, 0.05, n, seed)
+    assert many.objective == one.objective
+    np.testing.assert_array_equal(many.x_g, one.x_g)
+
+
+def test_case57_blocks_reproduce_the_one_shot_draw(monkeypatch, case57):
+    # BLAS may round a product of a few rows on a small-matrix kernel (an
+    # AVX-512 OpenBLAS build does so on case57's 14 rows for blocks of up
+    # to 85 rows), so bits match the one-shot draw for blocks as long as
+    # CHUNK's own, which hold at least CHUNK / 2 rows; 2001 gives 1667 or
+    # 1666 rows
+    g = build_uncertainty(case57, 0.07)
+    poly = build_polytope(case57, build_matrices(case57))
+    n, seed = 5000, 9
+    whole = reduce_scenarios(poly, draw_gaussian_scenarios(g, n, seed))
+    monkeypatch.setattr(scenario, "CHUNK", 2001)
+    np.testing.assert_array_equal(reduce_gaussian(poly, g, n, seed), whole)
+
+
+def test_classical_draws_stream_in_bounded_memory(case30):
+    # the one-shot draw at this count held about 1.3 GB of deviations and
+    # row projections
+    n = sample_size_cc(1e-4, 0.01, len(case30.generators) - 1)
+    assert n == 1_082_463
+    g = build_uncertainty(case30, 0.07)
+    tracemalloc.start()
+    try:
+        sol = run_sa(case30, g, 1e-4, n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status in ("optimal", "infeasible")
+    assert peak < 64e6

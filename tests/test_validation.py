@@ -1,20 +1,29 @@
 """Out-of-sample checks, the 1-D synthetic problem, and experiment plumbing."""
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import ccopf.scenario as scenario
+import ccopf.validation as validation
 from ccopf import (
     ExperimentConfig,
     ExperimentReport,
     FeasibilityPolytope,
     GaussianSpec,
     RepetitionRecord,
+    build_matrices,
+    build_polytope,
+    build_uncertainty,
     out_of_sample_confidence,
     run_experiment,
+    run_sa_is,
     solve_1d_synthetic,
     sweep_1d,
 )
@@ -65,6 +74,34 @@ def test_confidence_reproducible():
 def test_confidence_requires_samples():
     with pytest.raises(ValueError, match="n_test"):
         out_of_sample_confidence(np.array([0.0]), one_row(1.0), iid_gaussian(1), 0, seed=0)
+
+
+def _case30_dispatch(case30):
+    g = build_uncertainty(case30, 0.07)
+    poly = build_polytope(case30, build_matrices(case30))
+    return run_sa_is(case30, g, 0.05, 100, seed=3).injection_pu, poly, g
+
+
+def test_confidence_does_not_depend_on_the_block_size(monkeypatch, case30):
+    x, poly, g = _case30_dispatch(case30)
+    n_test = 10_003  # not a multiple of 7
+    monkeypatch.setattr(scenario, "CHUNK", 1 << 62)
+    one = out_of_sample_confidence(x, poly, g, n_test, seed=12)
+    monkeypatch.setattr(scenario, "CHUNK", 7)
+    assert out_of_sample_confidence(x, poly, g, n_test, seed=12) == one
+    assert 0.9 < one[0] < 1.0
+
+
+def test_confidence_streams_in_bounded_memory(case30):
+    # checking 1e6 deviations at once held about 750 MB of row projections
+    x, poly, g = _case30_dispatch(case30)
+    tracemalloc.start()
+    try:
+        out_of_sample_confidence(x, poly, g, 10**6, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +339,49 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     parallel = run_experiment(ExperimentConfig(**base, jobs=2))
     assert serial.records == parallel.records
     assert serial.resolved == parallel.resolved
+
+
+def test_run_experiment_does_not_depend_on_the_block_size(monkeypatch):
+    config = ExperimentConfig(
+        case="case30", methods=("dc-opf", "sa", "sa-is"), scenarios=500, reps=2,
+        n_test=1001, seed=8,
+    )
+    monkeypatch.setattr(scenario, "CHUNK", 1 << 62)
+    one = run_experiment(config)
+    monkeypatch.setattr(scenario, "CHUNK", 7)
+    assert run_experiment(config).records == one.records
+
+
+def test_pool_matches_serial_on_a_bundled_case():
+    # the triangle above never reaches BLAS in earnest; case30 does, in
+    # both the draws and the 1e4-deviation checks
+    base = dict(case="case30", methods=("dc-opf", "sa", "sa-is"), scenarios="auto",
+                reps=3, n_test=10_000, seed=17)
+    serial = run_experiment(ExperimentConfig(**base, jobs=1))
+    parallel = run_experiment(ExperimentConfig(**base, jobs=2))
+    assert parallel.records == serial.records
+    assert [r.status for r in serial.records] == ["optimal"] * 9
+
+
+def _worker_blas_threads() -> list[int]:
+    counts = []
+    for get in validation._openblas("get_num_threads"):
+        get.argtypes, get.restype = [], ctypes.c_int
+        counts.append(get())
+    return counts
+
+
+def test_pool_workers_use_one_blas_thread():
+    before = _worker_blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS library found")
+    with ProcessPoolExecutor(
+        max_workers=1, initializer=validation._start_worker, initargs=(None,)
+    ) as pool:
+        in_worker = pool.submit(_worker_blas_threads).result()
+    assert in_worker == [1] * len(before)
+    # the caller's own BLAS is left alone
+    assert _worker_blas_threads() == before
 
 
 def test_experiment_records_infeasible_runs(tmp_path):
