@@ -13,7 +13,7 @@ from __future__ import annotations
 import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,7 @@ def out_of_sample_confidence(
     g: GaussianSpec,
     n_test: int,
     seed: int | None,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Fraction of fresh deviations keeping x + xi feasible.
 
     Returns the estimate and its binomial standard error. Row checks
@@ -70,10 +70,17 @@ def out_of_sample_confidence(
     Deviations are drawn and checked in blocks (scenario.chunk_sizes) of
     one stream, so memory stays bounded for any n_test.
 
+    A stack of k dispatches is checked against one draw: each block is
+    drawn and projected once and then compared with every dispatch's
+    headroom, which gives each dispatch the result its own call with the
+    same seed would, at the cost of a single draw.
+
     Parameters
     ----------
     x : ndarray
-        Nominal injections in p.u., full bus vector.
+        Nominal injections in p.u., full bus vector; or a (k, n_bus)
+        stack of them, for which the estimates and standard errors come
+        back as two arrays of length k.
     poly : FeasibilityPolytope
         Feasibility system the perturbed injections must satisfy.
     g : GaussianSpec
@@ -86,15 +93,24 @@ def out_of_sample_confidence(
     if n_test < 1:
         raise ValueError(f"n_test must be positive, got {n_test}")
     x = np.asarray(x, dtype=float)
-    headroom = poly.offsets - poly.normals @ x + _OOS_TOL
+    stack = np.ascontiguousarray(np.atleast_2d(x))
+    if stack.shape[0] == 0:
+        raise ValueError("no dispatch to check: the stack is empty")
+    # one matrix-vector product per dispatch, as a single dispatch gets:
+    # a batched product would round differently
+    headrooms = [poly.offsets - poly.normals @ xj + _OOS_TOL for xj in stack]
     factor = (poly.normals @ g.cov_half).T
     rng = np.random.default_rng(seed)
-    inside = 0
+    inside = np.zeros(len(headrooms), dtype=np.int64)
     for size in chunk_sizes(n_test):
-        z = rng.standard_normal((size, g.cov_half.shape[1]))
-        inside += int(np.count_nonzero(np.all(z @ factor <= headroom, axis=1)))
+        y = rng.standard_normal((size, g.cov_half.shape[1])) @ factor
+        for j, headroom in enumerate(headrooms):
+            inside[j] += np.count_nonzero(np.all(y <= headroom, axis=1))
+        del y  # so the next block is drawn with only one projection alive
     prob = inside / n_test
-    stderr = float(np.sqrt(prob * (1.0 - prob) / n_test))
+    stderr = np.sqrt(prob * (1.0 - prob) / n_test)
+    if x.ndim == 1:
+        return float(prob[0]), float(stderr[0])
     return prob, stderr
 
 
@@ -401,35 +417,53 @@ def _solve(problem: PreparedProblem, method: str, n_scenarios: int, seed: int):
         return None
 
 
-def _run_one(experiment: _Experiment, method: str, rep: int) -> RepetitionRecord:
-    config, problem = experiment.config, experiment.problem
+def _run_one(
+    experiment: _Experiment, method: str, rep: int
+) -> tuple[RepetitionRecord, np.ndarray | None]:
+    """Solve one method under one repetition seed.
+
+    Returns its record, still without out-of-sample confidence, and the
+    optimal dispatch, which _run_rep checks (None unless optimal).
+    """
     n_scenarios = experiment.resolved[method]
-    rep_seed = config.seed + rep
+    rep_seed = experiment.config.seed + rep
     if method == "dc-opf":
         sol = experiment.nominal
     else:
-        sol = _solve(problem, method, n_scenarios, rep_seed)
+        sol = _solve(experiment.problem, method, n_scenarios, rep_seed)
     status = "solver-error" if sol is None else sol.status
-
-    confidence = math.nan
-    stderr = math.nan
-    objective = math.nan
-    if status == "optimal":
-        objective = sol.objective
-        confidence, stderr = out_of_sample_confidence(
-            sol.injection_pu, problem.poly, problem.g, config.n_test,
-            rep_seed + _TEST_SEED_OFFSET,
-        )
-    return RepetitionRecord(
+    optimal = status == "optimal"
+    record = RepetitionRecord(
         method=method,
         rep=rep,
         seed=rep_seed,
         n_scenarios=n_scenarios,
         status=status,
-        objective=objective,
-        confidence=confidence,
-        conf_stderr=stderr,
+        objective=sol.objective if optimal else math.nan,
+        confidence=math.nan,
+        conf_stderr=math.nan,
     )
+    return record, sol.injection_pu if optimal else None
+
+
+def _run_rep(experiment: _Experiment, rep: int) -> list[RepetitionRecord]:
+    """Every method under one repetition seed, in config.methods order.
+
+    The optimal dispatches are checked together against one draw of the
+    repetition's test deviations.
+    """
+    config, problem = experiment.config, experiment.problem
+    records, dispatches = zip(*(_run_one(experiment, m, rep) for m in config.methods))
+    records = list(records)
+    checked = [i for i, x in enumerate(dispatches) if x is not None]
+    if checked:
+        confidence, stderr = out_of_sample_confidence(
+            np.stack([dispatches[i] for i in checked]), problem.poly, problem.g,
+            config.n_test, config.seed + rep + _TEST_SEED_OFFSET,
+        )
+        for i, c, e in zip(checked, confidence, stderr):
+            records[i] = replace(records[i], confidence=float(c), conf_stderr=float(e))
+    return records
 
 
 def _openblas(entry: str) -> list:
@@ -472,8 +506,8 @@ def _start_worker(experiment: _Experiment) -> None:
         set_threads(1)
 
 
-def _run_in_worker(method: str, rep: int) -> RepetitionRecord:
-    return _run_one(_WORKER_EXPERIMENT, method, rep)
+def _rep_in_worker(rep: int) -> list[RepetitionRecord]:
+    return _run_rep(_WORKER_EXPERIMENT, rep)
 
 
 def run_experiment(
@@ -483,11 +517,14 @@ def run_experiment(
 
     Repetition k uses seed config.seed + k for its scenario draws and a
     far-offset stream for its out-of-sample test, so methods see paired
-    scenarios and validation never reuses optimisation draws. Failed
-    repetitions are recorded, not raised. problem, when given, is
-    prepare_experiment(config), so a caller that already prepared the
-    case does not prepare it twice. With jobs > 1 each pool worker
-    receives the prepared experiment once and uses one BLAS thread.
+    scenarios and validation never reuses optimisation draws. Every
+    method of a repetition is scored on the same test deviations, which
+    are drawn once and checked against all of its optimal dispatches.
+    Failed repetitions are recorded, not raised. Records come back
+    method-major. problem, when given, is prepare_experiment(config), so
+    a caller that already prepared the case does not prepare it twice.
+    With jobs > 1 the repetitions go to min(jobs, reps) pool workers;
+    each receives the prepared experiment once and uses one BLAS thread.
     """
     if problem is None:
         problem = prepare_experiment(config)
@@ -497,16 +534,17 @@ def run_experiment(
     }
     nominal = _solve(problem, "sa", 0, config.seed) if "dc-opf" in config.methods else None
     experiment = _Experiment(config, problem, resolved, nominal)
-    tasks = [(m, rep) for m in config.methods for rep in range(config.reps)]
-
-    if config.jobs > 1:
+    workers = min(config.jobs, config.reps)
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=config.jobs, initializer=_start_worker, initargs=(experiment,)
+            max_workers=workers, initializer=_start_worker, initargs=(experiment,)
         ) as pool:
-            futures = [pool.submit(_run_in_worker, m, rep) for m, rep in tasks]
-            records = tuple(f.result() for f in futures)
+            by_rep = list(pool.map(_rep_in_worker, range(config.reps)))
     else:
-        records = tuple(_run_one(experiment, m, rep) for m, rep in tasks)
+        by_rep = [_run_rep(experiment, rep) for rep in range(config.reps)]
+    records = tuple(
+        by_rep[rep][i] for i in range(len(config.methods)) for rep in range(config.reps)
+    )
 
     return ExperimentReport(
         config=config,

@@ -22,9 +22,11 @@ from ccopf import (
     build_polytope,
     build_uncertainty,
     out_of_sample_confidence,
+    prepare_problem,
     run_experiment,
     run_sa_is,
     solve_1d_synthetic,
+    solve_prepared,
     sweep_1d,
 )
 from ccopf.kernels import norm_cdf, norm_isf
@@ -99,9 +101,76 @@ def test_confidence_streams_in_bounded_memory(case30):
     try:
         out_of_sample_confidence(x, poly, g, 10**6, seed=5)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        # a stack shares each block's projection; only one is alive at a time
+        out_of_sample_confidence(np.stack([x] * 3), poly, g, 10**6, seed=5)
+        _, stacked_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+    assert stacked_peak < 2 * 8 * scenario.CHUNK * poly.n_rows
+
+
+def _three_dispatches(case):
+    # the nominal, a classical and an importance-sampled dispatch: three
+    # different headrooms against the same deviations
+    prep = prepare_problem(case, build_uncertainty(case, 0.07), 0.05)
+    xs = [solve_prepared(prep, method, n, seed=3).injection_pu
+          for method, n in (("sa", 0), ("sa", 200), ("sa-is", 200))]
+    return np.stack(xs), prep.poly, prep.g
+
+
+@pytest.mark.parametrize("name,chunk", [
+    ("case30", 7), ("case30", None),
+    # case57's few-row blocks round differently (see the block-size tests),
+    # so it is checked at the production block size only
+    ("case57", None),
+])
+def test_stacked_check_equals_one_check_per_dispatch(monkeypatch, request, name, chunk):
+    xs, poly, g = _three_dispatches(request.getfixturevalue(name))
+    if chunk is not None:
+        monkeypatch.setattr(scenario, "CHUNK", chunk)
+    n_test = 10_003  # not a multiple of any block size used
+    prob, stderr = out_of_sample_confidence(xs, poly, g, n_test, seed=21)
+    assert prob.shape == stderr.shape == (3,)
+    singles = [out_of_sample_confidence(x, poly, g, n_test, seed=21) for x in xs]
+    assert [(float(p), float(e)) for p, e in zip(prob, stderr)] == singles
+    # the dispatches differ enough to score differently
+    assert len(set(prob.tolist())) > 1
+
+
+def test_stacked_headrooms_round_as_one_dispatch_does(monkeypatch, case30):
+    # a dispatch exactly on every row, with no slack and no spread, stays
+    # inside only if its headroom is the one-dispatch product's exact zero;
+    # one batched product over the stack rounds some of these rows apart
+    xs, poly, _ = _three_dispatches(case30)
+    on_rows = FeasibilityPolytope(poly.normals, poly.normals @ xs[0], poly.labels)
+    n_bus = xs.shape[1]
+    rigid = GaussianSpec(cov=np.zeros((n_bus, n_bus)), cov_half=np.zeros((n_bus, n_bus)))
+    monkeypatch.setattr(validation, "_OOS_TOL", 0.0)
+    assert out_of_sample_confidence(xs[0], on_rows, rigid, 10, seed=0) == (1.0, 0.0)
+    prob, _ = out_of_sample_confidence(xs, on_rows, rigid, 10, seed=0)
+    assert prob[0] == 1.0
+
+
+def test_stack_of_one_equals_the_one_dispatch_call(case30):
+    xs, poly, g = _three_dispatches(case30)
+    one = out_of_sample_confidence(xs[2], poly, g, 5000, seed=4)
+    prob, stderr = out_of_sample_confidence(xs[2:], poly, g, 5000, seed=4)
+    assert (float(prob[0]), float(stderr[0])) == one
+
+
+def test_one_dispatch_call_returns_two_floats(case30):
+    xs, poly, g = _three_dispatches(case30)
+    result = out_of_sample_confidence(xs[1], poly, g, 1000, seed=4)
+    assert isinstance(result, tuple) and len(result) == 2
+    assert all(type(v) is float for v in result)
+
+
+def test_empty_stack_rejected(case30):
+    xs, poly, g = _three_dispatches(case30)
+    with pytest.raises(ValueError, match="empty"):
+        out_of_sample_confidence(xs[:0], poly, g, 1000, seed=4)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +430,92 @@ def test_pool_matches_serial_on_a_bundled_case():
     parallel = run_experiment(ExperimentConfig(**base, jobs=2))
     assert parallel.records == serial.records
     assert [r.status for r in serial.records] == ["optimal"] * 9
+
+
+def test_single_repetition_with_two_jobs_runs_serially(monkeypatch):
+    base = dict(case="case30", methods=("dc-opf", "sa", "sa-is"), scenarios=300,
+                reps=1, n_test=2000, seed=23)
+    serial = run_experiment(ExperimentConfig(**base, jobs=1))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one repetition needs no pool")
+
+    monkeypatch.setattr(validation, "ProcessPoolExecutor", no_pool)
+    assert run_experiment(ExperimentConfig(**base, jobs=2)).records == serial.records
+
+
+def test_pool_starts_no_more_workers_than_repetitions(monkeypatch, tmp_path):
+    path = tmp_path / "tri.m"
+    path.write_text(TRIANGLE_TEXT)
+    started = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(validation, "ProcessPoolExecutor", Recording)
+    run_experiment(ExperimentConfig(case=str(path), methods=("sa",), scenarios=5,
+                                    reps=2, n_test=50, jobs=3))
+    assert started == [2]
+
+
+def test_one_check_per_repetition_with_an_optimal_dispatch(monkeypatch, tmp_path):
+    calls = []
+    check = validation.out_of_sample_confidence
+
+    def counting(x, *args):
+        calls.append(np.shape(x))
+        return check(x, *args)
+
+    monkeypatch.setattr(validation, "out_of_sample_confidence", counting)
+    config = ExperimentConfig(case="case30", methods=("dc-opf", "sa", "sa-is"),
+                              scenarios=100, reps=3, n_test=500, seed=2)
+    report = run_experiment(config)
+    assert [r.status for r in report.records] == ["optimal"] * 9
+    assert len(calls) == 3
+    assert all(shape[0] == 3 for shape in calls)
+
+    # a repetition with no optimal dispatch has nothing to check
+    calls.clear()
+    path = tmp_path / "heavy.m"
+    path.write_text(TRIANGLE_TEXT.replace("\t3\t1\t80;", "\t3\t1\t200;"))
+    report = run_experiment(ExperimentConfig(case=str(path), methods=("dc-opf", "sa"),
+                                             scenarios=5, reps=2, n_test=50))
+    assert {r.status for r in report.records} == {"infeasible"}
+    assert calls == []
+
+
+def _one_check_per_record(config: ExperimentConfig) -> tuple[RepetitionRecord, ...]:
+    # the records as one solve and one single-dispatch check per method
+    # and repetition give them
+    problem = validation.prepare_experiment(config)
+    records = []
+    for method in config.methods:
+        n = resolve_scenario_count(config, problem.case, method, problem.margins)
+        for rep in range(config.reps):
+            seed = config.seed + rep
+            if method == "dc-opf":
+                sol = solve_prepared(problem, "sa", 0, config.seed)
+            else:
+                sol = solve_prepared(problem, method, n, seed)
+            assert sol.status == "optimal"
+            conf, stderr = out_of_sample_confidence(
+                sol.injection_pu, problem.poly, problem.g, config.n_test,
+                seed + validation._TEST_SEED_OFFSET,
+            )
+            records.append(RepetitionRecord(method, rep, seed, n, "optimal",
+                                            sol.objective, conf, stderr))
+    return tuple(records)
+
+
+@pytest.mark.parametrize("name", ["case30", "case57"])
+def test_run_equals_one_check_per_method_and_repetition(name):
+    base = dict(case=name, methods=("dc-opf", "sa", "sa-is"), scenarios=300,
+                reps=3, n_test=10_003, seed=31)
+    want = _one_check_per_record(ExperimentConfig(**base))
+    assert run_experiment(ExperimentConfig(**base, jobs=1)).records == want
+    assert run_experiment(ExperimentConfig(**base, jobs=2)).records == want
 
 
 def _worker_blas_threads() -> list[int]:
