@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FeasibilityPolytope
-from .kernels import norm_isf, norm_sf, tail_quantile
+from .kernels import norm_isf, norm_sf
 from .margins import GaussianSpec, MarginSet
 
 _UNIT_TOL = 1e-9
@@ -137,34 +137,15 @@ def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> M
     )
 
 
-def sample_tail(ms: MixtureSampler, i: int, rng: np.random.Generator) -> np.ndarray:
-    """One deviation from component i, guaranteed in its half-space.
-
-    Draws a standard normal in the support, then replaces its coordinate
-    along the component axis with a truncated-tail draw: the quantile of
-    p_i * u lies above the threshold for u in (0, 1].
-    """
-    if not 0 <= i < ms.n_components:
-        raise IndexError(f"component {i} out of range")
-    axis = ms.reduced_directions[i]
-    z = rng.standard_normal(ms.reduced_dim)
-    u = 1.0 - rng.random()  # (0, 1]: keeps the quantile finite
-    y = float(tail_quantile(float(ms.thresholds[i]), float(ms.tail_probs[i]), u))
-    w = z + axis * (y - float(axis @ z))
-    return ms.gaussian.from_reduced(w)
-
-
-def sample_mixture(ms: MixtureSampler, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """One deviation from the mixture; returns (deviation, component)."""
-    comp = int(rng.choice(ms.n_components, p=ms.weights))
-    return sample_tail(ms, comp, rng), comp
-
-
 def sample_mixture_batch(
     ms: MixtureSampler, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """n mixture deviations in one shot; returns (n x buses, components).
 
+    Each row draws a standard normal in the support and replaces its
+    coordinate along its component's axis with a truncated-tail draw:
+    the quantile of p_i * u, u in (0, 1], lies at or above the
+    threshold, so every row lands in its component's half-space.
     The draw order is fixed (components, then normals, then tail
     uniforms) so results are reproducible for a given generator state.
     """

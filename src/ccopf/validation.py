@@ -234,6 +234,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
         if not self.methods:
             raise ValueError("at least one method required")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"methods {repeated} given more than once")
         if not 0.0 < self.eta <= 0.5:
             raise ValueError(f"eta must lie in (0, 0.5], got {self.eta}")
         if isinstance(self.scenarios, str):

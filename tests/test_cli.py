@@ -67,6 +67,15 @@ def test_bad_method_is_usage_error(tri_path, capsys):
     assert "unknown methods" in err
 
 
+def test_repeated_method_is_usage_error(tri_path, capsys):
+    code, out, err = run_cli(
+        ["run", "--case", tri_path, "--method", "sa,sa", "--reps", "3"], capsys
+    )
+    assert code == 1
+    assert "given more than once" in err
+    assert out == ""
+
+
 def test_bad_scenarios_is_usage_error(tri_path, capsys):
     code, _, err = run_cli(["run", "--case", tri_path, "--scenarios", "many"], capsys)
     assert code == 1

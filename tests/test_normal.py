@@ -6,17 +6,12 @@ the algorithms rather than decimal-to-binary conversion of the inputs.
 """
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccopf import kernels
-from ccopf.kernels import pure
 
 # (z, Phi(z)) with Phi the standard normal CDF
 CDF_TABLE = [
@@ -40,6 +35,9 @@ CDF_TABLE = [
 
 # (p, Phi^{-1}(p))
 PPF_TABLE = [
+    (1e-300, -37.047096299361199237),
+    (1e-100, -21.273453560965324294),
+    (1e-20, -9.2623400897984075796),
     (1e-12, -7.0344838253011319326),
     (1e-09, -5.9978070150076868614),
     (3.1671241833119924e-05, -3.999999999999999977),
@@ -102,12 +100,6 @@ def test_round_trip_meets_contract():
     assert np.max(np.abs(back - p) / p) < 1e-10
 
 
-def test_pdf_matches_formula():
-    z = np.linspace(-6, 6, 41)
-    want = np.exp(-0.5 * z ** 2) / np.sqrt(2 * np.pi)
-    np.testing.assert_allclose(kernels.norm_pdf(z), want, rtol=1e-14)
-
-
 def test_erfc_special_values():
     assert kernels.erfc(0.0) == pytest.approx(1.0, rel=1e-15)
     # erfc(-x) + erfc(x) = 2
@@ -165,42 +157,3 @@ def test_tail_quantile_deep_threshold_stays_finite():
     y = kernels.tail_quantile(8.0, p_tail, np.array([1e-6, 0.5, 1.0]))
     assert np.all(np.isfinite(y))
     assert np.all(y >= 8.0 - 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-def test_backend_reported():
-    assert kernels.BACKEND in ("compiled", "python")
-
-
-@pytest.mark.skipif(kernels.BACKEND != "compiled", reason="pure backend already active")
-def test_backends_agree():
-    rng = np.random.default_rng(11)
-    z = np.concatenate([rng.uniform(-9, 9, 5000), [-8.0, 0.0, 8.0]])
-    p = np.concatenate([10.0 ** rng.uniform(-14, np.log10(0.5), 5000), [0.5]])
-    u = 1.0 - rng.random(5000)
-    for fast, ref in [
-        (kernels.erfc(z), pure.erfc(z)),
-        (kernels.norm_cdf(z), pure.norm_cdf(z)),
-        (kernels.norm_sf(z), pure.norm_sf(z)),
-        (kernels.norm_pdf(z), pure.norm_pdf(z)),
-        (kernels.norm_ppf(p), pure.norm_ppf(p)),
-        (kernels.norm_isf(p), pure.norm_isf(p)),
-        (kernels.tail_quantile(1.5, pure.norm_sf(np.array([1.5]))[0], u),
-         pure.tail_quantile(1.5, pure.norm_sf(np.array([1.5]))[0], u)),
-    ]:
-        np.testing.assert_allclose(fast, ref, rtol=1e-13, atol=0)
-
-
-def test_env_var_forces_pure_backend():
-    # the child imports ccopf from wherever this process found it
-    env = dict(os.environ, CCOPF_PURE_PYTHON="1", PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", "from ccopf import kernels; print(kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"

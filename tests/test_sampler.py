@@ -16,9 +16,7 @@ from ccopf import (
     compute_margins,
     importance_ratio,
     mixture_pdf,
-    sample_mixture,
     sample_mixture_batch,
-    sample_tail,
 )
 from ccopf.kernels import norm_sf
 from conftest import box_polytope, iid_gaussian
@@ -140,16 +138,14 @@ def test_sampler_validation():
 
 def test_tail_sample_lands_in_half_space():
     ms, poly, m, _ = simple_mixture(sigma=0.5)
-    rng = np.random.default_rng(1)
-    for i in range(ms.n_components):
-        for _ in range(200):
-            xi = sample_tail(ms, i, rng)
-            proj = float(poly.normals[i] @ xi)
-            assert proj >= m.delta[i] - 1e-9
+    xi, comps = sample_mixture_batch(ms, 200 * ms.n_components, np.random.default_rng(1))
+    assert set(comps.tolist()) == set(range(ms.n_components))
+    rows = np.array(ms.row_indices)[comps]
+    proj = np.einsum("ij,ij->i", poly.normals[rows], xi)
+    assert np.all(proj >= m.delta[rows] - 1e-9)
 
 
 def test_tail_sample_deep_threshold():
-    ms, m, _ = two_threshold_mixture()
     deep = MarginSet(
         delta=np.array([8.0, 8.0]),
         beta=np.array([8.0, 8.0]),
@@ -162,22 +158,23 @@ def test_tail_sample_deep_threshold():
         normals=np.eye(2), offsets=np.array([5.0, 5.0]), labels=(("r", 0), ("r", 1))
     )
     ms = build_mixture(poly, deep, iid_gaussian(2))
-    rng = np.random.default_rng(2)
-    xi = np.array([sample_tail(ms, 0, rng) for _ in range(100)])
+    xi, comps = sample_mixture_batch(ms, 200, np.random.default_rng(2))
     assert np.all(np.isfinite(xi))
-    assert np.all(xi[:, 0] >= 8.0 - 1e-9)
+    for i in range(2):
+        rows = xi[comps == i]
+        assert rows.shape[0] > 0
+        assert np.all(rows[:, i] >= 8.0 - 1e-9)
 
 
 def test_tail_projection_is_half_normal_at_zero_threshold():
     # threshold 0 turns the axis coordinate into |N(0,1)|
-    poly = one = FeasibilityPolytope(
+    poly = FeasibilityPolytope(
         normals=np.array([[1.0, 0.0]]), offsets=np.array([4.0]), labels=(("r", 0),)
     )
     g = iid_gaussian(2)
     m = compute_margins(poly, g, 0.5)
     ms = build_mixture(poly, m, g)
-    rng = np.random.default_rng(3)
-    xi = np.array([sample_tail(ms, 0, rng) for _ in range(20_000)])
+    xi, _ = sample_mixture_batch(ms, 20_000, np.random.default_rng(3))
     proj = xi[:, 0]
     assert np.all(proj >= -1e-12)
     assert np.mean(proj) == pytest.approx(np.sqrt(2 / np.pi), abs=0.02)
@@ -186,21 +183,14 @@ def test_tail_projection_is_half_normal_at_zero_threshold():
     assert np.std(xi[:, 1]) == pytest.approx(1.0, abs=0.03)
 
 
-def test_sample_tail_index_checked():
-    ms, *_ = simple_mixture()
-    with pytest.raises(IndexError):
-        sample_tail(ms, 6, np.random.default_rng(0))
-
-
 def test_sample_mixture_component_frequencies():
     ms, m, _ = two_threshold_mixture()
-    rng = np.random.default_rng(4)
-    counts = np.zeros(2)
     n = 5000
-    for _ in range(n):
-        xi, comp = sample_mixture(ms, rng)
-        counts[comp] += 1
-        assert float(ms.directions[comp] @ xi) >= m.delta[ms.row_indices[comp]] - 1e-9
+    xi, comps = sample_mixture_batch(ms, n, np.random.default_rng(4))
+    rows = np.array(ms.row_indices)[comps]
+    proj = np.einsum("ij,ij->i", ms.directions[comps], xi)
+    assert np.all(proj >= m.delta[rows] - 1e-9)
+    counts = np.bincount(comps, minlength=2)
     for i in range(2):
         se = np.sqrt(ms.weights[i] * (1 - ms.weights[i]) / n)
         assert counts[i] / n == pytest.approx(ms.weights[i], abs=5 * se)

@@ -274,6 +274,11 @@ def test_config_validation(kwargs):
         ExperimentConfig(case="case30", **kwargs)
 
 
+def test_config_rejects_repeated_methods():
+    with pytest.raises(ValueError, match=r"\['sa'\] given more than once"):
+        ExperimentConfig(case="case30", methods=("sa", "sa-is", "sa"))
+
+
 def sample_report() -> ExperimentReport:
     config = ExperimentConfig(case="case30", methods=("dc-opf", "sa"), reps=2, scenarios=10)
     records = (
