@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.optimize._highspy._core as highs
+from scipy.optimize import linprog  # noqa: F401  (perfbench/layers.py rebinds it by name)
+from scipy.sparse import csc_array
 
 from .grid import FeasibilityPolytope, GridCase, GridMatrices, build_matrices, build_polytope
 from .margins import GaussianSpec, MarginSet, compute_margins, tightened_polytope
@@ -28,6 +30,23 @@ ACTIVE_TOL = 1e-7
 # out-of-sample check stream through blocks, so memory stays O(CHUNK)
 # for any count.
 CHUNK = 1 << 14
+
+
+# The options linprog(method="highs") passes to HiGHS, so a direct solve
+# returns linprog's status and x bit for bit.
+HIGHS_OPTIONS = highs.HighsOptions()
+HIGHS_OPTIONS.presolve = "on"
+HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+HIGHS_OPTIONS.output_flag = False
+HIGHS_OPTIONS.log_to_console = False
+HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+
+# linprog's post-solve tolerance, sqrt(tol) * 10 at its default tol 1e-9:
+# an optimal x off a bound or row by more than this is a solver failure.
+FEASIBILITY_TOL = math.sqrt(1e-9) * 10
+
+_COLWISE = int(highs.MatrixFormat.kColwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
 
 
 class SolverError(RuntimeError):
@@ -244,11 +263,17 @@ class LinearProgram:
     per p.u. with cost_offset restoring the residual generator's bill.
     injection_map and injection_fixed give bus injections as an affine
     function of the decisions. labels annotates constraint rows.
+    a_start, a_index and a_value hold a_ub column-wise (CSC), the form
+    the solver takes; _skeleton builds them once and every LP with moved
+    offsets shares them.
     """
 
     cost: np.ndarray
     cost_offset: float
     a_ub: np.ndarray
+    a_start: np.ndarray
+    a_index: np.ndarray
+    a_value: np.ndarray
     b_ub: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -269,8 +294,9 @@ class LinearProgram:
             raise ValueError("bounds must match the decision count")
         if len(self.labels) != self.b_ub.shape[0]:
             raise ValueError("one label per constraint row required")
-        for arr in (self.cost, self.a_ub, self.b_ub, self.lower, self.upper,
-                    self.injection_map, self.injection_fixed):
+        for arr in (self.cost, self.a_ub, self.a_start, self.a_index, self.a_value,
+                    self.b_ub, self.lower, self.upper, self.injection_map,
+                    self.injection_fixed):
             arr.setflags(write=False)
 
 
@@ -386,10 +412,14 @@ def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> tuple[LinearProgram,
         )
         labels += [("residual-upper", slack_bus), ("residual-lower", slack_bus)]
 
+    columns = csc_array(a_ub)
     lp = LinearProgram(
         cost=cost,
         cost_offset=offset,
         a_ub=a_ub,
+        a_start=columns.indptr,
+        a_index=columns.indices,
+        a_value=columns.data,
         b_ub=b_ub,
         lower=lower,
         upper=upper,
@@ -414,9 +444,13 @@ def _with_offsets(lp: LinearProgram, shift: np.ndarray, offsets: np.ndarray) -> 
 def solve(lp: LinearProgram) -> DispatchSolution:
     """Minimise dispatch cost subject to the assembled constraints.
 
-    Returns a DispatchSolution with status 'optimal', 'infeasible' or
-    'unbounded'. Solver breakdowns (iteration or time limits, numerical
-    failure) raise SolverError instead of masquerading as infeasibility.
+    One direct HiGHS call with linprog's options and post-solve check,
+    so status and x equal linprog(method="highs") bit for bit without its
+    per-call conversions. Returns a DispatchSolution with status
+    'optimal', 'infeasible' or 'unbounded'. Solver breakdowns (any other
+    model status, including unbounded-or-infeasible and iteration or time
+    limits, or a solution off its constraints) raise SolverError instead
+    of masquerading as infeasibility.
     """
     d = lp.cost.shape[0]
     if d == 0:
@@ -429,24 +463,40 @@ def solve(lp: LinearProgram) -> DispatchSolution:
             )
         return _package_solution(lp, np.zeros(0))
 
-    res = linprog(
-        c=lp.cost,
-        A_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        bounds=list(zip(lp.lower, lp.upper)),
-        method="highs",
+    m = lp.b_ub.shape[0]
+    solver = highs._Highs()
+    solver.passOptions(HIGHS_OPTIONS)
+    loaded = solver.passModel(
+        d, m, lp.a_value.size, _COLWISE, _MINIMIZE, 0.0,
+        lp.cost, lp.lower, lp.upper, np.full(m, -highs.kHighsInf), lp.b_ub,
+        lp.a_start, lp.a_index, lp.a_value,
+        np.zeros(d, dtype=np.int32),  # every column continuous
     )
-    if res.status == 0:
-        return _package_solution(lp, np.asarray(res.x))
-    if res.status == 2:
+    if loaded == highs.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the dispatch LP")
+    if solver.run() == highs.HighsStatus.kError:
+        raise SolverError(f"HiGHS failed: {solver.modelStatusToString(solver.getModelStatus())}")
+    status = solver.getModelStatus()
+    if status == highs.HighsModelStatus.kInfeasible:
         return DispatchSolution(
             x_g=None, objective=math.nan, status="infeasible", active_rows=()
         )
-    if res.status == 3:
+    if status == highs.HighsModelStatus.kUnbounded:
         return DispatchSolution(
             x_g=None, objective=math.nan, status="unbounded", active_rows=()
         )
-    raise SolverError(f"LP solver failed (status {res.status}): {res.message}")
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverError(f"LP solver failed: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    slack = lp.b_ub - np.array(solution.row_value)
+    in_bounds = (x >= lp.lower - FEASIBILITY_TOL) & (x <= lp.upper + FEASIBILITY_TOL)
+    if (np.isnan(x).any() or math.isnan(solver.getObjectiveValue()) or np.isnan(slack).any()
+            or not in_bounds.all() or (slack < -FEASIBILITY_TOL).any()):
+        raise SolverError(
+            f"LP solution violates its constraints by more than {FEASIBILITY_TOL:.2e}"
+        )
+    return _package_solution(lp, x)
 
 
 def _package_solution(lp: LinearProgram, decisions: np.ndarray) -> DispatchSolution:

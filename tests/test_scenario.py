@@ -3,14 +3,18 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 import ccopf.scenario as scenario
 from ccopf import (
+    ExperimentConfig,
     GaussianSpec,
     ScenarioSet,
     assemble,
@@ -23,6 +27,7 @@ from ccopf import (
     draw_mixture_scenarios,
     nominal_scenario_set,
     parse_case,
+    prepare_problem,
     reduce_scenarios,
     run_sa,
     run_sa_is,
@@ -31,9 +36,11 @@ from ccopf import (
     sample_size_is,
     sample_size_mixture,
     solve,
+    solve_prepared,
     tightened_polytope,
 )
-from ccopf.scenario import chunk_sizes, reduce_gaussian
+from ccopf.scenario import SolverError, chunk_sizes, reduce_gaussian
+from ccopf.validation import resolve_scenario_count
 from conftest import TRIANGLE_TEXT, box_polytope, iid_gaussian
 
 # frozen with 50-digit arithmetic; the formulas must reproduce these exactly
@@ -331,6 +338,130 @@ def build_triangle_uncertainty(case):
     from ccopf import build_uncertainty
 
     return build_uncertainty(case, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the direct HiGHS call against linprog
+
+LINPROG_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def assert_solve_equals_linprog(monkeypatch, lp) -> str:
+    """solve(lp) gives linprog's status and, when optimal, its x bitwise.
+
+    linprog statuses outside LINPROG_STATUS must be SolverError.
+    """
+    decisions = []
+    package = scenario._package_solution
+    with monkeypatch.context() as m:
+        m.setattr(scenario, "_package_solution", lambda lp, x: decisions.append(x) or package(lp, x))
+        res = linprog(
+            c=lp.cost, A_ub=lp.a_ub, b_ub=lp.b_ub,
+            bounds=list(zip(lp.lower, lp.upper)), method="highs",
+        )
+        if res.status not in LINPROG_STATUS:
+            with pytest.raises(SolverError):
+                solve(lp)
+            return "solver-error"
+        sol = solve(lp)
+    assert sol.status == LINPROG_STATUS[res.status]
+    if sol.status == "optimal":
+        assert decisions[0].tobytes() == res.x.tobytes()
+    return sol.status
+
+
+def prepared(case, eta):
+    return prepare_problem(case, build_uncertainty(case, 0.07), eta)
+
+
+LP_FAMILIES = [
+    (case_name, method, 0.05, scenarios)
+    for case_name in ("case30", "case57")
+    for method in ("sa", "sa-is")
+    for scenarios in (600, "auto")
+] + [
+    # 5,656 mixture draws: extreme tail scenarios empty the feasible set
+    # on 6 of seeds 0-7 (ROADMAP item 5)
+    ("case30", "sa-is", 1e-4, "auto"),
+]
+
+
+@pytest.mark.parametrize("case_name, method, eta, scenarios", LP_FAMILIES)
+def test_solve_equals_linprog_on_prepared_lps(monkeypatch, request, case_name, method, eta, scenarios):
+    case = request.getfixturevalue(case_name)
+    prep = prepared(case, eta)
+    config = ExperimentConfig(case=case_name, eta=eta, scenarios=scenarios)
+    n = resolve_scenario_count(config, case, method, prep.margins)
+    lps = []
+    with monkeypatch.context() as m:
+        m.setattr(scenario, "solve", lps.append)
+        for seed in range(8):
+            solve_prepared(prep, method, n, seed)
+    statuses = [assert_solve_equals_linprog(monkeypatch, lp) for lp in lps]
+    if eta < 0.05:
+        assert {"optimal", "infeasible"} <= set(statuses)
+    else:
+        assert set(statuses) == {"optimal"}
+
+
+def test_solve_equals_linprog_on_an_unbounded_lp(monkeypatch, triangle):
+    # a free decision with a negative cost; HiGHS reads row bounds of
+    # 1e30 as infinite
+    mat = build_matrices(triangle)
+    lp = assemble(triangle, mat, build_polytope(triangle, mat), nominal_scenario_set(3))
+    free = replace(
+        lp, b_ub=np.full_like(lp.b_ub, 1e30), lower=np.array([-np.inf]), upper=np.array([np.inf])
+    )
+    assert assert_solve_equals_linprog(monkeypatch, free) == "unbounded"
+
+
+def test_other_model_status_is_a_solver_error(monkeypatch, case30):
+    prep = prepared(case30, 0.05)
+    monkeypatch.setattr(scenario.HIGHS_OPTIONS, "presolve", "off")
+    monkeypatch.setattr(scenario.HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+    with pytest.raises(SolverError, match="Iteration limit"):
+        solve_prepared(prep, "sa-is", 600, 0)
+
+
+def test_model_rejected_by_highs_is_a_solver_error(triangle):
+    # HiGHS refuses a NaN bound and would then solve an empty model
+    mat = build_matrices(triangle)
+    lp = assemble(triangle, mat, build_polytope(triangle, mat), nominal_scenario_set(3))
+    b_ub = lp.b_ub.copy()
+    b_ub[0] = np.nan
+    with pytest.raises(SolverError, match="rejected"):
+        solve(replace(lp, b_ub=b_ub))
+
+
+def test_solution_off_its_rows_is_a_solver_error(monkeypatch, case30):
+    class LooseRows(scenario.highs._Highs):
+        # loads every row 1 p.u. looser than the LP it is checked against
+        def passModel(self, *args):
+            row_upper = 10
+            args = args[:row_upper] + (args[row_upper] + 1.0,) + args[row_upper + 1:]
+            return super().passModel(*args)
+
+    prep = prepared(case30, 0.05)
+    monkeypatch.setattr(scenario.highs, "_Highs", LooseRows)
+    with pytest.raises(SolverError, match="violates its constraints"):
+        solve_prepared(prep, "sa-is", 600, 0)
+    monkeypatch.undo()
+    assert solve_prepared(prep, "sa-is", 600, 0).status == "optimal"
+
+
+def test_solves_share_the_skeleton_columns(monkeypatch, case30):
+    built = []
+    monkeypatch.setattr(scenario, "csc_array", lambda a: built.append(1) or csc_array(a))
+    prep = prepared(case30, 0.05)
+    lps = []
+    monkeypatch.setattr(scenario, "solve", lps.append)
+    for seed in range(3):
+        solve_prepared(prep, "sa-is", 600, seed)
+    assert len(built) == 1
+    for lp in lps:
+        assert lp.a_value is prep.lp.a_value
+        dense = csc_array((lp.a_value, lp.a_index, lp.a_start), shape=lp.a_ub.shape).toarray()
+        assert dense.tobytes() == lp.a_ub.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -555,3 +555,22 @@ def test_experiment_records_infeasible_runs(tmp_path):
     assert math.isnan(rec.objective)
     assert math.isnan(rec.confidence)
     assert report.summary()["dc-opf"]["optimal"] == 0
+
+
+def test_experiment_records_solver_errors_and_completes(monkeypatch):
+    # no simplex iteration allowed: HiGHS stops at its iteration limit
+    monkeypatch.setattr(scenario.HIGHS_OPTIONS, "presolve", "off")
+    monkeypatch.setattr(scenario.HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+    config = ExperimentConfig(
+        case="case30", methods=("dc-opf", "sa", "sa-is"), reps=2, scenarios=50, n_test=100
+    )
+    report = run_experiment(config)
+    assert [(r.method, r.rep) for r in report.records] == [
+        (m, k) for m in config.methods for k in range(2)
+    ]
+    for rec in report.records:
+        assert rec.status == "solver-error"
+        assert math.isnan(rec.objective)
+        assert math.isnan(rec.confidence)
+        assert math.isnan(rec.conf_stderr)
+    assert all(s["optimal"] == 0 for s in report.summary().values())
