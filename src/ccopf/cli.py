@@ -86,7 +86,10 @@ def _build_parser() -> _Parser:
     run.add_argument(
         "--delta", type=float, default=0.01, help="confidence for 'auto' counts"
     )
-    run.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    run.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (at most --reps and the usable cores)",
+    )
     run.add_argument("--out", default=None, help="JSON report path; CSVs written beside it")
 
     ns = sub.add_parser("nsamples", help="print certified scenario counts")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -495,18 +496,45 @@ def _openblas(entry: str) -> list:
     return found
 
 
+def _one_blas_thread() -> list[tuple[object, int]]:
+    """Set every OpenBLAS that reports more than one thread to one.
+
+    Returns each changed library's set_num_threads and its former count,
+    so the caller can put them back. A library already at one thread is
+    not called: after a fork, OpenBLAS starts its thread server on the
+    first set_num_threads, and those threads busy-wait before they sleep.
+    """
+    saved = []
+    gets, sets = _openblas("get_num_threads"), _openblas("set_num_threads")
+    for get, set_threads in zip(gets, sets, strict=True):
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        count = get()
+        if count > 1:
+            set_threads(1)
+            saved.append((set_threads, count))
+    return saved
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on; the pool never starts more workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 # The experiment a pool worker runs repetitions of, set by _start_worker.
 _WORKER_EXPERIMENT: _Experiment | None = None
 
 
 def _start_worker(experiment: _Experiment) -> None:
-    # every worker gets one BLAS thread: --jobs workers already fill the
-    # cores, and more threads per worker only oversubscribe them
+    # every worker gets one BLAS thread: the workers already fill the
+    # cores, and more threads per worker only oversubscribe them. A worker
+    # forked by run_experiment inherits one thread and calls nothing here.
     global _WORKER_EXPERIMENT
     _WORKER_EXPERIMENT = experiment
-    for set_threads in _openblas("set_num_threads"):
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
+    _one_blas_thread()
 
 
 def _rep_in_worker(rep: int) -> list[RepetitionRecord]:
@@ -526,8 +554,12 @@ def run_experiment(
     Failed repetitions are recorded, not raised. Records come back
     method-major. problem, when given, is prepare_experiment(config), so
     a caller that already prepared the case does not prepare it twice.
-    With jobs > 1 the repetitions go to min(jobs, reps) pool workers;
-    each receives the prepared experiment once and uses one BLAS thread.
+    With jobs > 1 the repetitions go to min(jobs, reps, usable cores)
+    pool workers; each receives the prepared experiment once and uses one
+    BLAS thread. The workers inherit that thread count: while the pool
+    runs, every OpenBLAS of the calling process is set to one thread, so
+    other threads of the caller doing BLAS meanwhile see one thread too,
+    and the former counts are restored when the pool closes.
     """
     if problem is None:
         problem = prepare_experiment(config)
@@ -537,12 +569,17 @@ def run_experiment(
     }
     nominal = _solve(problem, "sa", 0, config.seed) if "dc-opf" in config.methods else None
     experiment = _Experiment(config, problem, resolved, nominal)
-    workers = min(config.jobs, config.reps)
+    workers = min(config.jobs, config.reps, _usable_cores())
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(experiment,)
-        ) as pool:
-            by_rep = list(pool.map(_rep_in_worker, range(config.reps)))
+        saved = _one_blas_thread()
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_start_worker, initargs=(experiment,)
+            ) as pool:
+                by_rep = list(pool.map(_rep_in_worker, range(config.reps)))
+        finally:
+            for set_threads, count in saved:
+                set_threads(count)
     else:
         by_rep = [_run_rep(experiment, rep) for rep in range(config.reps)]
     records = tuple(

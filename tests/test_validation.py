@@ -4,6 +4,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import os
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -397,7 +398,8 @@ def test_run_experiment_smoke(tmp_path):
     assert summary["sa-is"]["mean_confidence"] > summary["dc-opf"]["mean_confidence"]
 
 
-def test_run_experiment_parallel_matches_serial(tmp_path):
+def test_run_experiment_parallel_matches_serial(monkeypatch, tmp_path):
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
     path = tmp_path / "tri.m"
     path.write_text(TRIANGLE_TEXT)
     base = dict(
@@ -426,9 +428,10 @@ def test_run_experiment_does_not_depend_on_the_block_size(monkeypatch):
     assert run_experiment(config).records == one.records
 
 
-def test_pool_matches_serial_on_a_bundled_case():
+def test_pool_matches_serial_on_a_bundled_case(monkeypatch):
     # the triangle above never reaches BLAS in earnest; case30 does, in
     # both the draws and the 1e4-deviation checks
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
     base = dict(case="case30", methods=("dc-opf", "sa", "sa-is"), scenarios="auto",
                 reps=3, n_test=10_000, seed=17)
     serial = run_experiment(ExperimentConfig(**base, jobs=1))
@@ -449,9 +452,8 @@ def test_single_repetition_with_two_jobs_runs_serially(monkeypatch):
     assert run_experiment(ExperimentConfig(**base, jobs=2)).records == serial.records
 
 
-def test_pool_starts_no_more_workers_than_repetitions(monkeypatch, tmp_path):
-    path = tmp_path / "tri.m"
-    path.write_text(TRIANGLE_TEXT)
+def _recording_pool(monkeypatch) -> list[int]:
+    # the worker count of every pool run_experiment starts
     started = []
 
     class Recording(ProcessPoolExecutor):
@@ -460,9 +462,34 @@ def test_pool_starts_no_more_workers_than_repetitions(monkeypatch, tmp_path):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(validation, "ProcessPoolExecutor", Recording)
+    return started
+
+
+def test_pool_starts_no_more_workers_than_repetitions(monkeypatch, tmp_path):
+    path = tmp_path / "tri.m"
+    path.write_text(TRIANGLE_TEXT)
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 8)
+    started = _recording_pool(monkeypatch)
     run_experiment(ExperimentConfig(case=str(path), methods=("sa",), scenarios=5,
                                     reps=2, n_test=50, jobs=3))
     assert started == [2]
+
+
+def test_pool_starts_no_more_workers_than_usable_cores(monkeypatch, tmp_path):
+    path = tmp_path / "tri.m"
+    path.write_text(TRIANGLE_TEXT)
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    started = _recording_pool(monkeypatch)
+    run_experiment(ExperimentConfig(case=str(path), methods=("sa",), scenarios=5,
+                                    reps=3, n_test=50, jobs=64))
+    assert started == [2]
+
+
+def test_usable_cores_without_an_affinity_call(monkeypatch):
+    assert 1 <= validation._usable_cores() <= (os.cpu_count() or 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert validation._usable_cores() == 1
 
 
 def test_one_check_per_repetition_with_an_optimal_dispatch(monkeypatch, tmp_path):
@@ -515,7 +542,8 @@ def _one_check_per_record(config: ExperimentConfig) -> tuple[RepetitionRecord, .
 
 
 @pytest.mark.parametrize("name", ["case30", "case57"])
-def test_run_equals_one_check_per_method_and_repetition(name):
+def test_run_equals_one_check_per_method_and_repetition(monkeypatch, name):
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
     base = dict(case=name, methods=("dc-opf", "sa", "sa-is"), scenarios=300,
                 reps=3, n_test=10_003, seed=31)
     want = _one_check_per_record(ExperimentConfig(**base))
@@ -542,6 +570,78 @@ def test_pool_workers_use_one_blas_thread():
     assert in_worker == [1] * len(before)
     # the caller's own BLAS is left alone
     assert _worker_blas_threads() == before
+
+
+def _threads_after_blas(report_dir, rep: int) -> None:
+    # in a pool worker: a product big enough for threaded BLAS in NumPy's
+    # and SciPy's OpenBLAS, then the thread counts it left behind
+    import scipy.linalg.blas
+
+    a = np.ones((600, 600))
+    a @ a
+    scipy.linalg.blas.dgemm(1.0, a, a)
+    report = {"pid": os.getpid(), "blas": _worker_blas_threads(),
+              "os_threads": len(os.listdir("/proc/self/task"))}
+    (report_dir / f"rep{rep}.json").write_text(json.dumps(report))
+
+
+def test_pool_workers_never_start_blas_threads(monkeypatch, tmp_path):
+    if not _worker_blas_threads():
+        pytest.skip("no OpenBLAS library found")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count threads")
+    run_rep = validation._run_rep
+
+    def run_and_report(experiment, rep):
+        records = run_rep(experiment, rep)
+        _threads_after_blas(tmp_path, rep)
+        return records
+
+    monkeypatch.setattr(validation, "_run_rep", run_and_report)
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=200,
+                                    reps=2, n_test=100, jobs=2))
+    reports = [json.loads((tmp_path / f"rep{rep}.json").read_text()) for rep in range(2)]
+    for report in reports:
+        assert report["pid"] != os.getpid()
+        assert report["blas"] == [1] * len(_worker_blas_threads())
+        assert report["os_threads"] == 1
+
+
+@pytest.fixture
+def threaded_blas():
+    # the caller's OpenBLAS libraries at two threads each, so a run has
+    # counts to lower and put back; the former counts are restored after
+    sets = validation._openblas("set_num_threads")
+    if not sets:
+        pytest.skip("no OpenBLAS library found")
+    before = _worker_blas_threads()
+    for set_threads in sets:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(2)
+    yield _worker_blas_threads()
+    for set_threads, count in zip(sets, before, strict=True):
+        set_threads(count)
+
+
+def test_pooled_run_restores_the_callers_blas_threads(monkeypatch, threaded_blas):
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    config = ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
+                              n_test=100, jobs=2)
+    run_experiment(config)
+    assert _worker_blas_threads() == threaded_blas
+
+    run_rep = validation._run_rep
+
+    def fail_on_rep_1(experiment, rep):
+        if rep == 1:
+            raise RuntimeError("repetition 1 broke")
+        return run_rep(experiment, rep)
+
+    monkeypatch.setattr(validation, "_run_rep", fail_on_rep_1)
+    with pytest.raises(RuntimeError, match="repetition 1 broke"):
+        run_experiment(config)
+    assert _worker_blas_threads() == threaded_blas
 
 
 def test_experiment_records_infeasible_runs(tmp_path):
