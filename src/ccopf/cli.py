@@ -3,14 +3,15 @@
 Subcommands: run (experiments on a grid case), nsamples (certified
 scenario counts), sweep1d (hard-offset versus sample-count trade on the
 1-D problem), validate (quick self-checks). Exit codes: 0 success,
-1 usage or failed validation, 2 unreadable or invalid input data,
-3 solver breakdown. The CCOPF_SEED environment variable, when set,
-overrides any --seed argument.
+1 usage, failed validation or unwritable output, 2 unreadable or invalid
+input data, 3 solver breakdown. The CCOPF_SEED environment variable,
+when set, overrides any --seed argument.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from .validation import (
     METHODS,
     ExperimentConfig,
     ExperimentReport,
+    RepetitionRecord,
     mixture_tail_mass,
     prepare_experiment,
     resolve_scenario_count,
@@ -148,7 +150,8 @@ def main(argv: list[str] | None = None) -> int:
         # before ValueError: CaseError subclasses it but is a data problem
         print(f"ccopf: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # after FileNotFoundError: an OSError left here is a failed write
         print(f"ccopf: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:
@@ -178,6 +181,9 @@ def _parse_scenarios(raw: str) -> int | str:
 
 
 def _cmd_run(args) -> int:
+    if args.out is not None and Path(args.out).is_dir():
+        # fail before the experiment, not when its report is written
+        raise _UsageError(f"--out {args.out} is a directory")
     config = ExperimentConfig(
         case=args.case,
         methods=_parse_methods(args.method),
@@ -231,17 +237,12 @@ def _write_report(report: ExperimentReport, out: Path):
 
 
 def _write_records_csv(report: ExperimentReport, path: Path):
+    columns = [f.name for f in dataclasses.fields(RepetitionRecord)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["method", "rep", "seed", "n_scenarios", "status", "objective",
-             "confidence", "conf_stderr"]
-        )
+        writer.writerow(columns)
         for r in report.records:
-            writer.writerow(
-                [r.method, r.rep, r.seed, r.n_scenarios, r.status,
-                 _fmt(r.objective), _fmt(r.confidence), _fmt(r.conf_stderr)]
-            )
+            writer.writerow([_fmt(getattr(r, c)) for c in columns])
 
 
 def _write_summary_csv(report: ExperimentReport, path: Path):

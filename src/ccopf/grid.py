@@ -466,9 +466,24 @@ def _parse_gencost(rows: list[tuple[int, list[float]]], in_service: list[bool]) 
 
 
 def load_case(path: str | Path) -> GridCase:
-    """Read and parse a case file from disk."""
+    """Read and parse a case file from disk.
+
+    A missing file raises FileNotFoundError; any other unreadable file (a
+    directory, no permission, text that is not UTF-8) raises
+    CaseParseError naming the path.
+    """
     path = Path(path)
-    return parse_case(path.read_text(encoding="utf-8"), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise CaseParseError(f"cannot read case file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CaseParseError(
+            f"case file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    return parse_case(text, name=path.stem)
 
 
 def bundled_case_path(name: str) -> Path:

@@ -5,8 +5,10 @@ vector. Each polytope row picks up a margin delta_i so that a dispatch
 satisfying the tightened system keeps the row's violation probability at
 eta. Rows invisible to the uncertainty (zero variance along the normal)
 stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
-is what the margins cover; its probability pi feeds the filtered sample
-size bound.
+is what the margins cover. Its probability pi (estimate_pi) enters only
+the filtered sample size bound, which sweep1d and nsamples --pi use; an
+experiment's certified count comes from the total tail mass instead
+(scenario.sample_size_mixture).
 """
 from __future__ import annotations
 
@@ -127,26 +129,25 @@ class MarginSet:
 
     delta is the offset shrink in p.u.; beta = delta / sigma is the same
     margin in standard deviations of the row projection (inf on
-    deterministic rows, where delta is 0). Row normals, original offsets
-    and sigma are carried along so probability estimates need no second
-    look at the polytope.
+    deterministic rows, where delta is 0). Row normals and sigma are
+    carried along so probability estimates need no second look at the
+    polytope.
     """
 
     delta: np.ndarray
     beta: np.ndarray
     eta: float
     normals: np.ndarray
-    offsets: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
         n_rows = self.delta.shape[0]
-        for name in ("beta", "offsets", "sigma"):
+        for name in ("beta", "sigma"):
             if getattr(self, name).shape != (n_rows,):
                 raise ValueError(f"{name} must have shape ({n_rows},)")
         if self.normals.shape[0] != n_rows:
             raise ValueError("one normal per margin row required")
-        for arr in (self.delta, self.beta, self.normals, self.offsets, self.sigma):
+        for arr in (self.delta, self.beta, self.normals, self.sigma):
             arr.setflags(write=False)
 
     @property
@@ -154,10 +155,15 @@ class MarginSet:
         """Mask of rows that actually see the uncertainty."""
         return np.isfinite(self.beta)
 
-    @property
+    @cached_property
     def tail_probs(self) -> np.ndarray:
-        """Per-row violation probability Phi(-beta); zero when deterministic."""
-        probs = np.where(self.stochastic, norm_sf(np.where(self.stochastic, self.beta, 0.0)), 0.0)
+        """Per-row violation probability Phi(-beta); zero when deterministic.
+
+        Computed once; the mixture weights and the tail mass S read it.
+        """
+        probs = np.zeros(self.beta.shape)
+        probs[self.stochastic] = norm_sf(self.beta[self.stochastic])
+        probs.setflags(write=False)
         return probs
 
 
@@ -206,7 +212,6 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
         beta=beta,
         eta=eta,
         normals=poly.normals.copy(),
-        offsets=poly.offsets.copy(),
         sigma=sigma,
     )
 

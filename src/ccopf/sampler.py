@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FeasibilityPolytope
-from .kernels import norm_isf, norm_sf
+from .kernels import norm_isf
 from .margins import GaussianSpec, MarginSet
 
 _UNIT_TOL = 1e-9
@@ -120,7 +120,7 @@ def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> M
     reduced = (normals @ basis) / sigma[:, None]
     directions = reduced @ vec.T
 
-    probs = norm_sf(beta)
+    probs = m.tail_probs[rows]
     total = float(np.sum(probs))
     weights = probs / total
     bound = total / float(np.max(probs))
@@ -171,15 +171,9 @@ def mixture_pdf(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
     inner set (no component covers it). Raises if xi lies off the
     support.
     """
-    w = ms.gaussian.to_reduced(xi)
-    batched = np.asarray(xi).ndim > 1
-    w2 = np.atleast_2d(w)
-    proj = w2 @ ms.reduced_directions.T
-    outside = proj > ms.thresholds
-    base = _standard_density(w2)
-    scale = outside @ (ms.weights / ms.tail_probs)
-    values = base * scale
-    return values if batched else float(values[0])
+    w, scale = _coverage(ms, xi)
+    values = _standard_density(w) * scale
+    return values if np.asarray(xi).ndim > 1 else float(values[0])
 
 
 def importance_ratio(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
@@ -192,15 +186,21 @@ def importance_ratio(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
     inner set divides this by the outside probability; the bound ms.M
     applies to that conditioned ratio.
     """
-    w = ms.gaussian.to_reduced(xi)
-    batched = np.asarray(xi).ndim > 1
-    w2 = np.atleast_2d(w)
-    proj = w2 @ ms.reduced_directions.T
-    outside = proj > ms.thresholds
-    scale = outside @ (ms.weights / ms.tail_probs)
+    _, scale = _coverage(ms, xi)
     with np.errstate(divide="ignore"):
         values = np.where(scale > 0, 1.0 / np.where(scale > 0, scale, 1.0), np.inf)
-    return values if batched else float(values[0])
+    return values if np.asarray(xi).ndim > 1 else float(values[0])
+
+
+def _coverage(ms: MixtureSampler, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced coordinates of xi, as rows, and the coverage of each row.
+
+    The coverage sums w_i / p_i over the component half-spaces containing
+    the row, so the mixture density there is the base density times it.
+    """
+    w = np.atleast_2d(ms.gaussian.to_reduced(xi))
+    outside = w @ ms.reduced_directions.T > ms.thresholds
+    return w, outside @ (ms.weights / ms.tail_probs)
 
 
 def _standard_density(w: np.ndarray) -> np.ndarray:

@@ -62,6 +62,8 @@ def _size(epsilon: float, delta: float, d: int, scale: float) -> int:
         + 2.0 * d
         + 2.0 * d * scale * math.log(2.0 * scale / epsilon) / epsilon
     )
+    if raw == math.inf:
+        raise ValueError(f"scenario count overflows at scale {scale:g} and level {epsilon:g}")
     return max(0, math.ceil(raw))
 
 def _check_size_args(epsilon: float, delta: float, d: int):
@@ -105,8 +107,8 @@ def sample_size_is(eta: float, delta: float, d: int, pi: float, M: float) -> int
     _check_size_args(eta, delta, d)
     if not 0.0 <= pi < 1.0:
         raise ValueError(f"covered mass pi must lie in [0, 1), got {pi}")
-    if M < 1.0:
-        raise ValueError(f"likelihood ratio bound must be at least 1, got {M}")
+    if not 1.0 <= M < math.inf:
+        raise ValueError(f"likelihood ratio bound must be finite and at least 1, got {M}")
     return _size(eta, delta, d, M * (1.0 - pi))
 
 
@@ -132,8 +134,8 @@ def sample_size_mixture(eta: float, delta: float, d: int, tail_mass: float) -> i
     rows and the count does not depend on eta.
     """
     _check_size_args(eta, delta, d)
-    if not tail_mass > 0.0:
-        raise ValueError(f"total tail mass must be positive, got {tail_mass}")
+    if not 0.0 < tail_mass < math.inf:
+        raise ValueError(f"total tail mass must be finite and positive, got {tail_mass}")
     return _size(eta, delta, d, tail_mass)
 
 
@@ -324,7 +326,7 @@ class DispatchSolution:
 
 
 def _dispatch_structure(case: GridCase):
-    """Decision layout: every generator but the slack-bus residual."""
+    """Slack bus, its generators (the first is the residual), decisions."""
     slack_bus = case.buses[case.slack_index].id
     slack_gens = [j for j, gen in enumerate(case.generators) if gen.bus == slack_bus]
     if not slack_gens:
@@ -332,9 +334,8 @@ def _dispatch_structure(case: GridCase):
             f"slack bus {slack_bus} carries no generator; dispatch cannot "
             "balance the system"
         )
-    residual = slack_gens[0]
-    decisions = tuple(j for j in range(len(case.generators)) if j != residual)
-    return slack_bus, residual, decisions
+    decisions = tuple(j for j in range(len(case.generators)) if j != slack_gens[0])
+    return slack_bus, slack_gens, decisions
 
 
 def assemble(
@@ -367,7 +368,8 @@ def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> tuple[LinearProgram,
     Only the first poly.n_rows entries of b_ub depend on the offsets:
     they are offsets - shift (see _with_offsets).
     """
-    slack_bus, residual, decisions = _dispatch_structure(case)
+    slack_bus, slack_gens, decisions = _dispatch_structure(case)
+    residual = slack_gens[0]
     index = case.index
     base = case.base_mva
     n, d = case.n, len(decisions)
@@ -396,8 +398,7 @@ def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> tuple[LinearProgram,
     b_ub = poly.offsets - shift
     labels = list(poly.labels)
 
-    slack_bus_gens = [j for j, gen in enumerate(case.generators) if gen.bus == slack_bus]
-    if len(slack_bus_gens) > 1:
+    if len(slack_gens) > 1:
         # residual output rz - sum(d) must respect its own box; with a
         # single slack generator the bus injection rows already do this
         res_gen = case.generators[residual]
@@ -561,30 +562,40 @@ def prepare_problem(case: GridCase, g: GaussianSpec, eta: float) -> PreparedProb
     )
 
 
-def solve_prepared(
-    prep: PreparedProblem, method: str, n_scenarios: int, seed: int | None
-) -> DispatchSolution:
-    """One scenario solve on a prepared problem.
+def scenario_offsets(
+    poly: FeasibilityPolytope, g: GaussianSpec, tightened: FeasibilityPolytope,
+    mixture: MixtureSampler | None, method: str, n_scenarios: int, seed: int | None,
+) -> np.ndarray:
+    """Row offsets of one scenario solve, before any LP is built.
 
     'sa' reduces n_scenarios Gaussian deviations against the rows.
-    'sa-is' reduces tail-mixture draws instead and intersects the result
-    with the margin-tightened rows. With n_scenarios = 0, or for 'sa-is'
-    with no stochastic row, the scenario part is the zero deviation, so
-    'sa' then solves the nominal problem.
+    'sa-is' reduces tail-mixture draws instead and takes the elementwise
+    minimum with the margin-tightened offsets. With n_scenarios = 0, or
+    for 'sa-is' with no mixture (no stochastic row), the scenario part is
+    the zero deviation, so 'sa' then keeps the rows' own offsets.
     """
     if method not in ("sa", "sa-is"):
         raise ValueError(f"unknown method {method!r}; use 'sa' or 'sa-is'")
     if n_scenarios < 0:
         raise ValueError(f"scenario count must be non-negative, got {n_scenarios}")
-    poly = prep.poly
     if n_scenarios > 0 and method == "sa":
-        offsets = reduce_gaussian(poly, prep.g, n_scenarios, seed)
-    elif n_scenarios > 0 and prep.mixture is not None:
-        offsets = reduce_scenarios(poly, draw_mixture_scenarios(prep.mixture, n_scenarios, seed))
+        offsets = reduce_gaussian(poly, g, n_scenarios, seed)
+    elif n_scenarios > 0 and mixture is not None:
+        offsets = reduce_scenarios(poly, draw_mixture_scenarios(mixture, n_scenarios, seed))
     else:
-        offsets = reduce_scenarios(poly, nominal_scenario_set(prep.case.n, seed))
+        offsets = reduce_scenarios(poly, nominal_scenario_set(poly.n_buses, seed))
     if method == "sa-is":
-        offsets = np.minimum(offsets, prep.tightened.offsets)
+        offsets = np.minimum(offsets, tightened.offsets)
+    return offsets
+
+
+def solve_prepared(
+    prep: PreparedProblem, method: str, n_scenarios: int, seed: int | None
+) -> DispatchSolution:
+    """One scenario solve on a prepared problem: its LP at scenario_offsets."""
+    offsets = scenario_offsets(
+        prep.poly, prep.g, prep.tightened, prep.mixture, method, n_scenarios, seed
+    )
     return solve(_with_offsets(prep.lp, prep.row_shift, offsets))
 
 

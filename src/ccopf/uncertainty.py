@@ -26,8 +26,8 @@ def build_uncertainty(case: GridCase, sigma_frac: float) -> GaussianSpec:
     sigma_frac : float
         Relative fluctuation size, e.g. 0.07 for 7 percent.
     """
-    if sigma_frac < 0:
-        raise ValueError(f"sigma_frac must be non-negative, got {sigma_frac}")
+    if not 0 <= sigma_frac < np.inf:
+        raise ValueError(f"sigma_frac must be finite and non-negative, got {sigma_frac}")
     sigma = sigma_frac * np.abs(case.nominal_injection)
     sigma[case.slack_index] = 0.0
     return GaussianSpec(cov=np.diag(sigma**2), cov_half=np.diag(sigma))

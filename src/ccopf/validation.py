@@ -35,14 +35,11 @@ from .scenario import (
     PreparedProblem,
     SolverError,
     chunk_sizes,
-    draw_gaussian_scenarios,
-    draw_mixture_scenarios,
-    nominal_scenario_set,
     prepare_problem,
-    reduce_scenarios,
     sample_size_cc,
     sample_size_filtered,
     sample_size_mixture,
+    scenario_offsets,
     solve_prepared,
 )
 from .uncertainty import build_uncertainty
@@ -128,10 +125,10 @@ def solve_1d_synthetic(
     """Maximise x subject to P(x + xi <= a) >= 1 - eta, xi standard normal.
 
     The exact optimum is a minus the upper eta quantile. The scenario
-    methods run through the real reduction machinery on a one-row
-    polytope; maximising x makes the reduced offset itself the
-    optimiser. Returns (x_hat, x_hat - x_exact), so a negative gap means
-    a conservative solution.
+    methods run the experiment's own scenario_offsets on a one-row
+    polytope, its margins and its tail mixture; maximising x makes the
+    reduced offset itself the optimiser. Returns (x_hat, x_hat - x_exact),
+    so a negative gap means a conservative solution.
     """
     poly = FeasibilityPolytope(
         normals=np.array([[1.0]]),
@@ -140,27 +137,11 @@ def solve_1d_synthetic(
     )
     g = GaussianSpec(cov=np.array([[1.0]]), cov_half=np.array([[1.0]]))
     x_exact = float(a) - (float(norm_isf(eta)) + 0.0)
-
-    if n_scenarios < 0:
-        raise ValueError(f"scenario count must be non-negative, got {n_scenarios}")
-    if method == "sa":
-        if not 0.0 < eta <= 0.5:
-            raise ValueError(f"eta must lie in (0, 0.5], got {eta}")
-        if n_scenarios == 0:
-            scen = nominal_scenario_set(1, seed)
-        else:
-            scen = draw_gaussian_scenarios(g, n_scenarios, seed)
-        x_hat = float(reduce_scenarios(poly, scen)[0])
-    elif method == "sa-is":
-        m = compute_margins(poly, g, eta)
-        pm = tightened_polytope(poly, m)
-        if n_scenarios == 0:
-            scen = nominal_scenario_set(1, seed)
-        else:
-            scen = draw_mixture_scenarios(build_mixture(poly, m, g), n_scenarios, seed)
-        x_hat = float(min(reduce_scenarios(poly, scen)[0], pm.offsets[0]))
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'sa' or 'sa-is'")
+    m = compute_margins(poly, g, eta)
+    x_hat = float(scenario_offsets(
+        poly, g, tightened_polytope(poly, m), build_mixture(poly, m, g),
+        method, n_scenarios, seed,
+    )[0])
     return x_hat, x_hat - x_exact
 
 
@@ -249,8 +230,8 @@ class ExperimentConfig:
             raise ValueError(f"scenario count must be non-negative, got {self.scenarios}")
         if self.reps < 1:
             raise ValueError(f"reps must be positive, got {self.reps}")
-        if self.sigma_frac < 0:
-            raise ValueError(f"sigma_frac must be non-negative, got {self.sigma_frac}")
+        if not 0 <= self.sigma_frac < math.inf:
+            raise ValueError(f"sigma_frac must be finite and non-negative, got {self.sigma_frac}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be positive, got {self.n_test}")
         if not 0.0 < self.delta < 1.0:

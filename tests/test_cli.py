@@ -61,6 +61,41 @@ def test_malformed_case_is_data_error(tmp_path, capsys):
     assert "missing mpc.bus" in err
 
 
+def run_child(args):
+    # a child process, so an escaping exception shows as a traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("CCOPF_SEED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "ccopf", *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_unreadable_case_is_data_error(tmp_path):
+    latin1 = tmp_path / "latin1.m"
+    latin1.write_bytes(TRIANGLE_TEXT.replace("triangle", "tri\xe4ngle").encode("latin-1"))
+    for case, message in ((tmp_path, "Is a directory"), (latin1, "not UTF-8 text")):
+        proc = run_child(["run", "--case", str(case), "--reps", "1"])
+        assert proc.returncode == 2
+        assert message in proc.stderr and str(case) in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_unwritable_output_is_one_error_line(tri_path, tmp_path):
+    run = ["run", "--case", tri_path, "--scenarios", "5", "--reps", "1", "--ntest", "10"]
+    for args in (
+        run + ["--out", str(tmp_path)],
+        run + ["--out", f"{tri_path}/report.json"],  # parent is a file
+        ["sweep1d", "--grid", "3", "--reps", "2", "--out", str(tmp_path)],
+    ):
+        proc = run_child(args)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("ccopf: error:")]
+        assert len(errors) == 1
+    # a directory given to run --out stops it before the experiment
+    assert run_child(run + ["--out", str(tmp_path)]).stdout == ""
+
+
 def test_bad_method_is_usage_error(tri_path, capsys):
     code, _, err = run_cli(["run", "--case", tri_path, "--method", "bootstrap"], capsys)
     assert code == 1
@@ -237,6 +272,17 @@ def test_nsamples_m_requires_pi(capsys):
 def test_nsamples_invalid_eta(capsys):
     code, _, err = run_cli(["nsamples", "--eta", "0", "--delta", "0.01", "--d", "5"], capsys)
     assert code == 1
+
+
+def test_nsamples_rejects_non_finite_ratio_bound(capsys):
+    for value in ("inf", "nan"):
+        code, _, err = run_cli(
+            ["nsamples", "--eta", "0.05", "--delta", "0.01", "--d", "5",
+             "--pi", "0.5", "--M", value],
+            capsys,
+        )
+        assert code == 1
+        assert f"likelihood ratio bound must be finite and at least 1, got {value}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ def two_threshold_mixture():
         beta=beta,
         eta=0.05,
         normals=normals.copy(),
-        offsets=np.array([5.0, 5.0]),
         sigma=sigma,
     )
     poly = FeasibilityPolytope(
@@ -151,7 +150,6 @@ def test_tail_sample_deep_threshold():
         beta=np.array([8.0, 8.0]),
         eta=0.05,
         normals=np.eye(2),
-        offsets=np.array([5.0, 5.0]),
         sigma=np.ones(2),
     )
     poly = FeasibilityPolytope(

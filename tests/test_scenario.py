@@ -143,6 +143,11 @@ def test_size_ordering_property(eta, delta, d, pi, M):
         lambda: sample_size_is(0.05, 0.01, 2, 0.5, 0.99),
         lambda: sample_size_mixture(0.05, 0.01, 2, 0.0),
         lambda: sample_size_mixture(0.0, 0.01, 2, 1.0),
+        lambda: sample_size_is(0.05, 0.01, 2, 0.5, math.inf),
+        lambda: sample_size_is(0.05, 0.01, 2, 0.5, math.nan),
+        lambda: sample_size_is(0.05, 0.01, 2, 0.5, 1e308),  # finite, but the count overflows
+        lambda: sample_size_mixture(0.05, 0.01, 2, math.inf),
+        lambda: sample_size_mixture(0.05, 0.01, 2, math.nan),
     ],
 )
 def test_size_argument_validation(call):

@@ -31,7 +31,7 @@ from ccopf import (
     sweep_1d,
 )
 from ccopf.kernels import norm_cdf, norm_isf
-from ccopf.validation import load_case_ref, resolve_scenario_count
+from ccopf.validation import load_case_ref, mixture_tail_mass, resolve_scenario_count
 from ccopf.scenario import sample_size_cc
 from conftest import TRIANGLE_TEXT, iid_gaussian
 
@@ -177,10 +177,16 @@ def test_empty_stack_rejected(case30):
 # ---------------------------------------------------------------------------
 # 1-D synthetic problem
 
-def test_sa_solution_reconstructs_from_draws():
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk7"])
+def test_sa_solution_reconstructs_from_draws(monkeypatch, chunk):
+    # the 1-D sa path draws in blocks of CHUNK rows; a 1x1 projection is
+    # exact, so any block split gives the one-shot draw's optimum exactly
+    if chunk is not None:
+        monkeypatch.setattr(scenario, "CHUNK", chunk)
     a, n, seed = 2.0, 40, 77
     x_hat, gap = solve_1d_synthetic(a, 0.05, "sa", n, seed)
     draws = np.random.default_rng(seed).standard_normal((n, 1))[:, 0]
+    assert x_hat == a - float(np.max(draws))
     assert x_hat == pytest.approx(a - float(np.max(draws)), abs=1e-12)
     assert gap == pytest.approx(x_hat - (a - Z_95), abs=1e-12)
 
@@ -268,11 +274,21 @@ def test_config_defaults():
         {"delta": 0.0},
         {"delta": 1.0},
         {"jobs": 0},
+        {"sigma_frac": math.nan},
+        {"sigma_frac": math.inf},
+        {"eta": math.nan},
+        {"delta": math.inf},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(case="case30", **kwargs)
+
+
+@pytest.mark.parametrize("sigma_frac", [-0.1, math.nan, math.inf])
+def test_uncertainty_rejects_bad_sigma(case30, sigma_frac):
+    with pytest.raises(ValueError, match="sigma_frac must be finite and non-negative"):
+        build_uncertainty(case30, sigma_frac)
 
 
 def test_config_rejects_repeated_methods():
@@ -354,6 +370,20 @@ def test_resolve_scenario_counts(tmp_path, case30, case57):
             assert got == n_is if eta == 0.05 else abs(got - n_is) <= 1
             want_sa = n_sa.get(eta, sample_size_cc(eta, 0.01, d))
             assert resolve_scenario_count(cfg, grid, "sa") == want_sa
+
+
+@pytest.mark.parametrize("name", ["case30", "case57"])
+def test_tail_probabilities_have_one_source(request, name):
+    # the mixture weights and the certified count's S read the margins'
+    # tail probabilities, bit for bit
+    case = request.getfixturevalue(name)
+    prep = prepare_problem(case, build_uncertainty(case, 0.07), 0.05)
+    m = prep.margins
+    assert prep.mixture.tail_probs.tobytes() == m.tail_probs[m.stochastic].tobytes()
+    config = ExperimentConfig(case=name)
+    k, s = mixture_tail_mass(config, case, m)
+    assert (k, s) == (prep.mixture.n_components, float(np.sum(prep.mixture.tail_probs)))
+    assert mixture_tail_mass(config, case) == (k, s)
 
 
 @pytest.mark.parametrize("name", ["case30", "case57"])
