@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -181,9 +183,6 @@ def _parse_scenarios(raw: str) -> int | str:
 
 
 def _cmd_run(args) -> int:
-    if args.out is not None and Path(args.out).is_dir():
-        # fail before the experiment, not when its report is written
-        raise _UsageError(f"--out {args.out} is a directory")
     config = ExperimentConfig(
         case=args.case,
         methods=_parse_methods(args.method),
@@ -196,6 +195,11 @@ def _cmd_run(args) -> int:
         delta=args.delta,
         jobs=args.jobs,
     )
+    if args.out is not None:
+        # fail before the experiment, not when its report is written
+        for path in _report_paths(Path(args.out), config.methods):
+            if path.is_dir():
+                raise _UsageError(f"report target {path} is a directory")
     # the case is loaded and prepared once; counts and K, S come from its margins
     problem = prepare_experiment(config)
     for method in config.methods:
@@ -223,38 +227,64 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _report_paths(out: Path, methods: tuple[str, ...]) -> list[Path]:
+    """JSON report, per-repetition CSV and, for several methods, summary CSV."""
+    paths = [out, out.with_suffix(".csv")]
+    if len(methods) > 1:
+        paths.append(out.with_name(out.stem + "_summary.csv"))
+    return paths
+
+
 def _write_report(report: ExperimentReport, out: Path):
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
+    columns = [f.name for f in dataclasses.fields(RepetitionRecord)]
+    summary = report.summary()
+    summary_columns = ["method", "n_scenarios", "optimal", "reps", "mean_objective",
+                       "min_objective", "max_objective", "mean_confidence",
+                       "min_confidence"]
+    texts = [
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    _write_records_csv(report, out.with_suffix(".csv"))
-    if len(report.config.methods) > 1:
-        summary_path = out.with_name(out.stem + "_summary.csv")
-        _write_summary_csv(report, summary_path)
+        _csv_text(columns, ([getattr(r, c) for c in columns] for r in report.records)),
+        _csv_text(
+            summary_columns,
+            ([method] + [summary[method].get(c, math.nan) for c in summary_columns[1:]]
+             for method in report.config.methods),
+        ),
+    ]
+    # _report_paths leaves the summary out for a single method
+    _write_files(zip(_report_paths(out, report.config.methods), texts))
     print(f"report written to {out}")
 
 
-def _write_records_csv(report: ExperimentReport, path: Path):
-    columns = [f.name for f in dataclasses.fields(RepetitionRecord)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for r in report.records:
-            writer.writerow([_fmt(getattr(r, c)) for c in columns])
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
+    """CSV text of a header and rows, every cell through _fmt."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    return buf.getvalue()
 
 
-def _write_summary_csv(report: ExperimentReport, path: Path):
-    summary = report.summary()
-    columns = ["method", "n_scenarios", "optimal", "reps", "mean_objective",
-               "min_objective", "max_objective", "mean_confidence", "min_confidence"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for method in report.config.methods:
-            entry = summary[method]
-            writer.writerow([method] + [_fmt(entry.get(c, math.nan)) for c in columns[1:]])
+def _write_files(files: Iterable[tuple[Path, str]]) -> None:
+    """Write (path, text) pairs all or nothing.
+
+    Each text goes to a temporary sibling of its path first; the
+    temporaries are renamed into place only after every write succeeded,
+    and removed if any failed.
+    """
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for path, text in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(tmp, "x", encoding="utf-8", newline="") as fh:
+                staged.append((tmp, path))
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +306,12 @@ def _cmd_nsamples(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rows = sweep_1d(args.a, args.eta, args.delta, args.grid, args.reps, args.seed)
-    header = ["hard_offset", "feasibility_rate", "n_scenarios"]
+    text = _csv_text(["hard_offset", "feasibility_rate", "n_scenarios"], rows)
     if args.out is None:
-        print(",".join(header))
-        for b, rate, n in rows:
-            print(f"{_fmt(b)},{_fmt(rate)},{n}")
+        sys.stdout.write(text)
     else:
         path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for b, rate, n in rows:
-                writer.writerow([_fmt(b), _fmt(rate), str(n)])
+        _write_files([(path, text)])
         print(f"sweep written to {path}")
     return EXIT_OK
 

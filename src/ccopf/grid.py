@@ -20,7 +20,6 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-BUS_KINDS = ("slack", "generator", "load")
 _BUS_TYPE_CODES = {1: "load", 2: "generator", 3: "slack"}
 
 # Relative eigenvalue cutoff for the Laplacian pseudo-inverse. A connected

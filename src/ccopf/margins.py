@@ -5,10 +5,11 @@ vector. Each polytope row picks up a margin delta_i so that a dispatch
 satisfying the tightened system keeps the row's violation probability at
 eta. Rows invisible to the uncertainty (zero variance along the normal)
 stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
-is what the margins cover. Its probability pi (estimate_pi) enters only
-the filtered sample size bound, which sweep1d and nsamples --pi use; an
-experiment's certified count comes from the total tail mass instead
-(scenario.sample_size_mixture).
+is what the margins cover. Its probability pi (estimate_pi, which no
+code in the package calls) enters only the filtered sample size bound;
+sweep1d takes pi = Phi(a - b) in closed form and nsamples takes --pi
+from the user. An experiment's certified count comes from the total
+tail mass instead (scenario.sample_size_mixture).
 """
 from __future__ import annotations
 
@@ -211,7 +212,7 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
         delta=delta,
         beta=beta,
         eta=eta,
-        normals=poly.normals.copy(),
+        normals=poly.normals,
         sigma=sigma,
     )
 

@@ -15,6 +15,7 @@ reduced coordinates of the uncertainty support, so singular covariances
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,65 +30,69 @@ _UNIT_TOL = 1e-9
 class MixtureSampler:
     """Frozen description of the tail mixture.
 
-    directions holds the component axes as full-space unit vectors (rows
-    of the symmetric-root image of the row normals); reduced_directions
-    holds the same axes in support coordinates, which is what sampling
-    and density evaluation use. thresholds are the margins in standard
-    deviations, weights the mixture probabilities, tail_probs the
-    per-component half-space probabilities with total tail mass
-    S = sum(tail_probs), and M = S / max(tail_probs) the likelihood-ratio
-    bound against the nominal law conditioned on the outside of the inner
-    set. The unconditioned ratio is at most S on every mixture draw (see
-    importance_ratio). row_indices maps components back to polytope
-    rows.
+    reduced_directions holds the component axes as unit vectors in the
+    support coordinates of the uncertainty, which is where sampling and
+    density evaluation run. thresholds are the margins in standard
+    deviations, tail_probs the per-component half-space probabilities
+    p_i, and row_indices maps components back to polytope rows. The
+    tail probabilities define the rest: the total tail mass
+    S = sum(p), the mixture weights p / S, and the bound M = S / max(p)
+    on the likelihood ratio against the nominal law conditioned on the
+    outside of the inner set. The mixture density is q = phi |A| / S, so
+    the unconditioned ratio S / |A| is at most S on every mixture draw
+    (see importance_ratio).
     """
 
-    directions: np.ndarray
     reduced_directions: np.ndarray
     thresholds: np.ndarray
-    weights: np.ndarray
     tail_probs: np.ndarray
-    M: float
     gaussian: GaussianSpec
     row_indices: tuple[int, ...]
 
     def __post_init__(self):
-        n_comp = self.directions.shape[0]
+        n_comp = self.reduced_directions.shape[0]
         if n_comp == 0:
             raise ValueError("mixture needs at least one component")
         shapes = {
-            "reduced_directions": self.reduced_directions.shape[0],
             "thresholds": self.thresholds.shape[0],
-            "weights": self.weights.shape[0],
             "tail_probs": self.tail_probs.shape[0],
             "row_indices": len(self.row_indices),
         }
         for name, count in shapes.items():
             if count != n_comp:
                 raise ValueError(f"{name} has {count} entries for {n_comp} components")
-        if np.any(self.weights < 0) or abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
-            raise ValueError("weights must be a probability vector")
         if np.any(self.tail_probs <= 0) or np.any(self.tail_probs > 0.5):
             raise ValueError("tail probabilities must lie in (0, 0.5]")
         norms = np.linalg.norm(self.reduced_directions, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise ValueError("reduced directions must be unit vectors")
-        for arr in (
-            self.directions,
-            self.reduced_directions,
-            self.thresholds,
-            self.weights,
-            self.tail_probs,
-        ):
+        for arr in (self.reduced_directions, self.thresholds, self.tail_probs):
             arr.setflags(write=False)
 
     @property
     def n_components(self) -> int:
-        return self.directions.shape[0]
+        return self.reduced_directions.shape[0]
 
     @property
     def reduced_dim(self) -> int:
         return self.reduced_directions.shape[1]
+
+    @cached_property
+    def tail_mass(self) -> float:
+        """Total tail mass S = sum(tail_probs)."""
+        return float(np.sum(self.tail_probs))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Mixture probabilities p / S, read-only."""
+        weights = self.tail_probs / self.tail_mass
+        weights.setflags(write=False)
+        return weights
+
+    @cached_property
+    def M(self) -> float:
+        """Ratio bound S / max(p) against the conditioned nominal law."""
+        return self.tail_mass / float(np.max(self.tail_probs))
 
 
 def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> MixtureSampler:
@@ -112,26 +117,10 @@ def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> M
             "the tail mixture is undefined"
         )
     rows = np.nonzero(stochastic)[0]
-    normals = poly.normals[rows]
-    sigma = m.sigma[rows]
-    beta = m.beta[rows]
-
-    basis, vec, _ = g._reduction
-    reduced = (normals @ basis) / sigma[:, None]
-    directions = reduced @ vec.T
-
-    probs = m.tail_probs[rows]
-    total = float(np.sum(probs))
-    weights = probs / total
-    bound = total / float(np.max(probs))
-
     return MixtureSampler(
-        directions=directions,
-        reduced_directions=reduced,
-        thresholds=beta.copy(),
-        weights=weights,
-        tail_probs=probs,
-        M=bound,
+        reduced_directions=(poly.normals[rows] @ g.reduced_factor) / m.sigma[rows][:, None],
+        thresholds=m.beta[rows],
+        tail_probs=m.tail_probs[rows],
         gaussian=g,
         row_indices=tuple(int(r) for r in rows),
     )
@@ -163,7 +152,7 @@ def sample_mixture_batch(
 
 
 def mixture_pdf(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
-    """Mixture density at xi, in support coordinates.
+    """Mixture density phi |A| / S at xi, in support coordinates.
 
     The value is a density with respect to the reduced coordinates of the
     uncertainty support; likelihood ratios against the base Gaussian in
@@ -171,36 +160,30 @@ def mixture_pdf(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
     inner set (no component covers it). Raises if xi lies off the
     support.
     """
-    w, scale = _coverage(ms, xi)
-    values = _standard_density(w) * scale
+    w, count = _coverage(ms, xi)
+    values = _standard_density(w) * count / ms.tail_mass
     return values if np.asarray(xi).ndim > 1 else float(values[0])
 
 
 def importance_ratio(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
     """Base-Gaussian over mixture density; inf where the mixture is zero.
 
-    The ratio is S / |A(xi)|, with S = sum(ms.tail_probs) and A(xi) the
-    set of component half-spaces containing xi, so it is at most S on
-    every mixture draw, with equality where exactly one half-space
-    contains xi. Conditioning the base density on the outside of the
-    inner set divides this by the outside probability; the bound ms.M
-    applies to that conditioned ratio.
+    The ratio is S / |A(xi)|, with S = ms.tail_mass and A(xi) the set of
+    component half-spaces containing xi, so it is at most S on every
+    mixture draw, with equality where exactly one half-space contains
+    xi. Conditioning the base density on the outside of the inner set
+    divides this by the outside probability; the bound ms.M applies to
+    that conditioned ratio.
     """
-    _, scale = _coverage(ms, xi)
-    with np.errstate(divide="ignore"):
-        values = np.where(scale > 0, 1.0 / np.where(scale > 0, scale, 1.0), np.inf)
+    _, count = _coverage(ms, xi)
+    values = np.where(count > 0, ms.tail_mass / np.maximum(count, 1), np.inf)
     return values if np.asarray(xi).ndim > 1 else float(values[0])
 
 
 def _coverage(ms: MixtureSampler, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced coordinates of xi, as rows, and the coverage of each row.
-
-    The coverage sums w_i / p_i over the component half-spaces containing
-    the row, so the mixture density there is the base density times it.
-    """
+    """Reduced coordinates of xi, as rows, and the count |A| of half-spaces holding each."""
     w = np.atleast_2d(ms.gaussian.to_reduced(xi))
-    outside = w @ ms.reduced_directions.T > ms.thresholds
-    return w, outside @ (ms.weights / ms.tail_probs)
+    return w, np.count_nonzero(w @ ms.reduced_directions.T > ms.thresholds, axis=1)
 
 
 def _standard_density(w: np.ndarray) -> np.ndarray:

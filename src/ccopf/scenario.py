@@ -147,15 +147,14 @@ class ScenarioSet:
     """Batch of injection deviations (p.u.), at least one row.
 
     origin records how the rows were produced: 'gaussian' for plain
-    draws, 'mixture' for importance-sampled draws (components then holds
-    the mixture component per row), 'nominal' for the single zero
+    draws, 'mixture' for draws from the tail mixture (density
+    q = phi |A| / S, see sampler), 'nominal' for the single zero
     deviation standing in for an empty set.
     """
 
     scenarios: np.ndarray
     origin: str
     seed: int | None
-    components: np.ndarray | None = None
 
     def __post_init__(self):
         if self.scenarios.ndim != 2 or self.scenarios.shape[0] < 1:
@@ -165,11 +164,7 @@ class ScenarioSet:
             )
         if self.origin not in ("gaussian", "mixture", "nominal"):
             raise ValueError(f"unknown origin {self.origin!r}")
-        if self.components is not None and self.components.shape[0] != self.scenarios.shape[0]:
-            raise ValueError("one component per scenario required")
         self.scenarios.setflags(write=False)
-        if self.components is not None:
-            self.components.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -229,12 +224,12 @@ def reduce_gaussian(
 
 
 def draw_mixture_scenarios(ms: MixtureSampler, n: int, seed: int | None) -> ScenarioSet:
-    """n deviations from the tail mixture, components recorded."""
+    """n deviations from the tail mixture."""
     if n < 1:
         raise ValueError(f"need at least one scenario, got {n}")
     rng = np.random.default_rng(seed)
-    xi, comps = sample_mixture_batch(ms, n, rng)
-    return ScenarioSet(scenarios=xi, origin="mixture", seed=seed, components=comps)
+    xi, _ = sample_mixture_batch(ms, n, rng)
+    return ScenarioSet(scenarios=xi, origin="mixture", seed=seed)
 
 
 def reduce_scenarios(poly: FeasibilityPolytope, scen: ScenarioSet) -> np.ndarray:

@@ -96,6 +96,44 @@ def test_unwritable_output_is_one_error_line(tri_path, tmp_path):
     assert run_child(run + ["--out", str(tmp_path)]).stdout == ""
 
 
+@pytest.mark.parametrize("target", ["r.csv", "r_summary.csv"])
+def test_directory_at_a_csv_target_stops_the_run(tri_path, tmp_path, target):
+    (tmp_path / "fw" / target).mkdir(parents=True)
+    proc = run_child(["run", "--case", tri_path, "--reps", "2", "--scenarios", "10",
+                      "--method", "sa,sa-is", "--out", str(tmp_path / "fw" / "r.json")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("ccopf: error:")]
+    assert len(errors) == 1 and target in errors[0]
+    assert proc.stdout == ""
+    assert sorted(p.name for p in (tmp_path / "fw").iterdir()) == [target]
+
+
+def test_failed_report_write_leaves_no_file(tri_path, tmp_path, capsys, monkeypatch):
+    import ccopf.cli
+
+    opened = []
+
+    def open_then_fail(path, *args, **kwargs):
+        # the JSON report is written, the CSV after it fails
+        opened.append(path)
+        if len(opened) > 1:
+            raise OSError(28, "No space left on device")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(ccopf.cli, "open", open_then_fail, raising=False)
+    out_dir = tmp_path / "fw"
+    code, _, err = run_cli(
+        ["run", "--case", tri_path, "--reps", "2", "--scenarios", "10",
+         "--method", "sa,sa-is", "--out", str(out_dir / "r.json")],
+        capsys,
+    )
+    assert code == 1
+    assert len(opened) == 2
+    assert err.count("ccopf: error:") == 1
+    assert list(out_dir.iterdir()) == []
+
+
 def test_bad_method_is_usage_error(tri_path, capsys):
     code, _, err = run_cli(["run", "--case", tri_path, "--method", "bootstrap"], capsys)
     assert code == 1

@@ -16,6 +16,7 @@ from ccopf import (
     compute_margins,
     importance_ratio,
     mixture_pdf,
+    prepare_problem,
     sample_mixture_batch,
 )
 from ccopf.kernels import norm_sf
@@ -76,10 +77,6 @@ def test_unequal_thresholds_weight_near_rows_more():
 def test_directions_are_unit_vectors():
     ms, poly, m, _ = simple_mixture(sigma=0.3)
     np.testing.assert_allclose(np.linalg.norm(ms.reduced_directions, axis=1), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(ms.directions, axis=1), 1.0, rtol=1e-12)
-    # full-space directions are the polytope normals rescaled
-    want = poly.normals / np.linalg.norm(poly.normals, axis=1, keepdims=True)
-    np.testing.assert_allclose(ms.directions, want, atol=1e-12)
 
 
 def test_deterministic_rows_get_no_component():
@@ -108,25 +105,11 @@ def test_row_count_mismatch_rejected():
 
 def test_sampler_validation():
     ms, _, _, g = simple_mixture()
-    with pytest.raises(ValueError, match="probability vector"):
-        MixtureSampler(
-            directions=ms.directions,
-            reduced_directions=ms.reduced_directions,
-            thresholds=ms.thresholds,
-            weights=np.full(6, 0.5),
-            tail_probs=ms.tail_probs,
-            M=ms.M,
-            gaussian=g,
-            row_indices=ms.row_indices,
-        )
     with pytest.raises(ValueError, match="unit"):
         MixtureSampler(
-            directions=ms.directions,
             reduced_directions=2.0 * ms.reduced_directions,
             thresholds=ms.thresholds,
-            weights=ms.weights,
             tail_probs=ms.tail_probs,
-            M=ms.M,
             gaussian=g,
             row_indices=ms.row_indices,
         )
@@ -186,7 +169,7 @@ def test_sample_mixture_component_frequencies():
     n = 5000
     xi, comps = sample_mixture_batch(ms, n, np.random.default_rng(4))
     rows = np.array(ms.row_indices)[comps]
-    proj = np.einsum("ij,ij->i", ms.directions[comps], xi)
+    proj = np.einsum("ij,ij->i", m.normals[rows], xi)
     assert np.all(proj >= m.delta[rows] - 1e-9)
     counts = np.bincount(comps, minlength=2)
     for i in range(2):
@@ -292,6 +275,30 @@ def test_importance_ratio_bounded_by_m(case30):
         assert np.any(single)
         np.testing.assert_allclose(ratio[single], s, rtol=1e-12)
         assert np.all(ratio <= ms.M + 1e-12)
+
+
+def prepared_mixture(case):
+    return prepare_problem(case, build_uncertainty(case, 0.07), 0.05).mixture
+
+
+@pytest.mark.parametrize("name", ["case30", "case57"])
+def test_weights_and_bound_are_closed_forms_of_tail_probs(name, request):
+    # the sa-is stream draws components with these exact weights
+    ms = prepared_mixture(request.getfixturevalue(name))
+    s = float(np.sum(ms.tail_probs))
+    assert ms.tail_mass == s
+    np.testing.assert_array_equal(ms.weights, ms.tail_probs / s)
+    assert ms.M == s / float(np.max(ms.tail_probs))
+    assert not ms.weights.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["case30", "case57"])
+def test_importance_ratio_is_tail_mass_over_count(name, request):
+    ms = prepared_mixture(request.getfixturevalue(name))
+    xi, _ = sample_mixture_batch(ms, 2000, np.random.default_rng(13))
+    proj = ms.gaussian.to_reduced(xi) @ ms.reduced_directions.T
+    count = np.count_nonzero(proj > ms.thresholds, axis=1)
+    np.testing.assert_array_equal(importance_ratio(ms, xi), float(np.sum(ms.tail_probs)) / count)
 
 
 def test_scalar_batch_consistency():

@@ -23,6 +23,7 @@ from ccopf import (
     build_polytope,
     build_uncertainty,
     compute_margins,
+    contains_inner,
     draw_gaussian_scenarios,
     draw_mixture_scenarios,
     nominal_scenario_set,
@@ -184,10 +185,7 @@ def test_mixture_scenarios_tagged_with_components():
     ms = build_mixture(poly, m, g)
     scen = draw_mixture_scenarios(ms, 100, seed=3)
     assert scen.origin == "mixture"
-    assert scen.components is not None
-    assert scen.components.shape == (100,)
-    proj = np.einsum("ij,ij->i", poly.normals[scen.components], scen.scenarios)
-    assert np.all(proj >= m.delta[scen.components] - 1e-9)
+    assert not np.any(contains_inner(m, poly, scen.scenarios))
 
 
 def test_scenario_set_validation():
@@ -197,13 +195,6 @@ def test_scenario_set_validation():
         ScenarioSet(scenarios=np.zeros(3), origin="gaussian", seed=None)
     with pytest.raises(ValueError):
         ScenarioSet(scenarios=np.zeros((2, 2)), origin="bootstrap", seed=None)
-    with pytest.raises(ValueError):
-        ScenarioSet(
-            scenarios=np.zeros((2, 2)),
-            origin="mixture",
-            seed=None,
-            components=np.zeros(3, dtype=int),
-        )
 
 
 def test_reduce_scenarios_oracle():
