@@ -30,7 +30,6 @@ from .validation import (
     ExperimentConfig,
     ExperimentReport,
     RepetitionRecord,
-    mixture_tail_mass,
     prepare_experiment,
     resolve_scenario_count,
     run_experiment,
@@ -197,16 +196,20 @@ def _cmd_run(args) -> int:
     )
     if args.out is not None:
         # fail before the experiment, not when its report is written
-        for path in _report_paths(Path(args.out), config.methods):
+        paths = _report_paths(Path(args.out), config.methods)
+        if len(set(paths)) < len(paths):
+            raise _UsageError(f"--out {args.out} would put the JSON and CSV reports at one path")
+        for path in paths:
             if path.is_dir():
                 raise _UsageError(f"report target {path} is a directory")
-    # the case is loaded and prepared once; counts and K, S come from its margins
+    # the case is loaded and prepared once; counts and K, S come from its mixture
     problem = prepare_experiment(config)
+    mix = problem.mixture
     for method in config.methods:
-        n = resolve_scenario_count(config, problem.case, method, problem.margins)
+        n = resolve_scenario_count(config, problem.case, method, problem)
         origin = "fixed" if config.scenarios != "auto" or method == "dc-opf" else "certified bound"
         if method == "sa-is" and config.scenarios == "auto":
-            k, s = mixture_tail_mass(config, problem.case, problem.margins)
+            k, s = (0, 0.0) if mix is None else (mix.n_components, mix.tail_mass)
             origin += f"; K={k} stochastic rows, tail mass S={s:.3g}"
         print(f"{method}: {n} scenarios ({origin})")
 

@@ -86,9 +86,11 @@ class Generator:
 class GridCase:
     """Parsed grid case.
 
-    Invariants are enforced at construction: exactly one slack bus, branch
-    endpoints present in the bus table, strictly positive reactances,
-    p_min <= p_max per generator, and a connected graph.
+    Invariants are enforced at construction: a finite positive base MVA,
+    finite bus loads and nominal injections, exactly one slack bus, branch
+    endpoints present in the bus table, finite positive reactances,
+    finite generator limits and costs with p_min <= p_max, and a
+    connected graph. parse_case rejects NaN and negative ratings.
     """
 
     name: str
@@ -98,8 +100,14 @@ class GridCase:
     generators: tuple[Generator, ...]
 
     def __post_init__(self):
-        if self.base_mva <= 0:
-            raise CaseValidationError(f"base MVA must be positive, got {self.base_mva}")
+        if not 0 < self.base_mva < math.inf:
+            raise CaseValidationError(f"base MVA must be finite and positive, got {self.base_mva}")
+        for bus in self.buses:
+            if not math.isfinite(bus.load_mw) or not math.isfinite(bus.p_nominal_mw):
+                raise CaseValidationError(
+                    f"bus {bus.id}: non-finite load {bus.load_mw} or nominal "
+                    f"injection {bus.p_nominal_mw}"
+                )
         ids = [bus.id for bus in self.buses]
         if len(set(ids)) != len(ids):
             raise CaseValidationError("duplicate bus ids in bus table")
@@ -115,15 +123,20 @@ class GridCase:
                     f"branch {br.from_bus}-{br.to_bus} references a bus "
                     "absent from the bus table"
                 )
-            if not br.reactance > 0:
+            if not 0 < br.reactance < math.inf:
                 raise CaseValidationError(
-                    f"branch {br.from_bus}-{br.to_bus} has non-positive "
-                    f"reactance {br.reactance}"
+                    f"branch {br.from_bus}-{br.to_bus} has non-positive or "
+                    f"non-finite reactance {br.reactance}"
                 )
         for gen in self.generators:
             if gen.bus not in known:
                 raise CaseValidationError(
                     f"generator at bus {gen.bus} absent from the bus table"
+                )
+            if not all(map(math.isfinite, (gen.p_min_mw, gen.p_max_mw, gen.cost))):
+                raise CaseValidationError(
+                    f"generator at bus {gen.bus}: non-finite limit or cost "
+                    f"(p_min {gen.p_min_mw}, p_max {gen.p_max_mw}, cost {gen.cost})"
                 )
             if gen.p_min_mw > gen.p_max_mw:
                 raise CaseValidationError(
@@ -407,6 +420,10 @@ def parse_case(text: str, name: str | None = None) -> GridCase:
         # DC flow on branch k is (theta_i - theta_j)/x_k, so a rating in MW
         # converts to an angle-difference limit rate*x in p.u.; rating 0
         # means unlimited by MATPOWER convention
+        if not rate >= 0:
+            raise CaseValidationError(
+                f"line {lineno}: branch {fbus}-{tbus} has negative or NaN rating {rate}"
+            )
         limit = math.inf if rate == 0 else (rate / base_mva) * x
         branches.append(Branch(from_bus=fbus, to_bus=tbus, reactance=x, angle_limit=limit))
 

@@ -262,7 +262,9 @@ class LinearProgram:
     function of the decisions. labels annotates constraint rows.
     a_start, a_index and a_value hold a_ub column-wise (CSC), the form
     the solver takes; _skeleton builds them once and every LP with moved
-    offsets shares them.
+    offsets shares them. The first row_shift.size rows are the polytope
+    rows: their b_ub entries are the polytope offsets minus row_shift,
+    the rows' value at the fixed injections (see _with_offsets).
     """
 
     cost: np.ndarray
@@ -277,6 +279,7 @@ class LinearProgram:
     labels: tuple[tuple[str, int], ...]
     injection_map: np.ndarray
     injection_fixed: np.ndarray
+    row_shift: np.ndarray
     base_mva: float
     decision_gens: tuple[int, ...]
     residual_gen: int
@@ -293,7 +296,7 @@ class LinearProgram:
             raise ValueError("one label per constraint row required")
         for arr in (self.cost, self.a_ub, self.a_start, self.a_index, self.a_value,
                     self.b_ub, self.lower, self.upper, self.injection_map,
-                    self.injection_fixed):
+                    self.injection_fixed, self.row_shift):
             arr.setflags(write=False)
 
 
@@ -350,19 +353,14 @@ def assemble(
     """
     if pm is not None and pm.n_rows != poly.n_rows:
         raise ValueError("tightened polytope must match the original row for row")
-    lp, shift = _skeleton(case, poly)
     offsets = reduce_scenarios(poly, scen)
     if pm is not None:
         offsets = np.minimum(offsets, pm.offsets)
-    return _with_offsets(lp, shift, offsets)
+    return _with_offsets(_skeleton(case, poly), offsets)
 
 
-def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> tuple[LinearProgram, np.ndarray]:
-    """The dispatch LP at the polytope's own offsets, and its row shift.
-
-    Only the first poly.n_rows entries of b_ub depend on the offsets:
-    they are offsets - shift (see _with_offsets).
-    """
+def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> LinearProgram:
+    """The dispatch LP at the polytope's own offsets."""
     slack_bus, slack_gens, decisions = _dispatch_structure(case)
     residual = slack_gens[0]
     index = case.index
@@ -409,7 +407,7 @@ def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> tuple[LinearProgram,
         labels += [("residual-upper", slack_bus), ("residual-lower", slack_bus)]
 
     columns = csc_array(a_ub)
-    lp = LinearProgram(
+    return LinearProgram(
         cost=cost,
         cost_offset=offset,
         a_ub=a_ub,
@@ -422,18 +420,18 @@ def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> tuple[LinearProgram,
         labels=tuple(labels),
         injection_map=inj_map,
         injection_fixed=inj_fixed,
+        row_shift=shift,
         base_mva=base,
         decision_gens=decisions,
         residual_gen=residual,
         residual_at_zero=residual_at_zero,
         n_gens=len(case.generators),
     )
-    return lp, shift
 
 
-def _with_offsets(lp: LinearProgram, shift: np.ndarray, offsets: np.ndarray) -> LinearProgram:
+def _with_offsets(lp: LinearProgram, offsets: np.ndarray) -> LinearProgram:
     """The skeleton lp with its polytope rows moved to the given offsets."""
-    b_ub = np.concatenate([offsets - shift, lp.b_ub[shift.shape[0]:]])
+    b_ub = np.concatenate([offsets - lp.row_shift, lp.b_ub[lp.row_shift.shape[0]:]])
     return replace(lp, b_ub=b_ub)
 
 
@@ -526,7 +524,8 @@ class PreparedProblem:
     seed: the polytope, the margins and the tightened polytope, the tail
     mixture (None when no row is stochastic), and the dispatch LP at the
     polytope's own offsets. A solve only moves the polytope rows of that
-    LP: b_ub starts with offsets - row_shift.
+    LP (see LinearProgram.row_shift). The mixture is also the one source
+    of the sa-is count's K and S (n_components and tail_mass).
     """
 
     case: GridCase
@@ -536,7 +535,6 @@ class PreparedProblem:
     tightened: FeasibilityPolytope
     mixture: MixtureSampler | None
     lp: LinearProgram
-    row_shift: np.ndarray
 
 
 def prepare_problem(case: GridCase, g: GaussianSpec, eta: float) -> PreparedProblem:
@@ -544,7 +542,6 @@ def prepare_problem(case: GridCase, g: GaussianSpec, eta: float) -> PreparedProb
     poly = build_polytope(case, build_matrices(case))
     m = compute_margins(poly, g, eta)
     mixture = build_mixture(poly, m, g) if bool(np.any(m.stochastic)) else None
-    lp, shift = _skeleton(case, poly)
     return PreparedProblem(
         case=case,
         g=g,
@@ -552,8 +549,7 @@ def prepare_problem(case: GridCase, g: GaussianSpec, eta: float) -> PreparedProb
         margins=m,
         tightened=tightened_polytope(poly, m),
         mixture=mixture,
-        lp=lp,
-        row_shift=shift,
+        lp=_skeleton(case, poly),
     )
 
 
@@ -591,7 +587,7 @@ def solve_prepared(
     offsets = scenario_offsets(
         prep.poly, prep.g, prep.tightened, prep.mixture, method, n_scenarios, seed
     )
-    return solve(_with_offsets(prep.lp, prep.row_shift, offsets))
+    return solve(_with_offsets(prep.lp, offsets))
 
 
 def run_sa(

@@ -19,16 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import (
-    FeasibilityPolytope,
-    GridCase,
-    build_matrices,
-    build_polytope,
-    bundled_case_path,
-    load_case,
-)
+from .grid import FeasibilityPolytope, GridCase, bundled_case_path, load_case
+from .grid import build_matrices  # noqa: F401  (perfbench/test_perfbench.py reads it)
 from .kernels import norm_cdf, norm_isf, tail_quantile
-from .margins import GaussianSpec, MarginSet, compute_margins, tightened_polytope
+from .margins import GaussianSpec, compute_margins, tightened_polytope
 from .sampler import build_mixture
 from .scenario import (
     DispatchSolution,
@@ -321,46 +315,37 @@ class ExperimentReport:
 
 
 def load_case_ref(ref: str) -> GridCase:
-    """Load a case from a path, falling back to the bundled cases."""
+    """Load a case from a path, falling back to the bundled cases.
+
+    A directory never shadows a bundled case of the same name (a report
+    written to case30/report.json leaves `case30` the bundled case); a
+    directory that names none fails to load as a case file.
+    """
     path = Path(ref)
-    if path.exists():
+    if path.exists() and not path.is_dir():
         return load_case(path)
     try:
         return load_case(bundled_case_path(ref))
     except FileNotFoundError:
+        if path.exists():
+            return load_case(path)  # a directory: the error names it
         raise FileNotFoundError(
             f"case {ref!r} found neither on disk nor among the bundled cases"
         ) from None
 
 
-def mixture_tail_mass(
-    config: ExperimentConfig, case: GridCase, margins: MarginSet | None = None
-) -> tuple[int, float]:
-    """Stochastic row count K and total tail mass S of the sa-is mixture.
-
-    S sums the rows' tail probabilities at the config's eta, the same sum
-    build_mixture normalises its weights by; (0, 0.0) when no row sees
-    the uncertainty. margins, when given, are the config's margins on
-    this case (a prepared problem's) and are not rebuilt.
-    """
-    if margins is None:
-        poly = build_polytope(case, build_matrices(case))
-        margins = compute_margins(poly, build_uncertainty(case, config.sigma_frac), config.eta)
-    probs = margins.tail_probs[margins.stochastic]
-    return int(probs.size), float(np.sum(probs))
-
-
 def resolve_scenario_count(
-    config: ExperimentConfig, case: GridCase, method: str, margins: MarginSet | None = None
+    config: ExperimentConfig, case: GridCase, method: str, problem: PreparedProblem | None = None
 ) -> int:
     """Scenario count a method will use under this config.
 
     Fixed counts pass through (dc-opf always uses none). 'auto' applies
     the certified bounds: the classical one for sa; for sa-is the
     classical one at eta / S (sample_size_mixture), S being the tail
-    mixture's total tail mass. That bound is closed-form, so no covered
-    mass is estimated, and it does not depend on eta. margins are passed
-    on to mixture_tail_mass.
+    mass of the prepared problem's mixture, and 0 when it has none (no
+    stochastic row). That bound is closed-form, so no covered mass is
+    estimated, and it does not depend on eta. problem, when given, is
+    this config's prepared case; otherwise the sa-is count prepares one.
     """
     if method == "dc-opf":
         return 0
@@ -369,16 +354,20 @@ def resolve_scenario_count(
     d = max(1, len(case.generators) - 1)
     if method == "sa":
         return sample_size_cc(config.eta, config.delta, d)
-    k, s = mixture_tail_mass(config, case, margins)
-    if k == 0:
+    if problem is None:
+        problem = _prepare(config, case)
+    if problem.mixture is None:
         return 0
-    return sample_size_mixture(config.eta, config.delta, d, s)
+    return sample_size_mixture(config.eta, config.delta, d, problem.mixture.tail_mass)
+
+
+def _prepare(config: ExperimentConfig, case: GridCase) -> PreparedProblem:
+    return prepare_problem(case, build_uncertainty(case, config.sigma_frac), config.eta)
 
 
 def prepare_experiment(config: ExperimentConfig) -> PreparedProblem:
     """Load the config's case and prepare it at the config's sigma and eta."""
-    case = load_case_ref(config.case)
-    return prepare_problem(case, build_uncertainty(case, config.sigma_frac), config.eta)
+    return _prepare(config, load_case_ref(config.case))
 
 
 @dataclass(frozen=True)
@@ -545,9 +534,7 @@ def run_experiment(
     if problem is None:
         problem = prepare_experiment(config)
     case = problem.case
-    resolved = {
-        m: resolve_scenario_count(config, case, m, problem.margins) for m in config.methods
-    }
+    resolved = {m: resolve_scenario_count(config, case, m, problem) for m in config.methods}
     nominal = _solve(problem, "sa", 0, config.seed) if "dc-opf" in config.methods else None
     experiment = _Experiment(config, problem, resolved, nominal)
     workers = min(config.jobs, config.reps, _usable_cores())

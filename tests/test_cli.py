@@ -109,6 +109,38 @@ def test_directory_at_a_csv_target_stops_the_run(tri_path, tmp_path, target):
     assert sorted(p.name for p in (tmp_path / "fw").iterdir()) == [target]
 
 
+def test_csv_out_is_refused_before_the_run(tri_path, tmp_path):
+    # r.csv would be both the JSON report and the per-repetition CSV
+    proc = run_child(["run", "--case", tri_path, "--method", "dc-opf,sa", "--scenarios", "10",
+                      "--reps", "1", "--ntest", "10", "--out", str(tmp_path / "r.csv")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("ccopf: error:")]
+    assert len(errors) == 1 and "r.csv" in errors[0]
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "tri.m"]
+
+
+def test_report_directory_does_not_shadow_the_bundled_case(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--case", "case30", "--method", "dc-opf", "--reps", "1", "--ntest", "10",
+            "--out", "case30/report.json"]
+    for _ in range(2):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert "dc-opf: 1/1 optimal" in out
+    assert (tmp_path / "case30" / "report.json").is_file()
+
+
+def test_non_finite_load_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "nan_load.m"
+    bad.write_text(TRIANGLE_TEXT.replace("\t3\t1\t80;", "\t3\t1\tNaN;"))
+    code, out, err = run_cli(["run", "--case", str(bad), "--method", "dc-opf", "--reps", "1"],
+                             capsys)
+    assert code == 2
+    assert "non-finite load" in err and out == ""
+
+
 def test_failed_report_write_leaves_no_file(tri_path, tmp_path, capsys, monkeypatch):
     import ccopf.cli
 

@@ -197,6 +197,17 @@ def test_unterminated_matrix():
             lambda t: t.replace("\t2\t0\t0\t2\t1\t0;\n];", "];"),
             "gencost has 1 rows for 2",
         ),
+        # non-finite numbers, and NaN or negative ratings (0 means unlimited)
+        (lambda t: t.replace("mpc.baseMVA = 100;", "mpc.baseMVA = NaN;"), "positive, got nan"),
+        (lambda t: t.replace("mpc.baseMVA = 100;", "mpc.baseMVA = Inf;"), "positive, got inf"),
+        (lambda t: t.replace("\t3\t1\t80;", "\t3\t1\tNaN;"), "non-finite load nan"),
+        (lambda t: t.replace("\t1\t30\t100\t0;", "\t1\tInf\t100\t0;"), "injection inf"),
+        (lambda t: t.replace("\t1\t30\t100\t0;", "\t1\t30\tNaN\t0;"), "p_max nan"),
+        (lambda t: t.replace("\t2\t50\t50\t0;", "\t2\t50\t50\t-Inf;"), "p_min -inf"),
+        (lambda t: t.replace("2\t0\t0\t2\t10\t0;", "2\t0\t0\t2\tInf\t0;"), "cost inf"),
+        (lambda t: t.replace("\t2\t3\t0.1\t0;", "\t2\t3\tInf\t0;"), "reactance inf"),
+        (lambda t: t.replace("\t1\t3\t0.1\t0;", "\t1\t3\t0.1\tNaN;"), "rating nan"),
+        (lambda t: t.replace("\t1\t3\t0.1\t0;", "\t1\t3\t0.1\t-30;"), "rating -30"),
     ],
 )
 def test_validation_errors(mangle, fragment):

@@ -387,7 +387,7 @@ def test_solve_equals_linprog_on_prepared_lps(monkeypatch, request, case_name, m
     case = request.getfixturevalue(case_name)
     prep = prepared(case, eta)
     config = ExperimentConfig(case=case_name, eta=eta, scenarios=scenarios)
-    n = resolve_scenario_count(config, case, method, prep.margins)
+    n = resolve_scenario_count(config, case, method, prep)
     lps = []
     with monkeypatch.context() as m:
         m.setattr(scenario, "solve", lps.append)

@@ -31,8 +31,8 @@ from ccopf import (
     sweep_1d,
 )
 from ccopf.kernels import norm_cdf, norm_isf
-from ccopf.validation import load_case_ref, mixture_tail_mass, resolve_scenario_count
-from ccopf.scenario import sample_size_cc
+from ccopf.validation import load_case_ref, resolve_scenario_count
+from ccopf.scenario import sample_size_cc, sample_size_mixture
 from conftest import TRIANGLE_TEXT, iid_gaussian
 
 Z_95 = 1.6448536269514722
@@ -374,16 +374,19 @@ def test_resolve_scenario_counts(tmp_path, case30, case57):
 
 @pytest.mark.parametrize("name", ["case30", "case57"])
 def test_tail_probabilities_have_one_source(request, name):
-    # the mixture weights and the certified count's S read the margins'
-    # tail probabilities, bit for bit
+    # the mixture's tail probabilities are the margins' own, bit for bit,
+    # and the sa-is count's S is the prepared mixture's tail mass, whether
+    # the count prepares the case itself or is handed the prepared problem
     case = request.getfixturevalue(name)
-    prep = prepare_problem(case, build_uncertainty(case, 0.07), 0.05)
-    m = prep.margins
-    assert prep.mixture.tail_probs.tobytes() == m.tail_probs[m.stochastic].tobytes()
-    config = ExperimentConfig(case=name)
-    k, s = mixture_tail_mass(config, case, m)
-    assert (k, s) == (prep.mixture.n_components, float(np.sum(prep.mixture.tail_probs)))
-    assert mixture_tail_mass(config, case) == (k, s)
+    for eta in (0.05, 1e-3):
+        prep = prepare_problem(case, build_uncertainty(case, 0.07), eta)
+        m = prep.margins
+        assert prep.mixture.tail_probs.tobytes() == m.tail_probs[m.stochastic].tobytes()
+        config = ExperimentConfig(case=name, eta=eta)
+        want = sample_size_mixture(eta, config.delta, len(case.generators) - 1,
+                                   prep.mixture.tail_mass)
+        assert resolve_scenario_count(config, case, "sa-is") == want
+        assert resolve_scenario_count(config, case, "sa-is", prep) == want
 
 
 @pytest.mark.parametrize("name", ["case30", "case57"])
@@ -554,7 +557,7 @@ def _one_check_per_record(config: ExperimentConfig) -> tuple[RepetitionRecord, .
     problem = validation.prepare_experiment(config)
     records = []
     for method in config.methods:
-        n = resolve_scenario_count(config, problem.case, method, problem.margins)
+        n = resolve_scenario_count(config, problem.case, method, problem)
         for rep in range(config.reps):
             seed = config.seed + rep
             if method == "dc-opf":
