@@ -126,14 +126,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
 
-    if hasattr(args, "seed") and "CCOPF_SEED" in os.environ:
+    if hasattr(args, "seed"):
+        env = os.environ.get("CCOPF_SEED")
         try:
-            args.seed = int(os.environ["CCOPF_SEED"])
+            args.seed = args.seed if env is None else int(env)
         except ValueError:
-            print(
-                f"ccopf: error: CCOPF_SEED={os.environ['CCOPF_SEED']!r} is not an integer",
-                file=sys.stderr,
-            )
+            print(f"ccopf: error: CCOPF_SEED={env!r} is not an integer", file=sys.stderr)
+            return EXIT_USAGE
+        if args.seed < 0:  # NumPy's generators take no negative seed
+            source = "--seed" if env is None else "CCOPF_SEED"
+            print(f"ccopf: error: {source} must be non-negative, got {args.seed}", file=sys.stderr)
             return EXIT_USAGE
 
     try:

@@ -503,8 +503,14 @@ def load_case(path: str | Path) -> GridCase:
 
 
 def bundled_case_path(name: str) -> Path:
-    """Path to a case file shipped with the package, e.g. 'case30'."""
+    """Path to a case file shipped with the package, e.g. 'case30'.
+
+    Only a bare file name is looked up: a name with a directory part
+    (absolute, relative or '..') is no bundled case.
+    """
     fname = name if name.endswith(".m") else f"{name}.m"
+    if Path(fname).name != fname:
+        raise FileNotFoundError(f"no bundled case named {name!r}")
     candidate = resources.files("ccopf.data").joinpath(fname)
     with resources.as_file(candidate) as path:
         if not path.exists():

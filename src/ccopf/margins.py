@@ -34,42 +34,27 @@ _CONTAINS_TOL = 1e-12
 class GaussianSpec:
     """Zero-mean Gaussian deviation model for injections (p.u.).
 
-    cov_half is any factor F with F @ F.T == cov; deviations are sampled
-    as F z with z standard normal, so F may be rectangular when cov is
-    singular.
+    cov is the whole model; construction checks that it is square,
+    symmetric and positive semidefinite and builds its one factor,
+    reduced_factor. Row sigmas, draws (from_reduced of reduced_dim
+    standard normals) and mixture axes all go through that factor.
     """
 
     cov: np.ndarray
-    cov_half: np.ndarray
 
     def __post_init__(self):
         if self.cov.ndim != 2 or self.cov.shape[0] != self.cov.shape[1]:
             raise ValueError(f"covariance must be square, got {self.cov.shape}")
         if not np.allclose(self.cov, self.cov.T, rtol=1e-8, atol=1e-12):
             raise ValueError("covariance must be symmetric")
-        if self.cov_half.ndim != 2 or self.cov_half.shape[0] != self.cov.shape[0]:
-            raise ValueError(
-                f"factor shape {self.cov_half.shape} incompatible with "
-                f"covariance {self.cov.shape}"
-            )
-        product = self.cov_half @ self.cov_half.T
-        scale = max(float(np.max(np.abs(self.cov))), 1e-300)
-        if not np.allclose(product, self.cov, rtol=1e-8, atol=1e-10 * scale):
-            raise ValueError("cov_half @ cov_half.T does not reproduce cov")
         self.cov.setflags(write=False)
-        self.cov_half.setflags(write=False)
+        self._reduction  # the one eigendecomposition; raises unless PSD
 
     @classmethod
     def from_covariance(cls, cov: np.ndarray) -> GaussianSpec:
-        """Build a spec with a symmetric PSD square root of cov."""
+        """Build a spec from cov, symmetrised against rounding."""
         cov = np.asarray(cov, dtype=float)
-        sym = 0.5 * (cov + cov.T)
-        eigval, eigvec = np.linalg.eigh(sym)
-        top = float(np.max(np.abs(eigval))) if eigval.size else 0.0
-        if np.any(eigval < -1e-10 * max(top, 1.0)):
-            raise ValueError("covariance is not positive semidefinite")
-        root = (eigvec * np.sqrt(np.clip(eigval, 0.0, None))) @ eigvec.T
-        return cls(cov=sym, cov_half=root)
+        return cls(cov=0.5 * (cov + cov.T))
 
     @property
     def n(self) -> int:
@@ -79,19 +64,21 @@ class GaussianSpec:
     def _reduction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positive-eigenvalue factorisation cov = U U' with U = V sqrt(L).
 
-        Returns (U, V, inv_sqrt_L) where V has orthonormal columns spanning
-        the support, so reduced coordinates are w = inv_sqrt_L * (V' xi).
+        Variances below 1e-12 times the largest count as zero; this one
+        cutoff sets the support. Returns (U, V, inv_sqrt_L) where V has
+        orthonormal columns spanning the support, so reduced coordinates
+        are w = inv_sqrt_L * (V' xi). Raises if an eigenvalue lies below
+        -1e-10 times the largest magnitude: cov is then not PSD.
         """
         eigval, eigvec = np.linalg.eigh(self.cov)
         top = float(np.max(np.abs(eigval))) if eigval.size else 0.0
+        if np.any(eigval < -1e-10 * top):
+            raise ValueError("covariance is not positive semidefinite")
         keep = eigval > 1e-12 * max(top, 1e-300)
-        lam = eigval[keep]
-        vec = eigvec[:, keep]
-        basis = vec * np.sqrt(lam)
-        for arr in (basis, vec):
+        lam, vec = eigval[keep], eigvec[:, keep]
+        basis, inv_sqrt = vec * np.sqrt(lam), 1.0 / np.sqrt(lam)
+        for arr in (basis, vec, inv_sqrt):
             arr.setflags(write=False)
-        inv_sqrt = 1.0 / np.sqrt(lam)
-        inv_sqrt.setflags(write=False)
         return basis, vec, inv_sqrt
 
     @property
@@ -183,7 +170,8 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
 
     For stochastic row i, delta_i = sigma_i * z with z the upper eta
     quantile of the standard normal and sigma_i the standard deviation of
-    the row projection of the deviation. eta must lie in (0, 0.5].
+    the row projection, taken through g.reduced_factor. eta must lie in
+    (0, 0.5].
 
     Parameters
     ----------
@@ -200,8 +188,7 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
         raise ValueError(
             f"polytope over {poly.n_buses} buses, uncertainty over {g.n}"
         )
-    projected = poly.normals @ g.cov_half
-    sigma = np.linalg.norm(projected, axis=1)
+    sigma = np.linalg.norm(poly.normals @ g.reduced_factor, axis=1)
     top = float(np.max(sigma)) if sigma.size else 0.0
     stochastic = sigma > DETERMINISTIC_CUTOFF * top
 
@@ -278,8 +265,7 @@ def estimate_pi(
         if n_samples <= 0:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n_samples, g.cov_half.shape[1]))
-        xi = z @ g.cov_half.T
+        xi = g.from_reduced(rng.standard_normal((n_samples, g.reduced_dim)))
         proj = xi @ m.normals.T
         inside = np.all(proj <= m.delta + _CONTAINS_TOL, axis=1)
         value = float(np.mean(inside))

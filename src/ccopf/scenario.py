@@ -181,16 +181,17 @@ def draw_gaussian_scenarios(
 ) -> ScenarioSet:
     """n deviations straight from the uncertainty model.
 
-    seed may also be a Generator, whose stream the draw continues; the
-    set then records no seed.
+    Each is g.from_reduced of one row of standard_normal((n,
+    g.reduced_dim)). seed may also be a Generator, whose stream the draw
+    continues; the set then records no seed.
     """
     if n < 1:
         raise ValueError(f"need at least one scenario, got {n}")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, g.cov_half.shape[1]))
+    xi = g.from_reduced(rng.standard_normal((n, g.reduced_dim)))
     if isinstance(seed, np.random.Generator):
         seed = None
-    return ScenarioSet(scenarios=z @ g.cov_half.T, origin="gaussian", seed=seed)
+    return ScenarioSet(scenarios=xi, origin="gaussian", seed=seed)
 
 
 def chunk_sizes(n: int) -> list[int]:

@@ -60,7 +60,9 @@ def out_of_sample_confidence(
     Returns the estimate and its binomial standard error. Row checks
     allow _OOS_TOL of slack so boundary dispatches are not miscounted.
     Deviations are drawn and checked in blocks (scenario.chunk_sizes) of
-    one stream, so memory stays bounded for any n_test.
+    one stream, so memory stays bounded for any n_test. Each deviation
+    is g.reduced_dim standard normals z, projected on the rows as
+    z (W U)' with U = g.reduced_factor.
 
     A stack of k dispatches is checked against one draw: each block is
     drawn and projected once and then compared with every dispatch's
@@ -91,11 +93,11 @@ def out_of_sample_confidence(
     # one matrix-vector product per dispatch, as a single dispatch gets:
     # a batched product would round differently
     headrooms = [poly.offsets - poly.normals @ xj + _OOS_TOL for xj in stack]
-    factor = (poly.normals @ g.cov_half).T
+    factor = (poly.normals @ g.reduced_factor).T
     rng = np.random.default_rng(seed)
     inside = np.zeros(len(headrooms), dtype=np.int64)
     for size in chunk_sizes(n_test):
-        y = rng.standard_normal((size, g.cov_half.shape[1])) @ factor
+        y = rng.standard_normal((size, g.reduced_dim)) @ factor
         for j, headroom in enumerate(headrooms):
             inside[j] += np.count_nonzero(np.all(y <= headroom, axis=1))
         del y  # so the next block is drawn with only one projection alive
@@ -129,7 +131,7 @@ def solve_1d_synthetic(
         offsets=np.array([float(a)]),
         labels=(("injection-upper", 0),),
     )
-    g = GaussianSpec(cov=np.array([[1.0]]), cov_half=np.array([[1.0]]))
+    g = GaussianSpec(cov=np.array([[1.0]]))
     x_exact = float(a) - (float(norm_isf(eta)) + 0.0)
     m = compute_margins(poly, g, eta)
     x_hat = float(scenario_offsets(
@@ -224,6 +226,8 @@ class ExperimentConfig:
             raise ValueError(f"scenario count must be non-negative, got {self.scenarios}")
         if self.reps < 1:
             raise ValueError(f"reps must be positive, got {self.reps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.sigma_frac < math.inf:
             raise ValueError(f"sigma_frac must be finite and non-negative, got {self.sigma_frac}")
         if self.n_test < 1:

@@ -64,7 +64,7 @@ def test_criterion_1_one_dimensional_oracle():
         offsets=np.array([0.0]),
         labels=(("injection-upper", 0),),
     )
-    g = GaussianSpec(cov=np.array([[1.0]]), cov_half=np.array([[1.0]]))
+    g = GaussianSpec(cov=np.array([[1.0]]))
 
     t0 = time.monotonic()
     max_gap = -math.inf
@@ -106,7 +106,7 @@ def test_criterion_2_sampler_law():
             offsets=np.array([5.0]),
             labels=(("injection-upper", 0),),
         )
-        g = GaussianSpec(cov=np.array([[1.0]]), cov_half=np.array([[1.0]]))
+        g = GaussianSpec(cov=np.array([[1.0]]))
         m = compute_margins(poly, g, eta)
         ms = build_mixture(poly, m, g)
         scen = draw_mixture_scenarios(ms, n, seed=400 + k)
@@ -142,7 +142,7 @@ def test_criterion_3_density_ratio_bound():
         offsets=rng.uniform(0.5, 2.0, size=10),
         labels=tuple(("injection-upper", i) for i in range(10)),
     )
-    g = GaussianSpec(cov=np.eye(5), cov_half=np.eye(5))
+    g = GaussianSpec(cov=np.eye(5))
     m = compute_margins(poly, g, 0.05)
     ms = build_mixture(poly, m, g)
 

@@ -400,6 +400,29 @@ def test_bad_seed_env(capsys, monkeypatch):
     assert "CCOPF_SEED" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--case", "case30", "--scenarios", "10", "--method", "dc-opf,sa"],
+        ["sweep1d", "--grid", "3", "--reps", "2"],
+        ["validate"],
+    ],
+    ids=["run", "sweep1d", "validate"],
+)
+@pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+def test_negative_seed_is_refused_before_any_work(capsys, monkeypatch, argv, from_env):
+    if from_env:
+        monkeypatch.setenv("CCOPF_SEED", "-1")
+    else:
+        monkeypatch.delenv("CCOPF_SEED", raising=False)
+        argv = argv + ["--seed", "-1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    source = "CCOPF_SEED" if from_env else "--seed"
+    assert err == f"ccopf: error: {source} must be non-negative, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # validate
 

@@ -178,6 +178,35 @@ def test_gaussian_scenarios_reproducible():
     assert np.std(a.scenarios) == pytest.approx(0.2, rel=0.1)
 
 
+@pytest.mark.parametrize("case_name", ["case30", "case57"])
+def test_gaussian_draws_take_reduced_dim_normals(request, case_name):
+    # the sa stream: reduced_dim normals per deviation, mapped through the
+    # reduced factor, with nothing drawn for zero-variance buses
+    case = request.getfixturevalue(case_name)
+    g = build_uncertainty(case, 0.07)
+    assert g.reduced_dim == {"case30": 23, "case57": 41}[case_name]
+    want = np.random.default_rng(11).standard_normal((300, g.reduced_dim)) @ g.reduced_factor.T
+    np.testing.assert_array_equal(draw_gaussian_scenarios(g, 300, 11).scenarios, want)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("case_name", ["case30", "case57"])
+def test_correlated_covariance_prepares_and_solves(request, case_name, rho):
+    # one factor decides which rows are stochastic, so a correlated,
+    # rank-deficient covariance gives unit mixture axes
+    case = request.getfixturevalue(case_name)
+    s = np.sqrt(np.diag(build_uncertainty(case, 0.07).cov))
+    g = GaussianSpec.from_covariance(rho * np.outer(s, s) + (1.0 - rho) * np.diag(s**2))
+    prep = prepare_problem(case, g, 0.05)
+    if case_name == "case30":
+        assert prep.mixture.n_components == 92
+    axes = np.linalg.norm(prep.mixture.reduced_directions, axis=1)
+    np.testing.assert_allclose(axes, 1.0, rtol=0, atol=1e-12)
+    for method in ("sa", "sa-is"):
+        sol = solve_prepared(prep, method, 200, seed=0)
+        assert sol.status in ("optimal", "infeasible")
+
+
 def test_mixture_scenarios_tagged_with_components():
     poly = box_polytope(2, 2.0)
     g = iid_gaussian(2)

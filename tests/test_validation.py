@@ -22,6 +22,7 @@ from ccopf import (
     build_matrices,
     build_polytope,
     build_uncertainty,
+    bundled_case_path,
     out_of_sample_confidence,
     prepare_problem,
     run_experiment,
@@ -147,7 +148,7 @@ def test_stacked_headrooms_round_as_one_dispatch_does(monkeypatch, case30):
     xs, poly, _ = _three_dispatches(case30)
     on_rows = FeasibilityPolytope(poly.normals, poly.normals @ xs[0], poly.labels)
     n_bus = xs.shape[1]
-    rigid = GaussianSpec(cov=np.zeros((n_bus, n_bus)), cov_half=np.zeros((n_bus, n_bus)))
+    rigid = GaussianSpec(cov=np.zeros((n_bus, n_bus)))
     monkeypatch.setattr(validation, "_OOS_TOL", 0.0)
     assert out_of_sample_confidence(xs[0], on_rows, rigid, 10, seed=0) == (1.0, 0.0)
     prob, _ = out_of_sample_confidence(xs, on_rows, rigid, 10, seed=0)
@@ -278,6 +279,7 @@ def test_config_defaults():
         {"sigma_frac": math.inf},
         {"eta": math.nan},
         {"delta": math.inf},
+        {"seed": -1},
     ],
 )
 def test_config_validation(kwargs):
@@ -340,6 +342,20 @@ def test_load_case_ref(tmp_path, case30):
     assert load_case_ref(str(path)).name == "tri"
     with pytest.raises(FileNotFoundError, match="neither on disk"):
         load_case_ref("case999")
+
+
+def test_path_names_never_reach_the_bundled_cases(tmp_path):
+    # with only <tmp>/mycase.m on disk, "<tmp>/mycase" names no file; neither
+    # it nor a '..' path from the data directory may load it as a bundled case
+    data_dir = bundled_case_path("case30").parent
+    (tmp_path / "mycase.m").write_text((data_dir / "case30.m").read_text())
+    escapes = (str(tmp_path / "mycase"), os.path.relpath(tmp_path / "mycase", data_dir))
+    for ref in escapes:
+        with pytest.raises(FileNotFoundError, match="no bundled case named"):
+            bundled_case_path(ref)
+        with pytest.raises(FileNotFoundError, match="found neither on disk nor among the bundled cases"):
+            load_case_ref(ref)
+    assert load_case_ref(str(tmp_path / "mycase.m")).n == 30
 
 
 def test_resolve_scenario_counts(tmp_path, case30, case57):
