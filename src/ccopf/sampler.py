@@ -8,9 +8,9 @@ set of half-spaces containing the point. The likelihood ratio phi / q =
 S / |A| is therefore at most S outside the inner set, which certifies the
 sa-is scenario count (scenario.sample_size_mixture). Against the plain
 Gaussian conditioned on the outside of the inner set, the ratio is at
-most the looser M = S / max(p). Sampling and densities run in the
-reduced coordinates of the uncertainty support, so singular covariances
-(fixed loads, slack bus) cost nothing.
+most the looser M = S / max(p). Draws and densities stay in the reduced
+coordinates of the uncertainty support (scenario.projected_draws takes
+draws straight to the rows), so singular covariances cost nothing.
 """
 from __future__ import annotations
 
@@ -129,12 +129,13 @@ def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> M
 def sample_mixture_batch(
     ms: MixtureSampler, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n mixture deviations in one shot; returns (n x buses, components).
+    """n mixture deviations in one shot; returns (n x reduced_dim, components).
 
-    Each row draws a standard normal in the support and replaces its
-    coordinate along its component's axis with a truncated-tail draw:
-    the quantile of p_i * u, u in (0, 1], lies at or above the
-    threshold, so every row lands in its component's half-space.
+    Each row, in support coordinates (from_reduced maps it to the buses),
+    draws a standard normal and replaces its coordinate along its
+    component's axis with a truncated-tail draw: the quantile of
+    p_i * u, u in (0, 1], lies at or above the threshold, so every row
+    lands in its component's half-space.
     The draw order is fixed (components, then normals, then tail
     uniforms) so results are reproducible for a given generator state.
     """
@@ -148,7 +149,7 @@ def sample_mixture_batch(
     y = np.maximum(norm_isf(probs * u), beta)
     axes = ms.reduced_directions[comps]
     w = z + axes * (y - np.einsum("ij,ij->i", axes, z))[:, None]
-    return ms.gaussian.from_reduced(w), comps
+    return w, comps
 
 
 def mixture_pdf(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:

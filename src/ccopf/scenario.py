@@ -1,16 +1,19 @@
 """Scenario approximation: sample sizes, draws, reduction, dispatch LP.
 
 A scenario set turns the chance constraint into finitely many shifted
-copies of the polytope rows, which collapse to one offset per row
-(reduce_scenarios). The dispatch LP optimises generator outputs against
-those offsets, optionally intersected with the margin-tightened offsets,
-with the generator at the slack bus absorbing the power balance. A
+copies of the polytope rows, which collapse to one offset per row. Solves
+and checks project support-coordinate draws straight onto the rows
+(projected_draws); bus-space sets and reduce_scenarios are the reference.
+The dispatch LP optimises generator outputs against those offsets,
+optionally intersected with the margin-tightened offsets, with the
+generator at the slack bus absorbing the power balance. A
 PreparedProblem holds everything but the draws, so repeated solves
 rebuild nothing.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,21 +179,16 @@ def nominal_scenario_set(n_buses: int, seed: int | None = None) -> ScenarioSet:
     return ScenarioSet(scenarios=np.zeros((1, n_buses)), origin="nominal", seed=seed)
 
 
-def draw_gaussian_scenarios(
-    g: GaussianSpec, n: int, seed: int | np.random.Generator | None
-) -> ScenarioSet:
+def draw_gaussian_scenarios(g: GaussianSpec, n: int, seed: int | None) -> ScenarioSet:
     """n deviations straight from the uncertainty model.
 
     Each is g.from_reduced of one row of standard_normal((n,
-    g.reduced_dim)). seed may also be a Generator, whose stream the draw
-    continues; the set then records no seed.
+    g.reduced_dim)), the stream projected_draws projects block by block.
     """
     if n < 1:
         raise ValueError(f"need at least one scenario, got {n}")
     rng = np.random.default_rng(seed)
     xi = g.from_reduced(rng.standard_normal((n, g.reduced_dim)))
-    if isinstance(seed, np.random.Generator):
-        seed = None
     return ScenarioSet(scenarios=xi, origin="gaussian", seed=seed)
 
 
@@ -202,35 +200,39 @@ def chunk_sizes(n: int) -> list[int]:
     so a short remainder would make results depend on how n falls
     against CHUNK.
     """
+    if n < 1:
+        raise ValueError(f"need at least one row, got {n}")
     blocks = -(-n // CHUNK)
     size, longer = divmod(n, blocks)
     return [size + 1] * longer + [size] * (blocks - longer)
 
 
-def reduce_gaussian(
-    poly: FeasibilityPolytope, g: GaussianSpec, n: int, seed: int | None
-) -> np.ndarray:
-    """reduce_scenarios over n Gaussian deviations, CHUNK rows at a time.
+def projected_draws(
+    normals: np.ndarray, g: GaussianSpec, n: int, seed: int | None,
+    mixture: MixtureSampler | None = None,
+) -> Iterator[np.ndarray]:
+    """Row projections z (normals U)' of n deviations, U = g.reduced_factor.
 
-    Blocks are drawn in turn from one generator, so together they are
-    the one-shot draw of draw_gaussian_scenarios(g, n, seed), and the
-    elementwise minimum of their offsets is the offset of the whole set.
+    z is the stream of draw_gaussian_scenarios(g, n, seed), yielded in
+    chunk_sizes(n) blocks, or with a mixture the stream of
+    draw_mixture_scenarios(mixture, n, seed), yielded as one block.
     """
+    sizes = chunk_sizes(n)  # refuses n < 1 for either law
+    factor = (normals @ g.reduced_factor).T
     rng = np.random.default_rng(seed)
-    offsets = None
-    for size in chunk_sizes(n):
-        block = reduce_scenarios(poly, draw_gaussian_scenarios(g, size, rng))
-        offsets = block if offsets is None else np.minimum(offsets, block)
-    return offsets
+    if mixture is not None:
+        # one block: the mixture draws components, then normals, then tail
+        # uniforms over all n rows, so blocks would make its stream depend on CHUNK
+        yield sample_mixture_batch(mixture, n, rng)[0] @ factor
+        return
+    for size in sizes:
+        yield rng.standard_normal((size, g.reduced_dim)) @ factor
 
 
 def draw_mixture_scenarios(ms: MixtureSampler, n: int, seed: int | None) -> ScenarioSet:
-    """n deviations from the tail mixture."""
-    if n < 1:
-        raise ValueError(f"need at least one scenario, got {n}")
-    rng = np.random.default_rng(seed)
-    xi, _ = sample_mixture_batch(ms, n, rng)
-    return ScenarioSet(scenarios=xi, origin="mixture", seed=seed)
+    """n deviations from the tail mixture, mapped to the buses."""
+    w, _ = sample_mixture_batch(ms, n, np.random.default_rng(seed))
+    return ScenarioSet(scenarios=ms.gaussian.from_reduced(w), origin="mixture", seed=seed)
 
 
 def reduce_scenarios(poly: FeasibilityPolytope, scen: ScenarioSet) -> np.ndarray:
@@ -560,22 +562,24 @@ def scenario_offsets(
 ) -> np.ndarray:
     """Row offsets of one scenario solve, before any LP is built.
 
-    'sa' reduces n_scenarios Gaussian deviations against the rows.
-    'sa-is' reduces tail-mixture draws instead and takes the elementwise
-    minimum with the margin-tightened offsets. With n_scenarios = 0, or
-    for 'sa-is' with no mixture (no stochastic row), the scenario part is
-    the zero deviation, so 'sa' then keeps the rows' own offsets.
+    Each row's offset less its largest projection (projected_draws) of
+    n_scenarios Gaussian draws for 'sa', or tail-mixture draws for
+    'sa-is', which then takes the elementwise minimum with the tightened
+    offsets. With n_scenarios = 0, or for 'sa-is' with no mixture (no
+    stochastic row), nothing is drawn.
     """
     if method not in ("sa", "sa-is"):
         raise ValueError(f"unknown method {method!r}; use 'sa' or 'sa-is'")
     if n_scenarios < 0:
         raise ValueError(f"scenario count must be non-negative, got {n_scenarios}")
-    if n_scenarios > 0 and method == "sa":
-        offsets = reduce_gaussian(poly, g, n_scenarios, seed)
-    elif n_scenarios > 0 and mixture is not None:
-        offsets = reduce_scenarios(poly, draw_mixture_scenarios(mixture, n_scenarios, seed))
-    else:
-        offsets = reduce_scenarios(poly, nominal_scenario_set(poly.n_buses, seed))
+    offsets = poly.offsets
+    law = mixture if method == "sa-is" else None
+    if n_scenarios > 0 and (method == "sa" or law is not None):
+        worst = np.full(poly.n_rows, -np.inf)
+        for y in projected_draws(poly.normals, g, n_scenarios, seed, law):
+            worst = np.maximum(worst, y.max(axis=0))
+            del y  # so the next block is drawn with only one projection alive
+        offsets = offsets - worst
     if method == "sa-is":
         offsets = np.minimum(offsets, tightened.offsets)
     return offsets
@@ -603,8 +607,8 @@ def run_sa(
     eta is validated (by the margins the prepared problem carries) for
     interface symmetry with run_sa_is but does not change the
     optimisation; it drives the scenario count bound when one is
-    requested upstream. n_scenarios = 0 solves the nominal problem via
-    the single zero deviation.
+    requested upstream. n_scenarios = 0 solves the nominal problem at
+    the rows' own offsets.
     """
     return solve_prepared(prepare_problem(case, g, eta), "sa", n_scenarios, seed)
 
@@ -621,7 +625,7 @@ def run_sa_is(
     Hard rows come from the margin-tightened polytope; scenarios come
     from the tail mixture and reduce against the original rows, the
     final offsets being the elementwise minimum. With no stochastic rows
-    (degenerate uncertainty) or n_scenarios = 0 the scenario part
-    collapses to the zero deviation.
+    (degenerate uncertainty) or n_scenarios = 0 nothing is drawn and
+    only the tightened rows remain.
     """
     return solve_prepared(prepare_problem(case, g, eta), "sa-is", n_scenarios, seed)

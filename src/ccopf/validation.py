@@ -28,8 +28,8 @@ from .scenario import (
     DispatchSolution,
     PreparedProblem,
     SolverError,
-    chunk_sizes,
     prepare_problem,
+    projected_draws,
     sample_size_cc,
     sample_size_filtered,
     sample_size_mixture,
@@ -59,10 +59,9 @@ def out_of_sample_confidence(
 
     Returns the estimate and its binomial standard error. Row checks
     allow _OOS_TOL of slack so boundary dispatches are not miscounted.
-    Deviations are drawn and checked in blocks (scenario.chunk_sizes) of
-    one stream, so memory stays bounded for any n_test. Each deviation
-    is g.reduced_dim standard normals z, projected on the rows as
-    z (W U)' with U = g.reduced_factor.
+    The deviations' row projections come from the solves' own Gaussian
+    path, scenario.projected_draws, in blocks of one stream, so memory
+    stays bounded for any n_test.
 
     A stack of k dispatches is checked against one draw: each block is
     drawn and projected once and then compared with every dispatch's
@@ -93,11 +92,8 @@ def out_of_sample_confidence(
     # one matrix-vector product per dispatch, as a single dispatch gets:
     # a batched product would round differently
     headrooms = [poly.offsets - poly.normals @ xj + _OOS_TOL for xj in stack]
-    factor = (poly.normals @ g.reduced_factor).T
-    rng = np.random.default_rng(seed)
     inside = np.zeros(len(headrooms), dtype=np.int64)
-    for size in chunk_sizes(n_test):
-        y = rng.standard_normal((size, g.reduced_dim)) @ factor
+    for y in projected_draws(poly.normals, g, n_test, seed):
         for j, headroom in enumerate(headrooms):
             inside[j] += np.count_nonzero(np.all(y <= headroom, axis=1))
         del y  # so the next block is drawn with only one projection alive
@@ -159,6 +155,10 @@ def sweep_1d(
 
     Returns rows (b, feasibility_rate, n_scenarios).
     """
+    if not math.isfinite(a):
+        raise ValueError(f"row offset a must be finite, got {a}")
+    if not 0.0 < eta <= 0.5:
+        raise ValueError(f"eta must lie in (0, 0.5], got {eta}")
     if n_grid < 2:
         raise ValueError(f"need at least two grid points, got {n_grid}")
     if reps < 1:

@@ -30,6 +30,12 @@ def simple_mixture(n: int = 3, eta: float = 0.05, sigma: float = 0.5):
     return build_mixture(poly, m, g), poly, m, g
 
 
+def bus_draws(ms, n, seed):
+    """n mixture draws mapped from the support to the buses, and their components."""
+    w, comps = sample_mixture_batch(ms, n, np.random.default_rng(seed))
+    return ms.gaussian.from_reduced(w), comps
+
+
 def two_threshold_mixture():
     """Hand-built margins with thresholds 1 and 2 on orthogonal rows."""
     normals = np.eye(2)
@@ -120,7 +126,7 @@ def test_sampler_validation():
 
 def test_tail_sample_lands_in_half_space():
     ms, poly, m, _ = simple_mixture(sigma=0.5)
-    xi, comps = sample_mixture_batch(ms, 200 * ms.n_components, np.random.default_rng(1))
+    xi, comps = bus_draws(ms, 200 * ms.n_components, 1)
     assert set(comps.tolist()) == set(range(ms.n_components))
     rows = np.array(ms.row_indices)[comps]
     proj = np.einsum("ij,ij->i", poly.normals[rows], xi)
@@ -139,7 +145,7 @@ def test_tail_sample_deep_threshold():
         normals=np.eye(2), offsets=np.array([5.0, 5.0]), labels=(("r", 0), ("r", 1))
     )
     ms = build_mixture(poly, deep, iid_gaussian(2))
-    xi, comps = sample_mixture_batch(ms, 200, np.random.default_rng(2))
+    xi, comps = bus_draws(ms, 200, 2)
     assert np.all(np.isfinite(xi))
     for i in range(2):
         rows = xi[comps == i]
@@ -155,7 +161,7 @@ def test_tail_projection_is_half_normal_at_zero_threshold():
     g = iid_gaussian(2)
     m = compute_margins(poly, g, 0.5)
     ms = build_mixture(poly, m, g)
-    xi, _ = sample_mixture_batch(ms, 20_000, np.random.default_rng(3))
+    xi, _ = bus_draws(ms, 20_000, 3)
     proj = xi[:, 0]
     assert np.all(proj >= -1e-12)
     assert np.mean(proj) == pytest.approx(np.sqrt(2 / np.pi), abs=0.02)
@@ -167,7 +173,7 @@ def test_tail_projection_is_half_normal_at_zero_threshold():
 def test_sample_mixture_component_frequencies():
     ms, m, _ = two_threshold_mixture()
     n = 5000
-    xi, comps = sample_mixture_batch(ms, n, np.random.default_rng(4))
+    xi, comps = bus_draws(ms, n, 4)
     rows = np.array(ms.row_indices)[comps]
     proj = np.einsum("ij,ij->i", m.normals[rows], xi)
     assert np.all(proj >= m.delta[rows] - 1e-9)
@@ -178,11 +184,15 @@ def test_sample_mixture_component_frequencies():
 
 
 def test_batch_matches_component_half_spaces():
-    ms, poly, m, _ = simple_mixture(sigma=2.0)
-    xi, comps = sample_mixture_batch(ms, 4000, np.random.default_rng(5))
-    assert xi.shape == (4000, 3)
+    # draws come in support coordinates, where each lies beyond its
+    # component's threshold; mapped to the buses, beyond its row's margin
+    ms, poly, m, g = simple_mixture(sigma=2.0)
+    w, comps = sample_mixture_batch(ms, 4000, np.random.default_rng(5))
+    assert w.shape == (4000, ms.reduced_dim)
     assert comps.shape == (4000,)
-    proj = np.einsum("ij,ij->i", poly.normals[list(comps)], xi)
+    axis_proj = np.einsum("ij,ij->i", ms.reduced_directions[comps], w)
+    assert np.all(axis_proj >= ms.thresholds[comps] - 1e-9)
+    proj = np.einsum("ij,ij->i", poly.normals[list(comps)], g.from_reduced(w))
     assert np.all(proj >= m.delta[list(comps)] - 1e-9)
 
 
@@ -205,8 +215,9 @@ def test_singular_support_respected():
     g = GaussianSpec.from_covariance(np.diag([1.0, 0.0, 1.0]))
     m = compute_margins(poly, g, 0.05)
     ms = build_mixture(poly, m, g)
-    xi, _ = sample_mixture_batch(ms, 500, np.random.default_rng(6))
-    assert np.all(xi[:, 1] == 0.0)
+    w, _ = sample_mixture_batch(ms, 500, np.random.default_rng(6))
+    assert w.shape == (500, 2)
+    assert np.all(g.from_reduced(w)[:, 1] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +225,7 @@ def test_singular_support_respected():
 
 def test_mixture_pdf_matches_manual_formula():
     ms, poly, m, g = simple_mixture(sigma=1.0)
-    rng = np.random.default_rng(7)
-    xi, _ = sample_mixture_batch(ms, 200, rng)
+    xi, _ = bus_draws(ms, 200, 7)
     w = g.to_reduced(xi)
     base = (2 * np.pi) ** (-ms.reduced_dim / 2) * np.exp(-0.5 * np.sum(w ** 2, axis=1))
     outside = (w @ ms.reduced_directions.T) > ms.thresholds
@@ -231,7 +241,7 @@ def test_mixture_pdf_zero_inside_inner_set():
 
 def test_importance_ratio_identity():
     ms, poly, m, g = simple_mixture(sigma=1.0)
-    xi, _ = sample_mixture_batch(ms, 300, np.random.default_rng(8))
+    xi, _ = bus_draws(ms, 300, 8)
     ratio = importance_ratio(ms, xi)
     w = g.to_reduced(xi)
     violated = (w @ ms.reduced_directions.T) > ms.thresholds
@@ -266,7 +276,7 @@ def test_importance_ratio_bounded_by_m(case30):
     # half-spaces holding the draw: never above S, equal to it on draws
     # in exactly one half-space, and so never above M = S / max(p)
     for ms in (two_threshold_mixture()[0], random_polytope_mixture(), grid_mixture(case30)):
-        xi, _ = sample_mixture_batch(ms, 4000, np.random.default_rng(10))
+        xi, _ = bus_draws(ms, 4000, 10)
         ratio = importance_ratio(ms, xi)
         s = float(np.sum(ms.tail_probs))
         assert np.all(ratio <= s * (1.0 + 1e-12))
@@ -295,7 +305,7 @@ def test_weights_and_bound_are_closed_forms_of_tail_probs(name, request):
 @pytest.mark.parametrize("name", ["case30", "case57"])
 def test_importance_ratio_is_tail_mass_over_count(name, request):
     ms = prepared_mixture(request.getfixturevalue(name))
-    xi, _ = sample_mixture_batch(ms, 2000, np.random.default_rng(13))
+    xi, _ = bus_draws(ms, 2000, 13)
     proj = ms.gaussian.to_reduced(xi) @ ms.reduced_directions.T
     count = np.count_nonzero(proj > ms.thresholds, axis=1)
     np.testing.assert_array_equal(importance_ratio(ms, xi), float(np.sum(ms.tail_probs)) / count)
@@ -303,7 +313,7 @@ def test_importance_ratio_is_tail_mass_over_count(name, request):
 
 def test_scalar_batch_consistency():
     ms, *_ = simple_mixture()
-    xi, _ = sample_mixture_batch(ms, 5, np.random.default_rng(11))
+    xi, _ = bus_draws(ms, 5, 11)
     batch_pdf = mixture_pdf(ms, xi)
     batch_ratio = importance_ratio(ms, xi)
     for j in range(5):

@@ -32,15 +32,17 @@ from ccopf import (
     reduce_scenarios,
     run_sa,
     run_sa_is,
+    sample_mixture_batch,
     sample_size_cc,
     sample_size_filtered,
     sample_size_is,
     sample_size_mixture,
+    scenario_offsets,
     solve,
     solve_prepared,
     tightened_polytope,
 )
-from ccopf.scenario import SolverError, chunk_sizes, reduce_gaussian
+from ccopf.scenario import SolverError, chunk_sizes, projected_draws
 from ccopf.validation import resolve_scenario_count
 from conftest import TRIANGLE_TEXT, box_polytope, iid_gaussian
 
@@ -558,18 +560,61 @@ def test_chunk_sizes_split_evenly(monkeypatch, chunk, n):
     assert max(sizes) - min(sizes) <= 1
 
 
+def _prepared(case):
+    return prepare_problem(case, build_uncertainty(case, 0.07), 0.05)
+
+
+def _offsets(prep, method, n, seed):
+    return scenario_offsets(
+        prep.poly, prep.g, prep.tightened, prep.mixture, method, n, seed
+    )
+
+
+def test_empty_draws_rejected():
+    with pytest.raises(ValueError, match="at least one row"):
+        chunk_sizes(0)
+    poly, g = box_polytope(2, 1.0), iid_gaussian(2)
+    for mixture in (None, build_mixture(poly, compute_margins(poly, g, 0.05), g)):
+        with pytest.raises(ValueError, match="at least one row"):
+            next(projected_draws(poly.normals, g, 0, 0, mixture))
+
+
+@pytest.mark.parametrize("case_name", ["case30", "case57"])
+def test_projected_offsets_match_the_bus_space_reference(request, case_name):
+    # the solves project support-coordinate draws straight onto the rows;
+    # mapping them to the buses first and reducing those (two blocks of
+    # Gaussian draws here) differs only in the rounding of the projection
+    prep = _prepared(request.getfixturevalue(case_name))
+    n, seed = 20_000, 6
+    sa = reduce_scenarios(prep.poly, draw_gaussian_scenarios(prep.g, n, seed))
+    np.testing.assert_allclose(_offsets(prep, "sa", n, seed), sa, rtol=0, atol=1e-12)
+    sa_is = np.minimum(
+        reduce_scenarios(prep.poly, draw_mixture_scenarios(prep.mixture, n, seed)),
+        prep.tightened.offsets,
+    )
+    np.testing.assert_allclose(_offsets(prep, "sa-is", n, seed), sa_is, rtol=0, atol=1e-12)
+
+
+def test_mixture_scenarios_map_the_support_draws(case30):
+    ms = _prepared(case30).mixture
+    w, _ = sample_mixture_batch(ms, 500, np.random.default_rng(5))
+    assert w.shape == (500, ms.reduced_dim)
+    np.testing.assert_array_equal(
+        draw_mixture_scenarios(ms, 500, 5).scenarios, ms.gaussian.from_reduced(w)
+    )
+
+
 def test_gaussian_blocks_reproduce_the_one_shot_draw(monkeypatch, case30):
-    # blocks continue one stream and offsets combine by an exact minimum,
-    # so neither the offsets nor the dispatch depend on the block size
-    g = build_uncertainty(case30, 0.07)
-    poly = build_polytope(case30, build_matrices(case30))
+    # blocks continue one stream and their row maxima combine exactly, so
+    # neither the offsets nor the dispatch depend on the block size
+    prep = _prepared(case30)
     n, seed = 1000, 4
-    whole = reduce_scenarios(poly, draw_gaussian_scenarios(g, n, seed))
     monkeypatch.setattr(scenario, "CHUNK", 1 << 62)
-    one = run_sa(case30, g, 0.05, n, seed)
+    whole = _offsets(prep, "sa", n, seed)
+    one = solve_prepared(prep, "sa", n, seed)
     monkeypatch.setattr(scenario, "CHUNK", 7)
-    np.testing.assert_array_equal(reduce_gaussian(poly, g, n, seed), whole)
-    many = run_sa(case30, g, 0.05, n, seed)
+    np.testing.assert_array_equal(_offsets(prep, "sa", n, seed), whole)
+    many = solve_prepared(prep, "sa", n, seed)
     assert many.objective == one.objective
     np.testing.assert_array_equal(many.x_g, one.x_g)
 
@@ -580,12 +625,12 @@ def test_case57_blocks_reproduce_the_one_shot_draw(monkeypatch, case57):
     # to 85 rows), so bits match the one-shot draw for blocks as long as
     # CHUNK's own, which hold at least CHUNK / 2 rows; 2001 gives 1667 or
     # 1666 rows
-    g = build_uncertainty(case57, 0.07)
-    poly = build_polytope(case57, build_matrices(case57))
+    prep = _prepared(case57)
     n, seed = 5000, 9
-    whole = reduce_scenarios(poly, draw_gaussian_scenarios(g, n, seed))
+    monkeypatch.setattr(scenario, "CHUNK", 1 << 62)
+    whole = _offsets(prep, "sa", n, seed)
     monkeypatch.setattr(scenario, "CHUNK", 2001)
-    np.testing.assert_array_equal(reduce_gaussian(poly, g, n, seed), whole)
+    np.testing.assert_array_equal(_offsets(prep, "sa", n, seed), whole)
 
 
 def test_classical_draws_stream_in_bounded_memory(case30):

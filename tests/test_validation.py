@@ -248,6 +248,13 @@ def test_sweep_argument_validation():
         sweep_1d(1.0, 0.05, 0.01, 1, 5, 0)
     with pytest.raises(ValueError, match="repetition"):
         sweep_1d(1.0, 0.05, 0.01, 3, 0, 0)
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="row offset a must be finite"):
+            sweep_1d(a, 0.05, 0.01, 3, 2, 0)
+    # 0.7 would sweep offsets above a
+    for eta in (0.0, 1.0, 0.7, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 0.5\]"):
+            sweep_1d(1.0, eta, 0.01, 3, 2, 0)
 
 
 # ---------------------------------------------------------------------------
