@@ -35,20 +35,23 @@ class GaussianSpec:
     """Zero-mean Gaussian deviation model for injections (p.u.).
 
     cov is the whole model; construction checks that it is square,
-    symmetric and positive semidefinite and builds its one factor,
-    reduced_factor. Row sigmas, draws (from_reduced of reduced_dim
-    standard normals) and mixture axes all go through that factor.
+    finite, symmetric and positive semidefinite and builds its one
+    factor, reduced_factor. Row sigmas, mixture axes and every draw go
+    through it; from_reduced maps support coordinates out to the buses,
+    and nothing maps back.
     """
 
     cov: np.ndarray
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.cov)):
+            raise ValueError("covariance must be finite")
         if self.cov.ndim != 2 or self.cov.shape[0] != self.cov.shape[1]:
             raise ValueError(f"covariance must be square, got {self.cov.shape}")
         if not np.allclose(self.cov, self.cov.T, rtol=1e-8, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         self.cov.setflags(write=False)
-        self._reduction  # the one eigendecomposition; raises unless PSD
+        self.reduced_factor  # the one eigendecomposition; raises unless PSD
 
     @classmethod
     def from_covariance(cls, cov: np.ndarray) -> GaussianSpec:
@@ -61,13 +64,12 @@ class GaussianSpec:
         return self.cov.shape[0]
 
     @cached_property
-    def _reduction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positive-eigenvalue factorisation cov = U U' with U = V sqrt(L).
+    def reduced_factor(self) -> np.ndarray:
+        """Factor U = V sqrt(L) (n x k) with U @ U.T == cov and full column rank.
 
+        L holds the positive eigenvalues of cov and V their eigenvectors.
         Variances below 1e-12 times the largest count as zero; this one
-        cutoff sets the support. Returns (U, V, inv_sqrt_L) where V has
-        orthonormal columns spanning the support, so reduced coordinates
-        are w = inv_sqrt_L * (V' xi). Raises if an eigenvalue lies below
+        cutoff sets the support. Raises if an eigenvalue lies below
         -1e-10 times the largest magnitude: cov is then not PSD.
         """
         eigval, eigvec = np.linalg.eigh(self.cov)
@@ -75,39 +77,17 @@ class GaussianSpec:
         if np.any(eigval < -1e-10 * top):
             raise ValueError("covariance is not positive semidefinite")
         keep = eigval > 1e-12 * max(top, 1e-300)
-        lam, vec = eigval[keep], eigvec[:, keep]
-        basis, inv_sqrt = vec * np.sqrt(lam), 1.0 / np.sqrt(lam)
-        for arr in (basis, vec, inv_sqrt):
-            arr.setflags(write=False)
-        return basis, vec, inv_sqrt
+        factor = eigvec[:, keep] * np.sqrt(eigval[keep])
+        factor.setflags(write=False)
+        return factor
 
     @property
     def reduced_dim(self) -> int:
         """Dimension of the uncertainty support."""
-        return self._reduction[0].shape[1]
-
-    @property
-    def reduced_factor(self) -> np.ndarray:
-        """Factor U (n x k) with U @ U.T == cov and full column rank."""
-        return self._reduction[0]
-
-    def to_reduced(self, xi: np.ndarray) -> np.ndarray:
-        """Coordinates w with U w == xi; raises if xi leaves the support."""
-        basis, vec, inv_sqrt = self._reduction
-        xi = np.asarray(xi, dtype=float)
-        w = (xi @ vec) * inv_sqrt
-        residual = w @ basis.T - xi
-        norms = np.linalg.norm(np.atleast_2d(residual), axis=-1)
-        scale = max(1.0, float(np.max(np.linalg.norm(np.atleast_2d(xi), axis=-1))))
-        if np.any(norms > 1e-8 * scale):
-            raise ValueError(
-                "deviation lies outside the support of the uncertainty; "
-                "its density under the restricted Gaussian is undefined"
-            )
-        return w
+        return self.reduced_factor.shape[1]
 
     def from_reduced(self, w: np.ndarray) -> np.ndarray:
-        """Map reduced coordinates back to a full deviation vector."""
+        """Map support coordinates w to a full deviation vector U w."""
         return np.asarray(w, dtype=float) @ self.reduced_factor.T
 
 

@@ -8,9 +8,10 @@ set of half-spaces containing the point. The likelihood ratio phi / q =
 S / |A| is therefore at most S outside the inner set, which certifies the
 sa-is scenario count (scenario.sample_size_mixture). Against the plain
 Gaussian conditioned on the outside of the inner set, the ratio is at
-most the looser M = S / max(p). Draws and densities stay in the reduced
-coordinates of the uncertainty support (scenario.projected_draws takes
-draws straight to the rows), so singular covariances cost nothing.
+most the looser M = S / max(p). Draws, densities and ratios all live in
+the support coordinates of the uncertainty (scenario.projected_draws
+takes draws straight to the rows; from_reduced maps them to the buses),
+so singular covariances cost nothing.
 """
 from __future__ import annotations
 
@@ -152,39 +153,44 @@ def sample_mixture_batch(
     return w, comps
 
 
-def mixture_pdf(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
-    """Mixture density phi |A| / S at xi, in support coordinates.
+def mixture_pdf(ms: MixtureSampler, w: np.ndarray) -> float | np.ndarray:
+    """Mixture density phi |A| / S at support coordinates w.
 
-    The value is a density with respect to the reduced coordinates of the
-    uncertainty support; likelihood ratios against the base Gaussian in
-    the same coordinates are therefore coordinate-free. Zero inside the
-    inner set (no component covers it). Raises if xi lies off the
-    support.
+    w holds one row or a batch of rows of ms.reduced_dim support
+    coordinates, as sample_mixture_batch returns them; the density is
+    with respect to those coordinates. Zero inside the inner set (no
+    component covers it). Under a full-rank model a bus-space deviation
+    has the same width and is silently read as support coordinates.
     """
-    w, count = _coverage(ms, xi)
-    values = _standard_density(w) * count / ms.tail_mass
-    return values if np.asarray(xi).ndim > 1 else float(values[0])
+    rows, count = _coverage(ms, w)
+    values = _standard_density(rows) * count / ms.tail_mass
+    return values if np.ndim(w) > 1 else float(values[0])
 
 
-def importance_ratio(ms: MixtureSampler, xi: np.ndarray) -> float | np.ndarray:
+def importance_ratio(ms: MixtureSampler, w: np.ndarray) -> float | np.ndarray:
     """Base-Gaussian over mixture density; inf where the mixture is zero.
 
-    The ratio is S / |A(xi)|, with S = ms.tail_mass and A(xi) the set of
-    component half-spaces containing xi, so it is at most S on every
+    The ratio is S / |A(w)|, with S = ms.tail_mass and A(w) the set of
+    component half-spaces containing w, so it is at most S on every
     mixture draw, with equality where exactly one half-space contains
-    xi. Conditioning the base density on the outside of the inner set
+    w. Conditioning the base density on the outside of the inner set
     divides this by the outside probability; the bound ms.M applies to
-    that conditioned ratio.
+    that conditioned ratio. w holds support coordinates, as for
+    mixture_pdf; a full-rank model silently misreads a bus-space deviation.
     """
-    _, count = _coverage(ms, xi)
+    _, count = _coverage(ms, w)
     values = np.where(count > 0, ms.tail_mass / np.maximum(count, 1), np.inf)
-    return values if np.asarray(xi).ndim > 1 else float(values[0])
+    return values if np.ndim(w) > 1 else float(values[0])
 
 
-def _coverage(ms: MixtureSampler, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced coordinates of xi, as rows, and the count |A| of half-spaces holding each."""
-    w = np.atleast_2d(ms.gaussian.to_reduced(xi))
-    return w, np.count_nonzero(w @ ms.reduced_directions.T > ms.thresholds, axis=1)
+def _coverage(ms: MixtureSampler, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w as rows of support coordinates, and the count |A| of half-spaces holding each."""
+    rows = np.atleast_2d(w)
+    if rows.ndim != 2 or rows.shape[1] != ms.reduced_dim:
+        raise ValueError(
+            f"expected rows of {ms.reduced_dim} support coordinates, got shape {np.shape(w)}"
+        )
+    return rows, np.count_nonzero(rows @ ms.reduced_directions.T > ms.thresholds, axis=1)
 
 
 def _standard_density(w: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.optimize._highspy._core as highs
@@ -192,19 +193,22 @@ def draw_gaussian_scenarios(g: GaussianSpec, n: int, seed: int | None) -> Scenar
     return ScenarioSet(scenarios=xi, origin="gaussian", seed=seed)
 
 
-def chunk_sizes(n: int) -> list[int]:
+def chunk_sizes(n: int) -> Iterator[int]:
     """Split n >= 1 rows into ceil(n / CHUNK) blocks of near-equal size.
 
     No block is a sliver: BLAS rounds a one-row product (gemv) and very
     short blocks (small-matrix kernels) differently from a long block,
     so a short remainder would make results depend on how n falls
-    against CHUNK.
+    against CHUNK. The sizes come lazily, so memory stays O(1) in n;
+    n is checked at call time and must fit the index range.
     """
     if n < 1:
         raise ValueError(f"need at least one row, got {n}")
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"row count exceeds the index range ({np.iinfo(np.intp).max})")
     blocks = -(-n // CHUNK)
     size, longer = divmod(n, blocks)
-    return [size + 1] * longer + [size] * (blocks - longer)
+    return chain(repeat(size + 1, longer), repeat(size, blocks - longer))
 
 
 def projected_draws(

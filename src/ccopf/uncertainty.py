@@ -30,4 +30,5 @@ def build_uncertainty(case: GridCase, sigma_frac: float) -> GaussianSpec:
         raise ValueError(f"sigma_frac must be finite and non-negative, got {sigma_frac}")
     sigma = sigma_frac * np.abs(case.nominal_injection)
     sigma[case.slack_index] = 0.0
-    return GaussianSpec(cov=np.diag(sigma**2))
+    with np.errstate(over="ignore"):  # GaussianSpec refuses an overflowed variance
+        return GaussianSpec(cov=np.diag(sigma**2))

@@ -157,6 +157,9 @@ def sweep_1d(
     """
     if not math.isfinite(a):
         raise ValueError(f"row offset a must be finite, got {a}")
+    tol = 1e-9  # feasibility slack on the optimiser; floats near a must be finer
+    if np.spacing(abs(a)) > tol:
+        raise ValueError(f"row offset a must lie below 2**23 in magnitude, got {a}")
     if not 0.0 < eta <= 0.5:
         raise ValueError(f"eta must lie in (0, 0.5], got {eta}")
     if n_grid < 2:
@@ -177,7 +180,7 @@ def sweep_1d(
             u = 1.0 - rng.random(n)
             xi = tail_quantile(margin, p_tail, u)
             x_hat = a - float(np.max(xi))
-            feasible += x_hat <= x_exact + 1e-9
+            feasible += x_hat <= x_exact + tol
         rows.append((float(b), feasible / reps, n))
     return rows
 

@@ -39,6 +39,7 @@ from ccopf import (
     run_experiment,
     run_sa,
     run_sa_is,
+    sample_mixture_batch,
     sample_size_cc,
     sample_size_filtered,
     sample_size_is,
@@ -147,12 +148,14 @@ def test_criterion_3_density_ratio_bound():
     ms = build_mixture(poly, m, g)
 
     t0 = time.monotonic()
-    scen = draw_mixture_scenarios(ms, 10**4, seed=52)
+    # the stream of draw_mixture_scenarios(ms, 10**4, seed=52), scored in
+    # support coordinates and checked against the rows on the buses
+    w, _ = sample_mixture_batch(ms, 10**4, np.random.default_rng(52))
     # importance_ratio is the unconditional nominal density over the
     # mixture density; conditioning on the outside event divides by its
     # probability, estimated here from an independent nominal stream
-    ratios = importance_ratio(ms, scen.scenarios)
-    outside_draws = ~contains_inner(m, poly, scen.scenarios)
+    ratios = importance_ratio(ms, w)
+    outside_draws = ~contains_inner(m, poly, g.from_reduced(w))
 
     z = np.random.default_rng(53).standard_normal((10**6, 5))
     outside = ~contains_inner(m, poly, z)

@@ -96,6 +96,31 @@ def test_unwritable_output_is_one_error_line(tri_path, tmp_path):
     assert run_child(run + ["--out", str(tmp_path)]).stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # sigma**2 overflows to inf: refused, not run with no uncertainty
+        (["run", "--case", "case30", "--method", "dc-opf,sa,sa-is", "--sigma", "1e155",
+          "--reps", "2"], "covariance must be finite"),
+        # the certified sa count (about 6.9e302) exceeds the index range
+        (["run", "--case", "case30", "--method", "sa", "--eta", "1e-300", "--reps", "1"],
+         "index range"),
+        (["run", "--case", "case30", "--method", "sa", "--scenarios", "1" + "0" * 26,
+          "--reps", "1"], "index range"),
+        # floats near a are spaced beyond the sweep's feasibility slack
+        (["sweep1d", "--a", "1e308", "--grid", "3", "--reps", "2"], "row offset a"),
+    ],
+    ids=["sigma-overflow", "sa-count-overflow", "fixed-count-overflow", "sweep-large-a"],
+)
+def test_out_of_range_arguments_are_one_error_line(tmp_path, args, message):
+    proc = run_child(args + ["--out", str(tmp_path / "r.json")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("ccopf: error:")]
+    assert len(errors) == 1 and message in errors[0]
+
+
 @pytest.mark.parametrize("target", ["r.csv", "r_summary.csv"])
 def test_directory_at_a_csv_target_stops_the_run(tri_path, tmp_path, target):
     (tmp_path / "fw" / target).mkdir(parents=True)

@@ -224,26 +224,38 @@ def test_singular_support_respected():
 # density and importance ratio
 
 def test_mixture_pdf_matches_manual_formula():
-    ms, poly, m, g = simple_mixture(sigma=1.0)
-    xi, _ = bus_draws(ms, 200, 7)
-    w = g.to_reduced(xi)
+    ms, *_ = simple_mixture(sigma=1.0)
+    w, _ = sample_mixture_batch(ms, 200, np.random.default_rng(7))
     base = (2 * np.pi) ** (-ms.reduced_dim / 2) * np.exp(-0.5 * np.sum(w ** 2, axis=1))
     outside = (w @ ms.reduced_directions.T) > ms.thresholds
     want = base * (outside @ (ms.weights / ms.tail_probs))
-    np.testing.assert_allclose(mixture_pdf(ms, xi), want, rtol=1e-10)
+    np.testing.assert_allclose(mixture_pdf(ms, w), want, rtol=1e-10)
 
 
 def test_mixture_pdf_zero_inside_inner_set():
-    ms, poly, m, g = simple_mixture(sigma=1.0)
-    assert mixture_pdf(ms, np.zeros(3)) == 0.0
-    assert importance_ratio(ms, np.zeros(3)) == np.inf
+    ms, *_ = simple_mixture(sigma=1.0)
+    assert mixture_pdf(ms, np.zeros(ms.reduced_dim)) == 0.0
+    assert importance_ratio(ms, np.zeros(ms.reduced_dim)) == np.inf
+
+
+def test_scores_refuse_rows_of_the_wrong_width(case30):
+    # case30's mixture lives in its 23 support coordinates; a 30-bus
+    # deviation is refused rather than misread
+    ms = grid_mixture(case30)
+    assert ms.reduced_dim == 23
+    xi = ms.gaussian.from_reduced(sample_mixture_batch(ms, 4, np.random.default_rng(14))[0])
+    assert xi.shape == (4, 30)
+    for score in (mixture_pdf, importance_ratio):
+        with pytest.raises(ValueError, match="23 support coordinates"):
+            score(ms, xi)
+        with pytest.raises(ValueError, match="23 support coordinates"):
+            score(ms, xi[0])
 
 
 def test_importance_ratio_identity():
-    ms, poly, m, g = simple_mixture(sigma=1.0)
-    xi, _ = bus_draws(ms, 300, 8)
-    ratio = importance_ratio(ms, xi)
-    w = g.to_reduced(xi)
+    ms, *_ = simple_mixture(sigma=1.0)
+    w, _ = sample_mixture_batch(ms, 300, np.random.default_rng(8))
+    ratio = importance_ratio(ms, w)
     violated = (w @ ms.reduced_directions.T) > ms.thresholds
     want = 1.0 / (violated @ (ms.weights / ms.tail_probs))
     np.testing.assert_allclose(ratio, want, rtol=1e-12)
@@ -276,11 +288,11 @@ def test_importance_ratio_bounded_by_m(case30):
     # half-spaces holding the draw: never above S, equal to it on draws
     # in exactly one half-space, and so never above M = S / max(p)
     for ms in (two_threshold_mixture()[0], random_polytope_mixture(), grid_mixture(case30)):
-        xi, _ = bus_draws(ms, 4000, 10)
-        ratio = importance_ratio(ms, xi)
+        w, _ = sample_mixture_batch(ms, 4000, np.random.default_rng(10))
+        ratio = importance_ratio(ms, w)
         s = float(np.sum(ms.tail_probs))
         assert np.all(ratio <= s * (1.0 + 1e-12))
-        proj = ms.gaussian.to_reduced(xi) @ ms.reduced_directions.T
+        proj = w @ ms.reduced_directions.T
         single = np.count_nonzero(proj > ms.thresholds, axis=1) == 1
         assert np.any(single)
         np.testing.assert_allclose(ratio[single], s, rtol=1e-12)
@@ -305,21 +317,20 @@ def test_weights_and_bound_are_closed_forms_of_tail_probs(name, request):
 @pytest.mark.parametrize("name", ["case30", "case57"])
 def test_importance_ratio_is_tail_mass_over_count(name, request):
     ms = prepared_mixture(request.getfixturevalue(name))
-    xi, _ = bus_draws(ms, 2000, 13)
-    proj = ms.gaussian.to_reduced(xi) @ ms.reduced_directions.T
-    count = np.count_nonzero(proj > ms.thresholds, axis=1)
-    np.testing.assert_array_equal(importance_ratio(ms, xi), float(np.sum(ms.tail_probs)) / count)
+    w, _ = sample_mixture_batch(ms, 2000, np.random.default_rng(13))
+    count = np.count_nonzero(w @ ms.reduced_directions.T > ms.thresholds, axis=1)
+    np.testing.assert_array_equal(importance_ratio(ms, w), float(np.sum(ms.tail_probs)) / count)
 
 
 def test_scalar_batch_consistency():
     ms, *_ = simple_mixture()
-    xi, _ = bus_draws(ms, 5, 11)
-    batch_pdf = mixture_pdf(ms, xi)
-    batch_ratio = importance_ratio(ms, xi)
+    w, _ = sample_mixture_batch(ms, 5, np.random.default_rng(11))
+    batch_pdf = mixture_pdf(ms, w)
+    batch_ratio = importance_ratio(ms, w)
     for j in range(5):
-        assert mixture_pdf(ms, xi[j]) == pytest.approx(batch_pdf[j], rel=1e-14)
-        assert importance_ratio(ms, xi[j]) == pytest.approx(batch_ratio[j], rel=1e-14)
-    assert isinstance(mixture_pdf(ms, xi[0]), float)
+        assert mixture_pdf(ms, w[j]) == pytest.approx(batch_pdf[j], rel=1e-14)
+        assert importance_ratio(ms, w[j]) == pytest.approx(batch_ratio[j], rel=1e-14)
+    assert isinstance(mixture_pdf(ms, w[0]), float)
 
 
 def test_mixture_pdf_against_gaussian_oracle():
@@ -333,6 +344,10 @@ def test_mixture_pdf_against_gaussian_oracle():
     g = iid_gaussian(2)
     m = compute_margins(poly, g, 0.05)
     ms = build_mixture(poly, m, g)
-    point = np.array([2.5, -0.7])
+    # the identity covariance's factor is orthogonal, so the support
+    # density at w is the bus-space density at its image
+    w = np.array([2.5, -0.7])
+    point = g.from_reduced(w)
+    assert np.all(poly.normals @ point > m.delta)
     want = multivariate_normal(mean=np.zeros(2), cov=np.eye(2)).pdf(point) / ms.tail_probs[0]
-    assert mixture_pdf(ms, point) == pytest.approx(float(want), rel=1e-10)
+    assert mixture_pdf(ms, w) == pytest.approx(float(want), rel=1e-10)

@@ -553,11 +553,22 @@ def test_run_argument_validation(triangle):
 )
 def test_chunk_sizes_split_evenly(monkeypatch, chunk, n):
     monkeypatch.setattr(scenario, "CHUNK", chunk)
-    sizes = chunk_sizes(n)
+    sizes = list(chunk_sizes(n))
     assert sum(sizes) == n
     assert len(sizes) == -(-n // chunk)
     assert max(sizes) <= chunk
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_chunk_sizes_are_lazy_and_index_sized():
+    # a trillion rows take O(1) memory to describe; counts past the
+    # index range are refused at call time, before any block is drawn
+    sizes = chunk_sizes(10**12)
+    assert not isinstance(sizes, list)
+    assert next(sizes) == 16384
+    for n in (2**63, 10**26):
+        with pytest.raises(ValueError, match="index range"):
+            chunk_sizes(n)
 
 
 def _prepared(case):

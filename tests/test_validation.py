@@ -251,6 +251,10 @@ def test_sweep_argument_validation():
     for a in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="row offset a must be finite"):
             sweep_1d(a, 0.05, 0.01, 3, 2, 0)
+    # floats this large are spaced beyond the sweep's 1e-9 feasibility slack
+    for a in (1e308, 1e17, -1e17, 2.0**23):
+        with pytest.raises(ValueError, match=r"row offset a must lie below 2\*\*23"):
+            sweep_1d(a, 0.05, 0.01, 3, 2, 0)
     # 0.7 would sweep offsets above a
     for eta in (0.0, 1.0, 0.7, -0.1, math.nan):
         with pytest.raises(ValueError, match=r"eta must lie in \(0, 0.5\]"):
