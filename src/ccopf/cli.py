@@ -207,8 +207,9 @@ def _cmd_run(args) -> int:
     # the case is loaded and prepared once; counts and K, S come from its mixture
     problem = prepare_experiment(config)
     mix = problem.mixture
-    for method in config.methods:
-        n = resolve_scenario_count(config, problem.case, method, problem)
+    # every count is resolved, and refused if out of range, before the first line
+    counts = {m: resolve_scenario_count(config, problem.case, m, problem) for m in config.methods}
+    for method, n in counts.items():
         origin = "fixed" if config.scenarios != "auto" or method == "dc-opf" else "certified bound"
         if method == "sa-is" and config.scenarios == "auto":
             k, s = (0, 0.0) if mix is None else (mix.n_components, mix.tail_mass)

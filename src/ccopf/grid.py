@@ -562,7 +562,6 @@ def build_matrices(case: GridCase) -> GridMatrices:
     s = case.slack_index
     bal[s, :] = -1.0
     bal[s, s] = 0.0
-    bal[:, s] = np.where(np.arange(n) == s, 0.0, bal[:, s])
 
     return GridMatrices(laplacian=lap, pinv=pinv, incidence=inc, balance=bal)
 

@@ -3,7 +3,8 @@
 Fluctuations enter as a zero-mean Gaussian deviation xi of the injection
 vector. Each polytope row picks up a margin delta_i so that a dispatch
 satisfying the tightened system keeps the row's violation probability at
-eta. Rows invisible to the uncertainty (zero variance along the normal)
+eta; they also hold R = W U, the one view of xi that every row reads.
+Rows invisible to the uncertainty (zero variance along the normal)
 stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
 is what the margins cover. Its probability pi (estimate_pi, which no
 code in the package calls) enters only the filtered sample size bound;
@@ -36,9 +37,9 @@ class GaussianSpec:
 
     cov is the whole model; construction checks that it is square,
     finite, symmetric and positive semidefinite and builds its one
-    factor, reduced_factor. Row sigmas, mixture axes and every draw go
-    through it; from_reduced maps support coordinates out to the buses,
-    and nothing maps back.
+    factor, reduced_factor. compute_margins turns it into the rows' factor
+    R = W U; from_reduced maps support coordinates out to the buses, and
+    nothing maps back.
     """
 
     cov: np.ndarray
@@ -97,15 +98,16 @@ class MarginSet:
 
     delta is the offset shrink in p.u.; beta = delta / sigma is the same
     margin in standard deviations of the row projection (inf on
-    deterministic rows, where delta is 0). Row normals and sigma are
-    carried along so probability estimates need no second look at the
-    polytope.
+    deterministic rows, where delta is 0). row_factor is R = W U
+    (n_rows x reduced_dim): row i sees support coordinates w as R_i w.
+    sigma holds its row norms, the mixture axes are R_i / sigma_i and
+    every scenario projection is w @ row_factor.T.
     """
 
     delta: np.ndarray
     beta: np.ndarray
     eta: float
-    normals: np.ndarray
+    row_factor: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
@@ -113,9 +115,9 @@ class MarginSet:
         for name in ("beta", "sigma"):
             if getattr(self, name).shape != (n_rows,):
                 raise ValueError(f"{name} must have shape ({n_rows},)")
-        if self.normals.shape[0] != n_rows:
-            raise ValueError("one normal per margin row required")
-        for arr in (self.delta, self.beta, self.normals, self.sigma):
+        if self.row_factor.ndim != 2 or self.row_factor.shape[0] != n_rows:
+            raise ValueError("row_factor needs one row per margin row")
+        for arr in (self.delta, self.beta, self.row_factor, self.sigma):
             arr.setflags(write=False)
 
     @property
@@ -149,9 +151,9 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
     """Margins making each row's violation probability eta.
 
     For stochastic row i, delta_i = sigma_i * z with z the upper eta
-    quantile of the standard normal and sigma_i the standard deviation of
-    the row projection, taken through g.reduced_factor. eta must lie in
-    (0, 0.5].
+    quantile of the standard normal and sigma_i the norm of row i of
+    R = poly.normals @ g.reduced_factor, kept as row_factor. eta must lie
+    in (0, 0.5].
 
     Parameters
     ----------
@@ -168,20 +170,15 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
         raise ValueError(
             f"polytope over {poly.n_buses} buses, uncertainty over {g.n}"
         )
-    sigma = np.linalg.norm(poly.normals @ g.reduced_factor, axis=1)
+    row_factor = poly.normals @ g.reduced_factor
+    sigma = np.linalg.norm(row_factor, axis=1)
     top = float(np.max(sigma)) if sigma.size else 0.0
     stochastic = sigma > DETERMINISTIC_CUTOFF * top
 
     z = float(norm_isf(eta)) + 0.0  # +0.0 normalises -0.0 at eta = 0.5
     delta = np.where(stochastic, sigma * z, 0.0)
     beta = np.where(stochastic, z, np.inf)
-    return MarginSet(
-        delta=delta,
-        beta=beta,
-        eta=eta,
-        normals=poly.normals,
-        sigma=sigma,
-    )
+    return MarginSet(delta=delta, beta=beta, eta=eta, row_factor=row_factor, sigma=sigma)
 
 
 def tightened_polytope(poly: FeasibilityPolytope, m: MarginSet) -> FeasibilityPolytope:
@@ -222,8 +219,9 @@ def estimate_pi(
 
     'union-bound' returns the closed-form lower bound
     1 - sum_i Phi(-beta_i), clipped at zero; it is conservative and
-    needs no sampling. 'monte-carlo' draws deviations from the model and
-    counts the fraction inside, reporting a binomial standard error.
+    needs no sampling. 'monte-carlo' draws deviations from the model,
+    projects them onto the rows through m.row_factor and counts the
+    fraction inside, reporting a binomial standard error.
 
     Parameters
     ----------
@@ -245,8 +243,7 @@ def estimate_pi(
         if n_samples <= 0:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
         rng = np.random.default_rng(seed)
-        xi = g.from_reduced(rng.standard_normal((n_samples, g.reduced_dim)))
-        proj = xi @ m.normals.T
+        proj = rng.standard_normal((n_samples, g.reduced_dim)) @ m.row_factor.T
         inside = np.all(proj <= m.delta + _CONTAINS_TOL, axis=1)
         value = float(np.mean(inside))
         stderr = float(np.sqrt(value * (1.0 - value) / n_samples))

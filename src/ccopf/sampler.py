@@ -99,6 +99,7 @@ class MixtureSampler:
 def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> MixtureSampler:
     """Assemble the tail mixture for a tightened polytope.
 
+    Component i's axis is the margins' row factor R_i over sigma_i.
     Weights are proportional to the per-row tail probabilities, the
     choice that minimises the largest likelihood ratio outside the inner
     set.
@@ -119,7 +120,7 @@ def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> M
         )
     rows = np.nonzero(stochastic)[0]
     return MixtureSampler(
-        reduced_directions=(poly.normals[rows] @ g.reduced_factor) / m.sigma[rows][:, None],
+        reduced_directions=m.row_factor[rows] / m.sigma[rows][:, None],
         thresholds=m.beta[rows],
         tail_probs=m.tail_probs[rows],
         gaussian=g,

@@ -23,7 +23,7 @@ from scipy.optimize import linprog  # noqa: F401  (perfbench/layers.py rebinds i
 from scipy.sparse import csc_array
 
 from .grid import FeasibilityPolytope, GridCase, GridMatrices, build_matrices, build_polytope
-from .margins import GaussianSpec, MarginSet, compute_margins, tightened_polytope
+from .margins import GaussianSpec, MarginSet, compute_margins
 from .sampler import MixtureSampler, build_mixture, sample_mixture_batch
 
 # Constraint rows with at most this much slack at the optimum are
@@ -34,6 +34,9 @@ ACTIVE_TOL = 1e-7
 # out-of-sample check stream through blocks, so memory stays O(CHUNK)
 # for any count.
 CHUNK = 1 << 14
+
+# Most rows one draw may hold: NumPy indexes arrays with intp.
+MAX_ROWS = int(np.iinfo(np.intp).max)
 
 
 # The options linprog(method="highs") passes to HiGHS, so a direct solve
@@ -204,25 +207,25 @@ def chunk_sizes(n: int) -> Iterator[int]:
     """
     if n < 1:
         raise ValueError(f"need at least one row, got {n}")
-    if n > np.iinfo(np.intp).max:
-        raise ValueError(f"row count exceeds the index range ({np.iinfo(np.intp).max})")
+    if n > MAX_ROWS:
+        raise ValueError(f"row count exceeds the index range ({MAX_ROWS})")
     blocks = -(-n // CHUNK)
     size, longer = divmod(n, blocks)
     return chain(repeat(size + 1, longer), repeat(size, blocks - longer))
 
 
 def projected_draws(
-    normals: np.ndarray, g: GaussianSpec, n: int, seed: int | None,
+    row_factor: np.ndarray, n: int, seed: int | None,
     mixture: MixtureSampler | None = None,
 ) -> Iterator[np.ndarray]:
-    """Row projections z (normals U)' of n deviations, U = g.reduced_factor.
+    """Row projections z R' of n deviations, R = W U the margins' row_factor.
 
-    z is the stream of draw_gaussian_scenarios(g, n, seed), yielded in
-    chunk_sizes(n) blocks, or with a mixture the stream of
-    draw_mixture_scenarios(mixture, n, seed), yielded as one block.
+    z, row_factor.shape[1] normals per deviation, is the stream of
+    draw_gaussian_scenarios in chunk_sizes(n) blocks, or with a mixture
+    that of draw_mixture_scenarios(mixture, n, seed) in one block.
     """
     sizes = chunk_sizes(n)  # refuses n < 1 for either law
-    factor = (normals @ g.reduced_factor).T
+    factor = row_factor.T
     rng = np.random.default_rng(seed)
     if mixture is not None:
         # one block: the mixture draws components, then normals, then tail
@@ -230,7 +233,7 @@ def projected_draws(
         yield sample_mixture_batch(mixture, n, rng)[0] @ factor
         return
     for size in sizes:
-        yield rng.standard_normal((size, g.reduced_dim)) @ factor
+        yield rng.standard_normal((size, factor.shape[0])) @ factor
 
 
 def draw_mixture_scenarios(ms: MixtureSampler, n: int, seed: int | None) -> ScenarioSet:
@@ -528,18 +531,18 @@ class PreparedProblem:
     """A case and deviation model prepared once for any number of solves.
 
     Holds everything a scenario solve at one eta shares, whatever its
-    seed: the polytope, the margins and the tightened polytope, the tail
-    mixture (None when no row is stochastic), and the dispatch LP at the
-    polytope's own offsets. A solve only moves the polytope rows of that
-    LP (see LinearProgram.row_shift). The mixture is also the one source
-    of the sa-is count's K and S (n_components and tail_mass).
+    seed: the polytope, the margins (with the row factor R that every
+    projection reads, and the shrink delta that tightens the rows), the
+    tail mixture (None when no row is stochastic), and the dispatch LP at
+    the polytope's own offsets. A solve only moves the polytope rows of
+    that LP (see LinearProgram.row_shift). The mixture is also the one
+    source of the sa-is count's K and S (n_components and tail_mass).
     """
 
     case: GridCase
     g: GaussianSpec
     poly: FeasibilityPolytope
     margins: MarginSet
-    tightened: FeasibilityPolytope
     mixture: MixtureSampler | None
     lp: LinearProgram
 
@@ -554,23 +557,23 @@ def prepare_problem(case: GridCase, g: GaussianSpec, eta: float) -> PreparedProb
         g=g,
         poly=poly,
         margins=m,
-        tightened=tightened_polytope(poly, m),
         mixture=mixture,
         lp=_skeleton(case, poly),
     )
 
 
 def scenario_offsets(
-    poly: FeasibilityPolytope, g: GaussianSpec, tightened: FeasibilityPolytope,
-    mixture: MixtureSampler | None, method: str, n_scenarios: int, seed: int | None,
+    poly: FeasibilityPolytope, margins: MarginSet, mixture: MixtureSampler | None,
+    method: str, n_scenarios: int, seed: int | None,
 ) -> np.ndarray:
     """Row offsets of one scenario solve, before any LP is built.
 
-    Each row's offset less its largest projection (projected_draws) of
-    n_scenarios Gaussian draws for 'sa', or tail-mixture draws for
-    'sa-is', which then takes the elementwise minimum with the tightened
-    offsets. With n_scenarios = 0, or for 'sa-is' with no mixture (no
-    stochastic row), nothing is drawn.
+    Each row's offset less its largest projection, through
+    margins.row_factor (projected_draws), of n_scenarios Gaussian draws
+    for 'sa', or tail-mixture draws for 'sa-is', which then takes the
+    elementwise minimum with the tightened offsets poly.offsets -
+    margins.delta (what tightened_polytope holds). With n_scenarios = 0,
+    or for 'sa-is' with no mixture (no stochastic row), nothing is drawn.
     """
     if method not in ("sa", "sa-is"):
         raise ValueError(f"unknown method {method!r}; use 'sa' or 'sa-is'")
@@ -580,12 +583,12 @@ def scenario_offsets(
     law = mixture if method == "sa-is" else None
     if n_scenarios > 0 and (method == "sa" or law is not None):
         worst = np.full(poly.n_rows, -np.inf)
-        for y in projected_draws(poly.normals, g, n_scenarios, seed, law):
+        for y in projected_draws(margins.row_factor, n_scenarios, seed, law):
             worst = np.maximum(worst, y.max(axis=0))
             del y  # so the next block is drawn with only one projection alive
         offsets = offsets - worst
     if method == "sa-is":
-        offsets = np.minimum(offsets, tightened.offsets)
+        offsets = np.minimum(offsets, poly.offsets - margins.delta)
     return offsets
 
 
@@ -594,7 +597,7 @@ def solve_prepared(
 ) -> DispatchSolution:
     """One scenario solve on a prepared problem: its LP at scenario_offsets."""
     offsets = scenario_offsets(
-        prep.poly, prep.g, prep.tightened, prep.mixture, method, n_scenarios, seed
+        prep.poly, prep.margins, prep.mixture, method, n_scenarios, seed
     )
     return solve(_with_offsets(prep.lp, offsets))
 

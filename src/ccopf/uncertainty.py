@@ -28,7 +28,10 @@ def build_uncertainty(case: GridCase, sigma_frac: float) -> GaussianSpec:
     """
     if not 0 <= sigma_frac < np.inf:
         raise ValueError(f"sigma_frac must be finite and non-negative, got {sigma_frac}")
-    sigma = sigma_frac * np.abs(case.nominal_injection)
-    sigma[case.slack_index] = 0.0
-    with np.errstate(over="ignore"):  # GaussianSpec refuses an overflowed variance
-        return GaussianSpec(cov=np.diag(sigma**2))
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        sigma = sigma_frac * np.abs(case.nominal_injection)
+        sigma[case.slack_index] = 0.0
+        var = sigma**2
+    if not np.all(np.isfinite(var)):
+        raise ValueError(f"sigma_frac {sigma_frac} is too large: the injection variances overflow")
+    return GaussianSpec(cov=np.diag(var))

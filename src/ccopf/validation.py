@@ -22,9 +22,10 @@ import numpy as np
 from .grid import FeasibilityPolytope, GridCase, bundled_case_path, load_case
 from .grid import build_matrices  # noqa: F401  (perfbench/test_perfbench.py reads it)
 from .kernels import norm_cdf, norm_isf, tail_quantile
-from .margins import GaussianSpec, compute_margins, tightened_polytope
+from .margins import GaussianSpec, compute_margins
 from .sampler import build_mixture
 from .scenario import (
+    MAX_ROWS,
     DispatchSolution,
     PreparedProblem,
     SolverError,
@@ -61,7 +62,8 @@ def out_of_sample_confidence(
     allow _OOS_TOL of slack so boundary dispatches are not miscounted.
     The deviations' row projections come from the solves' own Gaussian
     path, scenario.projected_draws, in blocks of one stream, so memory
-    stays bounded for any n_test.
+    stays bounded for any n_test. They go through R = W U built from poly
+    and g, the validation law, which need not be the prepared one.
 
     A stack of k dispatches is checked against one draw: each block is
     drawn and projected once and then compared with every dispatch's
@@ -93,7 +95,7 @@ def out_of_sample_confidence(
     # a batched product would round differently
     headrooms = [poly.offsets - poly.normals @ xj + _OOS_TOL for xj in stack]
     inside = np.zeros(len(headrooms), dtype=np.int64)
-    for y in projected_draws(poly.normals, g, n_test, seed):
+    for y in projected_draws(poly.normals @ g.reduced_factor, n_test, seed):
         for j, headroom in enumerate(headrooms):
             inside[j] += np.count_nonzero(np.all(y <= headroom, axis=1))
         del y  # so the next block is drawn with only one projection alive
@@ -131,8 +133,7 @@ def solve_1d_synthetic(
     x_exact = float(a) - (float(norm_isf(eta)) + 0.0)
     m = compute_margins(poly, g, eta)
     x_hat = float(scenario_offsets(
-        poly, g, tightened_polytope(poly, m), build_mixture(poly, m, g),
-        method, n_scenarios, seed,
+        poly, m, build_mixture(poly, m, g), method, n_scenarios, seed
     )[0])
     return x_hat, x_hat - x_exact
 
@@ -353,19 +354,23 @@ def resolve_scenario_count(
     stochastic row). That bound is closed-form, so no covered mass is
     estimated, and it does not depend on eta. problem, when given, is
     this config's prepared case; otherwise the sa-is count prepares one.
+    A count no draw can hold (above scenario.MAX_ROWS) is refused.
     """
     if method == "dc-opf":
         return 0
-    if config.scenarios != "auto":
-        return int(config.scenarios)
     d = max(1, len(case.generators) - 1)
-    if method == "sa":
-        return sample_size_cc(config.eta, config.delta, d)
-    if problem is None:
-        problem = _prepare(config, case)
-    if problem.mixture is None:
-        return 0
-    return sample_size_mixture(config.eta, config.delta, d, problem.mixture.tail_mass)
+    if config.scenarios != "auto":
+        n = int(config.scenarios)
+    elif method == "sa":
+        n = sample_size_cc(config.eta, config.delta, d)
+    else:
+        if problem is None:
+            problem = _prepare(config, case)
+        mix = problem.mixture
+        n = 0 if mix is None else sample_size_mixture(config.eta, config.delta, d, mix.tail_mass)
+    if n > MAX_ROWS:
+        raise ValueError(f"{method}: scenario count exceeds the index range ({MAX_ROWS})")
+    return n
 
 
 def _prepare(config: ExperimentConfig, case: GridCase) -> PreparedProblem:

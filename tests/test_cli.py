@@ -99,18 +99,22 @@ def test_unwritable_output_is_one_error_line(tri_path, tmp_path):
 @pytest.mark.parametrize(
     "args, message",
     [
-        # sigma**2 overflows to inf: refused, not run with no uncertainty
+        # sigma**2 overflows to inf: refused by name, not run with no uncertainty
         (["run", "--case", "case30", "--method", "dc-opf,sa,sa-is", "--sigma", "1e155",
-          "--reps", "2"], "covariance must be finite"),
+          "--reps", "2"], "sigma_frac 1e+155"),
         # the certified sa count (about 6.9e302) exceeds the index range
         (["run", "--case", "case30", "--method", "sa", "--eta", "1e-300", "--reps", "1"],
          "index range"),
         (["run", "--case", "case30", "--method", "sa", "--scenarios", "1" + "0" * 26,
           "--reps", "1"], "index range"),
+        # every count is resolved before the first is printed
+        (["run", "--case", "case30", "--method", "dc-opf,sa-is", "--scenarios", "1" + "0" * 26,
+          "--reps", "1"], "sa-is: scenario count exceeds the index range"),
         # floats near a are spaced beyond the sweep's feasibility slack
         (["sweep1d", "--a", "1e308", "--grid", "3", "--reps", "2"], "row offset a"),
     ],
-    ids=["sigma-overflow", "sa-count-overflow", "fixed-count-overflow", "sweep-large-a"],
+    ids=["sigma-overflow", "sa-count-overflow", "fixed-count-overflow",
+         "sa-is-fixed-count-overflow", "sweep-large-a"],
 )
 def test_out_of_range_arguments_are_one_error_line(tmp_path, args, message):
     proc = run_child(args + ["--out", str(tmp_path / "r.json")])
@@ -119,6 +123,7 @@ def test_out_of_range_arguments_are_one_error_line(tmp_path, args, message):
     assert "RuntimeWarning" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("ccopf: error:")]
     assert len(errors) == 1 and message in errors[0]
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("target", ["r.csv", "r_summary.csv"])

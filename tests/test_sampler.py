@@ -37,7 +37,11 @@ def bus_draws(ms, n, seed):
 
 
 def two_threshold_mixture():
-    """Hand-built margins with thresholds 1 and 2 on orthogonal rows."""
+    """Hand-built margins with thresholds 1 and 2 on orthogonal rows.
+
+    Under the iid model U is the identity, so the row factor R = W U is
+    the identity too.
+    """
     normals = np.eye(2)
     sigma = np.ones(2)
     beta = np.array([1.0, 2.0])
@@ -45,7 +49,7 @@ def two_threshold_mixture():
         delta=beta * sigma,
         beta=beta,
         eta=0.05,
-        normals=normals.copy(),
+        row_factor=np.eye(2),
         sigma=sigma,
     )
     poly = FeasibilityPolytope(
@@ -54,7 +58,7 @@ def two_threshold_mixture():
         labels=(("row", 0), ("row", 1)),
     )
     g = iid_gaussian(2)
-    return build_mixture(poly, m, g), m, g
+    return build_mixture(poly, m, g), poly, m, g
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +74,7 @@ def test_uniform_thresholds_give_uniform_weights():
 
 
 def test_unequal_thresholds_weight_near_rows_more():
-    ms, _, _ = two_threshold_mixture()
+    ms, *_ = two_threshold_mixture()
     # weights are tail masses normalised: sf(1), sf(2)
     np.testing.assert_allclose(ms.weights, [0.874589545189832, 0.12541045481016802], rtol=1e-12)
     assert ms.M == pytest.approx(1.1433934986988066, rel=1e-12)
@@ -138,7 +142,7 @@ def test_tail_sample_deep_threshold():
         delta=np.array([8.0, 8.0]),
         beta=np.array([8.0, 8.0]),
         eta=0.05,
-        normals=np.eye(2),
+        row_factor=np.eye(2),
         sigma=np.ones(2),
     )
     poly = FeasibilityPolytope(
@@ -171,11 +175,11 @@ def test_tail_projection_is_half_normal_at_zero_threshold():
 
 
 def test_sample_mixture_component_frequencies():
-    ms, m, _ = two_threshold_mixture()
+    ms, poly, m, _ = two_threshold_mixture()
     n = 5000
     xi, comps = bus_draws(ms, n, 4)
     rows = np.array(ms.row_indices)[comps]
-    proj = np.einsum("ij,ij->i", m.normals[rows], xi)
+    proj = np.einsum("ij,ij->i", poly.normals[rows], xi)
     assert np.all(proj >= m.delta[rows] - 1e-9)
     counts = np.bincount(comps, minlength=2)
     for i in range(2):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -207,6 +207,28 @@ def test_correlated_covariance_prepares_and_solves(request, case_name, rho):
     for method in ("sa", "sa-is"):
         sol = solve_prepared(prep, method, 200, seed=0)
         assert sol.status in ("optimal", "infeasible")
+
+
+@pytest.mark.parametrize("rho", [None, 0.5, 0.9])
+@pytest.mark.parametrize("case_name", ["case30", "case57"])
+def test_row_geometry_has_one_source(request, case_name, rho):
+    # row sigmas and mixture axes come from the margins' R = W U, and
+    # equal, bit for bit, what separate products of W and U gave
+    case = request.getfixturevalue(case_name)
+    g = build_uncertainty(case, 0.07)
+    if rho is not None:
+        s = np.sqrt(np.diag(g.cov))
+        g = GaussianSpec.from_covariance(rho * np.outer(s, s) + (1.0 - rho) * np.diag(s**2))
+    prep = prepare_problem(case, g, 0.05)
+    m, poly = prep.margins, prep.poly
+    np.testing.assert_array_equal(m.row_factor, poly.normals @ g.reduced_factor)
+    np.testing.assert_array_equal(m.sigma, np.linalg.norm(m.row_factor, axis=1))
+    rows = np.array(prep.mixture.row_indices)
+    np.testing.assert_array_equal(
+        prep.mixture.reduced_directions,
+        (poly.normals[rows] @ g.reduced_factor) / m.sigma[rows][:, None],
+    )
+    assert "tightened" not in {f.name for f in fields(prep)}
 
 
 def test_mixture_scenarios_tagged_with_components():
@@ -576,18 +598,17 @@ def _prepared(case):
 
 
 def _offsets(prep, method, n, seed):
-    return scenario_offsets(
-        prep.poly, prep.g, prep.tightened, prep.mixture, method, n, seed
-    )
+    return scenario_offsets(prep.poly, prep.margins, prep.mixture, method, n, seed)
 
 
 def test_empty_draws_rejected():
     with pytest.raises(ValueError, match="at least one row"):
         chunk_sizes(0)
     poly, g = box_polytope(2, 1.0), iid_gaussian(2)
-    for mixture in (None, build_mixture(poly, compute_margins(poly, g, 0.05), g)):
+    m = compute_margins(poly, g, 0.05)
+    for mixture in (None, build_mixture(poly, m, g)):
         with pytest.raises(ValueError, match="at least one row"):
-            next(projected_draws(poly.normals, g, 0, 0, mixture))
+            next(projected_draws(m.row_factor, 0, 0, mixture))
 
 
 @pytest.mark.parametrize("case_name", ["case30", "case57"])
@@ -601,7 +622,7 @@ def test_projected_offsets_match_the_bus_space_reference(request, case_name):
     np.testing.assert_allclose(_offsets(prep, "sa", n, seed), sa, rtol=0, atol=1e-12)
     sa_is = np.minimum(
         reduce_scenarios(prep.poly, draw_mixture_scenarios(prep.mixture, n, seed)),
-        prep.tightened.offsets,
+        prep.poly.offsets - prep.margins.delta,
     )
     np.testing.assert_allclose(_offsets(prep, "sa-is", n, seed), sa_is, rtol=0, atol=1e-12)
 

@@ -304,6 +304,26 @@ def test_uncertainty_rejects_bad_sigma(case30, sigma_frac):
         build_uncertainty(case30, sigma_frac)
 
 
+def test_uncertainty_names_sigma_frac_when_the_variance_overflows(case30):
+    # 1e155 is finite, but its square times case30's injections is not
+    with pytest.raises(ValueError, match=r"sigma_frac 1e\+155 is too large"):
+        build_uncertainty(case30, 1e155)
+    assert np.all(np.isfinite(build_uncertainty(case30, 1e150).cov))
+
+
+@pytest.mark.parametrize(
+    "method, changes",
+    [("sa", {"eta": 1e-300}), ("sa-is", {"scenarios": 10**26}), ("sa", {"scenarios": 2**63})],
+)
+def test_counts_past_the_index_range_are_refused_by_name(case30, method, changes):
+    config = ExperimentConfig(case="case30", methods=(method,), **changes)
+    with pytest.raises(ValueError, match=f"^{method}: scenario count exceeds the index range"):
+        resolve_scenario_count(config, case30, method)
+    # the bound is the one chunk_sizes checks: its largest count passes
+    at_bound = ExperimentConfig(case="case30", methods=(method,), scenarios=scenario.MAX_ROWS)
+    assert resolve_scenario_count(at_bound, case30, method) == scenario.MAX_ROWS
+
+
 def test_config_rejects_repeated_methods():
     with pytest.raises(ValueError, match=r"\['sa'\] given more than once"):
         ExperimentConfig(case="case30", methods=("sa", "sa-is", "sa"))
