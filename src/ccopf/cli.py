@@ -297,16 +297,18 @@ def _write_files(files: Iterable[tuple[Path, str]]) -> None:
 # nsamples / sweep1d / validate
 
 def _cmd_nsamples(args) -> int:
-    print(f"classical: {sample_size_cc(args.eta, args.delta, args.d)}")
-    if args.pi is not None:
-        print(f"filtered: {sample_size_filtered(args.eta, args.delta, args.d, args.pi)}")
-        if args.M is not None:
-            print(
-                "importance: "
-                f"{sample_size_is(args.eta, args.delta, args.d, args.pi, args.M)}"
-            )
-    elif args.M is not None:
+    # every count is computed before the first is printed, so a refused
+    # argument leaves stdout empty
+    if args.M is not None and args.pi is None:
         raise _UsageError("--M requires --pi")
+    lines = [f"classical: {sample_size_cc(args.eta, args.delta, args.d)}"]
+    if args.pi is not None:
+        lines.append(f"filtered: {sample_size_filtered(args.eta, args.delta, args.d, args.pi)}")
+    if args.M is not None:
+        lines.append(
+            f"importance: {sample_size_is(args.eta, args.delta, args.d, args.pi, args.M)}"
+        )
+    print("\n".join(lines))
     return EXIT_OK
 
 

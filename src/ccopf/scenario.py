@@ -22,7 +22,8 @@ import scipy.optimize._highspy._core as highs
 from scipy.optimize import linprog  # noqa: F401  (perfbench/layers.py rebinds it by name)
 from scipy.sparse import csc_array
 
-from .grid import FeasibilityPolytope, GridCase, GridMatrices, build_matrices, build_polytope
+from .grid import CaseValidationError, FeasibilityPolytope, GridCase, GridMatrices
+from .grid import build_matrices, build_polytope
 from .margins import GaussianSpec, MarginSet, compute_margins
 from .sampler import MixtureSampler, build_mixture, sample_mixture_batch
 
@@ -338,7 +339,7 @@ def _dispatch_structure(case: GridCase):
     slack_bus = case.buses[case.slack_index].id
     slack_gens = [j for j, gen in enumerate(case.generators) if gen.bus == slack_bus]
     if not slack_gens:
-        raise ValueError(
+        raise CaseValidationError(
             f"slack bus {slack_bus} carries no generator; dispatch cannot "
             "balance the system"
         )
@@ -454,7 +455,8 @@ def solve(lp: LinearProgram) -> DispatchSolution:
     'optimal', 'infeasible' or 'unbounded'. Solver breakdowns (any other
     model status, including unbounded-or-infeasible and iteration or time
     limits, or a solution off its constraints) raise SolverError instead
-    of masquerading as infeasibility.
+    of masquerading as infeasibility. The row slack that check reads,
+    b_ub less HiGHS's row activity, also gives active_rows.
     """
     d = lp.cost.shape[0]
     if d == 0:
@@ -465,7 +467,7 @@ def solve(lp: LinearProgram) -> DispatchSolution:
             return DispatchSolution(
                 x_g=None, objective=math.nan, status="infeasible", active_rows=()
             )
-        return _package_solution(lp, np.zeros(0))
+        return _package_solution(lp, np.zeros(0), lp.b_ub)
 
     m = lp.b_ub.shape[0]
     solver = highs._Highs()
@@ -500,10 +502,13 @@ def solve(lp: LinearProgram) -> DispatchSolution:
         raise SolverError(
             f"LP solution violates its constraints by more than {FEASIBILITY_TOL:.2e}"
         )
-    return _package_solution(lp, x)
+    return _package_solution(lp, x, slack)
 
 
-def _package_solution(lp: LinearProgram, decisions: np.ndarray) -> DispatchSolution:
+def _package_solution(
+    lp: LinearProgram, decisions: np.ndarray, slack: np.ndarray
+) -> DispatchSolution:
+    """The optimum at decisions; slack (b_ub - row activity) sets active_rows."""
     x_g = np.empty(lp.n_gens)
     for col, j in enumerate(lp.decision_gens):
         x_g[j] = decisions[col] * lp.base_mva
@@ -512,7 +517,6 @@ def _package_solution(lp: LinearProgram, decisions: np.ndarray) -> DispatchSolut
 
     objective = float(lp.cost @ decisions) + lp.cost_offset
     injections = lp.injection_map @ decisions + lp.injection_fixed
-    slack = lp.b_ub - lp.a_ub @ decisions if decisions.size else lp.b_ub
     active = tuple(int(i) for i in np.nonzero(slack <= ACTIVE_TOL)[0])
     return DispatchSolution(
         x_g=x_g,

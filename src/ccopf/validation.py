@@ -14,7 +14,7 @@ import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .scenario import (
     DispatchSolution,
     PreparedProblem,
     SolverError,
+    chunk_sizes,
     prepare_problem,
     projected_draws,
     sample_size_cc,
@@ -151,8 +152,9 @@ def sweep_1d(
     For each hard offset b between the exact optimum and a, the deviations
     below a - b are covered by construction, so the certified count drops
     to the filtered bound at pi = Phi(a - b). Each repetition draws that
-    many tail deviations and solves; the row reports the fraction of
-    repetitions whose optimiser satisfies the chance constraint.
+    many tail deviations, in chunk_sizes blocks of one stream so memory
+    stays bounded for any count, and solves; the row reports the fraction
+    of repetitions whose optimiser satisfies the chance constraint.
 
     Returns rows (b, feasibility_rate, n_scenarios).
     """
@@ -178,9 +180,9 @@ def sweep_1d(
         feasible = 0
         for k in range(reps):
             rng = np.random.default_rng((seed, j, k))
-            u = 1.0 - rng.random(n)
-            xi = tail_quantile(margin, p_tail, u)
-            x_hat = a - float(np.max(xi))
+            worst = max(float(np.max(tail_quantile(margin, p_tail, 1.0 - rng.random(size))))
+                        for size in chunk_sizes(n))
+            x_hat = a - worst
             feasible += x_hat <= x_exact + tol
         rows.append((float(b), feasible / reps, n))
     return rows
@@ -403,53 +405,47 @@ def _solve(problem: PreparedProblem, method: str, n_scenarios: int, seed: int):
         return None
 
 
-def _run_one(
-    experiment: _Experiment, method: str, rep: int
-) -> tuple[RepetitionRecord, np.ndarray | None]:
-    """Solve one method under one repetition seed.
+def _run_one(experiment: _Experiment, method: str, rep: int) -> DispatchSolution | None:
+    """One method's solution under one repetition seed; None on a solver error.
 
-    Returns its record, still without out-of-sample confidence, and the
-    optimal dispatch, which _run_rep checks (None unless optimal).
+    dc-opf's is the experiment's nominal dispatch, which no seed changes.
     """
-    n_scenarios = experiment.resolved[method]
-    rep_seed = experiment.config.seed + rep
     if method == "dc-opf":
-        sol = experiment.nominal
-    else:
-        sol = _solve(experiment.problem, method, n_scenarios, rep_seed)
-    status = "solver-error" if sol is None else sol.status
-    optimal = status == "optimal"
-    record = RepetitionRecord(
-        method=method,
-        rep=rep,
-        seed=rep_seed,
-        n_scenarios=n_scenarios,
-        status=status,
-        objective=sol.objective if optimal else math.nan,
-        confidence=math.nan,
-        conf_stderr=math.nan,
+        return experiment.nominal
+    return _solve(
+        experiment.problem, method, experiment.resolved[method], experiment.config.seed + rep
     )
-    return record, sol.injection_pu if optimal else None
 
 
 def _run_rep(experiment: _Experiment, rep: int) -> list[RepetitionRecord]:
-    """Every method under one repetition seed, in config.methods order.
+    """Every method's record under one repetition seed, in config.methods order.
 
     The optimal dispatches are checked together against one draw of the
-    repetition's test deviations.
+    repetition's test deviations, and then each record is built once;
+    a method that is not optimal gets nan objective and confidence.
     """
     config, problem = experiment.config, experiment.problem
-    records, dispatches = zip(*(_run_one(experiment, m, rep) for m in config.methods))
-    records = list(records)
-    checked = [i for i, x in enumerate(dispatches) if x is not None]
-    if checked:
-        confidence, stderr = out_of_sample_confidence(
-            np.stack([dispatches[i] for i in checked]), problem.poly, problem.g,
+    sols = [_run_one(experiment, m, rep) for m in config.methods]
+    optimal = [i for i, sol in enumerate(sols) if sol is not None and sol.status == "optimal"]
+    confidence, stderr = np.full((2, len(sols)), math.nan)
+    if optimal:
+        confidence[optimal], stderr[optimal] = out_of_sample_confidence(
+            np.stack([sols[i].injection_pu for i in optimal]), problem.poly, problem.g,
             config.n_test, config.seed + rep + _TEST_SEED_OFFSET,
         )
-        for i, c, e in zip(checked, confidence, stderr):
-            records[i] = replace(records[i], confidence=float(c), conf_stderr=float(e))
-    return records
+    return [
+        RepetitionRecord(
+            method=method,
+            rep=rep,
+            seed=config.seed + rep,
+            n_scenarios=experiment.resolved[method],
+            status="solver-error" if sol is None else sol.status,
+            objective=sol.objective if i in optimal else math.nan,
+            confidence=float(confidence[i]),
+            conf_stderr=float(stderr[i]),
+        )
+        for i, (method, sol) in enumerate(zip(config.methods, sols))
+    ]
 
 
 def _openblas(entry: str) -> list:

@@ -96,6 +96,9 @@ def test_unwritable_output_is_one_error_line(tri_path, tmp_path):
     assert run_child(run + ["--out", str(tmp_path)]).stdout == ""
 
 
+NSAMPLES = ["nsamples", "--eta", "0.05", "--delta", "0.01", "--d", "5"]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -112,12 +115,19 @@ def test_unwritable_output_is_one_error_line(tri_path, tmp_path):
           "--reps", "1"], "sa-is: scenario count exceeds the index range"),
         # floats near a are spaced beyond the sweep's feasibility slack
         (["sweep1d", "--a", "1e308", "--grid", "3", "--reps", "2"], "row offset a"),
+        # nsamples computes every count before it prints the first
+        (NSAMPLES + ["--pi", "0.9", "--M", "inf"], "likelihood ratio bound"),
+        (NSAMPLES + ["--pi", "0.9", "--M", "0.5"], "likelihood ratio bound"),
+        (NSAMPLES + ["--pi", "1.5"], "covered mass pi"),
+        (NSAMPLES + ["--M", "2"], "--M requires --pi"),
     ],
     ids=["sigma-overflow", "sa-count-overflow", "fixed-count-overflow",
-         "sa-is-fixed-count-overflow", "sweep-large-a"],
+         "sa-is-fixed-count-overflow", "sweep-large-a", "nsamples-m-inf",
+         "nsamples-m-below-one", "nsamples-pi-above-one", "nsamples-m-without-pi"],
 )
 def test_out_of_range_arguments_are_one_error_line(tmp_path, args, message):
-    proc = run_child(args + ["--out", str(tmp_path / "r.json")])
+    out = [] if args[0] == "nsamples" else ["--out", str(tmp_path / "r.json")]
+    proc = run_child(args + out)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -169,6 +179,19 @@ def test_non_finite_load_is_data_error(tmp_path, capsys):
                              capsys)
     assert code == 2
     assert "non-finite load" in err and out == ""
+
+
+def test_slack_without_generator_is_data_error(tmp_path, capsys):
+    # bus 3 becomes the slack bus, and no generator sits on it
+    bad = tmp_path / "no_slack_gen.m"
+    bad.write_text(
+        TRIANGLE_TEXT.replace("\t1\t3\t0;", "\t1\t2\t0;").replace("\t3\t1\t80;", "\t3\t3\t80;")
+    )
+    code, out, err = run_cli(["run", "--case", str(bad), "--reps", "1"], capsys)
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("ccopf: error:")]
+    assert len(errors) == 1 and "slack bus 3 carries no generator" in errors[0]
+    assert out == ""
 
 
 def test_failed_report_write_leaves_no_file(tri_path, tmp_path, capsys, monkeypatch):

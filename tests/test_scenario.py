@@ -398,12 +398,15 @@ LINPROG_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 def assert_solve_equals_linprog(monkeypatch, lp) -> str:
     """solve(lp) gives linprog's status and, when optimal, its x bitwise.
 
-    linprog statuses outside LINPROG_STATUS must be SolverError.
+    linprog statuses outside LINPROG_STATUS must be SolverError. The
+    active rows, which solve takes from HiGHS's row activity, are the
+    rows whose slack b_ub - a_ub x is at most ACTIVE_TOL.
     """
     decisions = []
     package = scenario._package_solution
     with monkeypatch.context() as m:
-        m.setattr(scenario, "_package_solution", lambda lp, x: decisions.append(x) or package(lp, x))
+        m.setattr(scenario, "_package_solution",
+                  lambda lp, x, slack: decisions.append(x) or package(lp, x, slack))
         res = linprog(
             c=lp.cost, A_ub=lp.a_ub, b_ub=lp.b_ub,
             bounds=list(zip(lp.lower, lp.upper)), method="highs",
@@ -416,6 +419,8 @@ def assert_solve_equals_linprog(monkeypatch, lp) -> str:
     assert sol.status == LINPROG_STATUS[res.status]
     if sol.status == "optimal":
         assert decisions[0].tobytes() == res.x.tobytes()
+        slack = lp.b_ub - lp.a_ub @ res.x
+        assert sol.active_rows == tuple(np.nonzero(slack <= scenario.ACTIVE_TOL)[0])
     return sol.status
 
 
