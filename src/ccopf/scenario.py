@@ -3,16 +3,19 @@
 A scenario set turns the chance constraint into finitely many shifted
 copies of the polytope rows, which collapse to one offset per row. Solves
 and checks project support-coordinate draws straight onto the rows
-(projected_draws); bus-space sets and reduce_scenarios are the reference.
-The dispatch LP optimises generator outputs against those offsets,
-optionally intersected with the margin-tightened offsets, with the
-generator at the slack bus absorbing the power balance. A
+(projected_draws, rows by draws); bus-space sets and reduce_scenarios
+are the reference. The dispatch LP optimises generator outputs against
+those offsets, optionally intersected with the margin-tightened offsets,
+with the generator at the slack bus absorbing the power balance. A
 PreparedProblem holds everything but the draws, so repeated solves
-rebuild nothing.
+rebuild nothing, and every solve in a process and thread loads its LP
+into the same HiGHS instance.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
@@ -55,6 +58,9 @@ FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 
 _COLWISE = int(highs.MatrixFormat.kColwise)
 _MINIMIZE = int(highs.ObjSense.kMinimize)
+
+# This thread's HiGHS instance and the (process id, class) that built it.
+_SOLVER = threading.local()
 
 
 class SolverError(RuntimeError):
@@ -219,22 +225,24 @@ def projected_draws(
     row_factor: np.ndarray, n: int, seed: int | None,
     mixture: MixtureSampler | None = None,
 ) -> Iterator[np.ndarray]:
-    """Row projections z R' of n deviations, R = W U the margins' row_factor.
+    """Row projections R z' of n deviations, R = W U the margins' row_factor.
 
     z, row_factor.shape[1] normals per deviation, is the stream of
     draw_gaussian_scenarios in chunk_sizes(n) blocks, or with a mixture
-    that of draw_mixture_scenarios(mixture, n, seed) in one block.
+    that of draw_mixture_scenarios(mixture, n, seed) in one block. Each
+    block comes rows by draws, so the reductions over a block's draws
+    (a row's maximum, a draw's check over every row) run along its
+    contiguous axis.
     """
     sizes = chunk_sizes(n)  # refuses n < 1 for either law
-    factor = row_factor.T
     rng = np.random.default_rng(seed)
     if mixture is not None:
         # one block: the mixture draws components, then normals, then tail
         # uniforms over all n rows, so blocks would make its stream depend on CHUNK
-        yield sample_mixture_batch(mixture, n, rng)[0] @ factor
+        yield row_factor @ sample_mixture_batch(mixture, n, rng)[0].T
         return
     for size in sizes:
-        yield rng.standard_normal((size, factor.shape[0])) @ factor
+        yield row_factor @ rng.standard_normal((size, row_factor.shape[1])).T
 
 
 def draw_mixture_scenarios(ms: MixtureSampler, n: int, seed: int | None) -> ScenarioSet:
@@ -451,7 +459,10 @@ def solve(lp: LinearProgram) -> DispatchSolution:
 
     One direct HiGHS call with linprog's options and post-solve check,
     so status and x equal linprog(method="highs") bit for bit without its
-    per-call conversions. Returns a DispatchSolution with status
+    per-call conversions. Each process and thread keeps one HiGHS
+    instance (_highs); every solve clears its model and solver data and
+    passes the options again before loading the LP, so no solve sees
+    what an earlier one left behind. Returns a DispatchSolution with status
     'optimal', 'infeasible' or 'unbounded'. Solver breakdowns (any other
     model status, including unbounded-or-infeasible and iteration or time
     limits, or a solution off its constraints) raise SolverError instead
@@ -470,7 +481,8 @@ def solve(lp: LinearProgram) -> DispatchSolution:
         return _package_solution(lp, np.zeros(0), lp.b_ub)
 
     m = lp.b_ub.shape[0]
-    solver = highs._Highs()
+    solver = _highs()
+    solver.clearModel()  # the model and every piece of solver data
     solver.passOptions(HIGHS_OPTIONS)
     loaded = solver.passModel(
         d, m, lp.a_value.size, _COLWISE, _MINIMIZE, 0.0,
@@ -503,6 +515,20 @@ def solve(lp: LinearProgram) -> DispatchSolution:
             f"LP solution violates its constraints by more than {FEASIBILITY_TOL:.2e}"
         )
     return _package_solution(lp, x, slack)
+
+
+def _highs() -> highs._Highs:
+    """This thread's HiGHS instance, built once per process and thread.
+
+    A forked process builds its own rather than use its parent's copy,
+    and a new instance replaces the old one when highs._Highs is no
+    longer the class that built it.
+    """
+    key = (os.getpid(), highs._Highs)
+    if getattr(_SOLVER, "key", None) != key:
+        _SOLVER.instance = highs._Highs()
+        _SOLVER.key = key
+    return _SOLVER.instance
 
 
 def _package_solution(
@@ -588,7 +614,7 @@ def scenario_offsets(
     if n_scenarios > 0 and (method == "sa" or law is not None):
         worst = np.full(poly.n_rows, -np.inf)
         for y in projected_draws(margins.row_factor, n_scenarios, seed, law):
-            worst = np.maximum(worst, y.max(axis=0))
+            worst = np.maximum(worst, y.max(axis=1))
             del y  # so the next block is drawn with only one projection alive
         offsets = offsets - worst
     if method == "sa-is":

@@ -69,7 +69,9 @@ def out_of_sample_confidence(
     A stack of k dispatches is checked against one draw: each block is
     drawn and projected once and then compared with every dispatch's
     headroom, which gives each dispatch the result its own call with the
-    same seed would, at the cost of a single draw.
+    same seed would, at the cost of a single draw. A block holds rows by
+    draws, so a dispatch's headroom is a column and a draw stays inside
+    when its whole column of the block lies below it.
 
     Parameters
     ----------
@@ -94,11 +96,11 @@ def out_of_sample_confidence(
         raise ValueError("no dispatch to check: the stack is empty")
     # one matrix-vector product per dispatch, as a single dispatch gets:
     # a batched product would round differently
-    headrooms = [poly.offsets - poly.normals @ xj + _OOS_TOL for xj in stack]
+    headrooms = [(poly.offsets - poly.normals @ xj + _OOS_TOL)[:, None] for xj in stack]
     inside = np.zeros(len(headrooms), dtype=np.int64)
     for y in projected_draws(poly.normals @ g.reduced_factor, n_test, seed):
         for j, headroom in enumerate(headrooms):
-            inside[j] += np.count_nonzero(np.all(y <= headroom, axis=1))
+            inside[j] += np.count_nonzero(np.all(y <= headroom, axis=0))
         del y  # so the next block is drawn with only one projection alive
     prob = inside / n_test
     stderr = np.sqrt(prob * (1.0 - prob) / n_test)

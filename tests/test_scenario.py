@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -518,6 +520,90 @@ def test_solves_share_the_skeleton_columns(monkeypatch, case30):
         assert dense.tobytes() == lp.a_ub.tobytes()
 
 
+# HiGHS's x of each thread's last optimal solve, as bytes (see record_x)
+_LAST_X = threading.local()
+
+
+@pytest.fixture
+def record_x(monkeypatch):
+    package = scenario._package_solution
+
+    def keep(lp, x, slack):
+        _LAST_X.x = x.tobytes()
+        return package(lp, x, slack)
+
+    monkeypatch.setattr(scenario, "_package_solution", keep)
+
+
+def solved_bits(lps) -> list[tuple]:
+    """Status, HiGHS's x (None unless optimal) and active rows per LP; needs record_x."""
+    bits = []
+    for lp in lps:
+        _LAST_X.x = None
+        sol = solve(lp)
+        bits.append((sol.status, _LAST_X.x, sol.active_rows))
+    return bits
+
+
+@pytest.fixture(scope="module")
+def mixed_lps(request):
+    # seeds 0-7 of the last LP_FAMILIES family mix infeasible and optimal LPs
+    case_name, method, eta, scenarios = LP_FAMILIES[-1]
+    case = request.getfixturevalue(case_name)
+    prep = prepared(case, eta)
+    config = ExperimentConfig(case=case_name, eta=eta, scenarios=scenarios)
+    n = resolve_scenario_count(config, case, method, prep)
+    with pytest.MonkeyPatch.context() as m:
+        lps = []
+        m.setattr(scenario, "solve", lps.append)
+        for seed in range(8):
+            solve_prepared(prep, method, n, seed)
+    return lps
+
+
+def fresh_solver_bits(monkeypatch, lps) -> list[tuple]:
+    with monkeypatch.context() as m:
+        m.setattr(scenario, "_highs", lambda: scenario.highs._Highs())
+        return solved_bits(lps)
+
+
+def test_reused_solver_equals_a_fresh_one(monkeypatch, record_x, mixed_lps):
+    fresh = fresh_solver_bits(monkeypatch, mixed_lps)
+    assert {status for status, _, _ in fresh} == {"optimal", "infeasible"}
+    assert solved_bits(mixed_lps) == fresh
+    assert solved_bits(mixed_lps[::-1])[::-1] == fresh
+    assert scenario._highs() is scenario._highs()
+
+
+def test_threads_solve_on_their_own_instances(monkeypatch, record_x, mixed_lps):
+    # each thread solves its own half of the LPs, three times over, while
+    # the other solves the rest; both must get the single-thread results
+    halves = (mixed_lps[0::2], mixed_lps[1::2])
+    want = [fresh_solver_bits(monkeypatch, half) for half in halves]
+    start = threading.Barrier(2)
+
+    def run(lps):
+        start.wait()
+        return scenario._highs(), [solved_bits(lps) for _ in range(3)]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        (first, got_a), (second, got_b) = pool.map(run, halves)
+    assert first is not second
+    assert scenario._highs() not in (first, second)
+    assert got_a == [want[0]] * 3
+    assert got_b == [want[1]] * 3
+
+
+def test_solver_is_rebuilt_in_another_process(monkeypatch):
+    # a forked worker inherits its parent's thread-local copy, which it
+    # must not use
+    ours = scenario._highs()
+    monkeypatch.setattr(scenario.os, "getpid", lambda: -1)
+    theirs = scenario._highs()
+    assert theirs is not ours
+    assert scenario._highs() is theirs
+
+
 # ---------------------------------------------------------------------------
 # end-to-end runs
 
@@ -614,6 +700,31 @@ def test_empty_draws_rejected():
     for mixture in (None, build_mixture(poly, m, g)):
         with pytest.raises(ValueError, match="at least one row"):
             next(projected_draws(m.row_factor, 0, 0, mixture))
+
+
+def test_projected_blocks_are_rows_by_draws(case30):
+    # a Gaussian draw over two blocks and one mixture block: each block is
+    # R z' of its part of the documented stream, bit for bit, and the
+    # offsets are the rows' own less their maximum over every block
+    prep = _prepared(case30)
+    r = prep.margins.row_factor
+    n, seed = scenario.CHUNK + 3, 12
+    rng = np.random.default_rng(seed)
+    blocks = list(projected_draws(r, n, seed))
+    assert [y.shape for y in blocks] == [(r.shape[0], size) for size in chunk_sizes(n)]
+    assert len(blocks) == 2
+    for y in blocks:
+        assert y.flags.c_contiguous
+        assert y.tobytes() == (r @ rng.standard_normal((y.shape[1], r.shape[1])).T).tobytes()
+    worst = np.concatenate(blocks, axis=1).max(axis=1)
+    assert _offsets(prep, "sa", n, seed).tobytes() == (prep.poly.offsets - worst).tobytes()
+
+    (y,) = projected_draws(r, 700, seed, prep.mixture)
+    w, _ = sample_mixture_batch(prep.mixture, 700, np.random.default_rng(seed))
+    assert y.shape == (r.shape[0], 700)
+    assert y.tobytes() == (r @ w.T).tobytes()
+    want = np.minimum(prep.poly.offsets - y.max(axis=1), prep.poly.offsets - prep.margins.delta)
+    assert _offsets(prep, "sa-is", 700, seed).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case_name", ["case30", "case57"])
