@@ -7,10 +7,10 @@ eta; they also hold R = W U, the one view of xi that every row reads.
 Rows invisible to the uncertainty (zero variance along the normal)
 stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
 is what the margins cover. Its probability pi (estimate_pi, which no
-code in the package calls) enters only the filtered sample size bound;
-sweep1d takes pi = Phi(a - b) in closed form and nsamples takes --pi
-from the user. An experiment's certified count comes from the total
-tail mass instead (scenario.sample_size_mixture).
+code in the package calls) enters only the filtered sample size bound,
+for which nsamples takes --pi from the user. An experiment's certified
+count, and sweep1d's, comes from the total tail mass instead
+(scenario.sample_size_mixture).
 """
 from __future__ import annotations
 

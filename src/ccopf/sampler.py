@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .grid import FeasibilityPolytope
-from .kernels import norm_isf
+from .kernels import norm_isf  # noqa: F401  (perfbench/test_perfbench.py reads it)
+from .kernels import tail_quantile
 from .margins import GaussianSpec, MarginSet
 
 _UNIT_TOL = 1e-9
@@ -135,9 +136,9 @@ def sample_mixture_batch(
 
     Each row, in support coordinates (from_reduced maps it to the buses),
     draws a standard normal and replaces its coordinate along its
-    component's axis with a truncated-tail draw: the quantile of
-    p_i * u, u in (0, 1], lies at or above the threshold, so every row
-    lands in its component's half-space.
+    component's axis with a truncated-tail draw (kernels.tail_quantile):
+    the quantile of p_i * u, u in (0, 1], lies at or above the
+    threshold, so every row lands in its component's half-space.
     The draw order is fixed (components, then normals, then tail
     uniforms) so results are reproducible for a given generator state.
     """
@@ -146,9 +147,7 @@ def sample_mixture_batch(
     comps = rng.choice(ms.n_components, size=n, p=ms.weights)
     z = rng.standard_normal((n, ms.reduced_dim))
     u = 1.0 - rng.random(n)
-    beta = ms.thresholds[comps]
-    probs = ms.tail_probs[comps]
-    y = np.maximum(norm_isf(probs * u), beta)
+    y = tail_quantile(ms.thresholds[comps], ms.tail_probs[comps], u)
     axes = ms.reduced_directions[comps]
     w = z + axes * (y - np.einsum("ij,ij->i", axes, z))[:, None]
     return w, comps

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import FeasibilityPolytope, GridCase, bundled_case_path, load_case
 from .grid import build_matrices  # noqa: F401  (perfbench/test_perfbench.py reads it)
-from .kernels import norm_cdf, norm_isf, tail_quantile
+from .kernels import norm_isf, norm_sf, tail_quantile
 from .margins import GaussianSpec, compute_margins
 from .sampler import build_mixture
 from .scenario import (
@@ -29,11 +29,9 @@ from .scenario import (
     DispatchSolution,
     PreparedProblem,
     SolverError,
-    chunk_sizes,
     prepare_problem,
     projected_draws,
     sample_size_cc,
-    sample_size_filtered,
     sample_size_mixture,
     scenario_offsets,
     solve_prepared,
@@ -152,11 +150,14 @@ def sweep_1d(
     """Trade hard offset against certified scenario count on the 1-D problem.
 
     For each hard offset b between the exact optimum and a, the deviations
-    below a - b are covered by construction, so the certified count drops
-    to the filtered bound at pi = Phi(a - b). Each repetition draws that
-    many tail deviations, in chunk_sizes blocks of one stream so memory
-    stays bounded for any count, and solves; the row reports the fraction
-    of repetitions whose optimiser satisfies the chance constraint.
+    below the margin a - b are covered by construction, so the draws are
+    the one-component tail mixture's, of mass S = norm_sf(a - b), and the
+    count is n = sample_size_mixture(eta, delta, 1, S). A repetition keeps
+    the largest of its n tail draws; tail_quantile decreases in u, so that
+    is tail_quantile(a - b, S, u_min), u_min the least of n uniforms on
+    (0, 1]. P(u_min > t) = (1 - t)**n gives u_min = 1 - (1 - r)**(1 / n)
+    for one uniform r, so a repetition costs O(1) for any n. A row holds
+    the share of repetitions whose optimiser meets the chance constraint.
 
     Returns rows (b, feasibility_rate, n_scenarios).
     """
@@ -171,23 +172,22 @@ def sweep_1d(
         raise ValueError(f"need at least two grid points, got {n_grid}")
     if reps < 1:
         raise ValueError(f"need at least one repetition, got {reps}")
-    z = float(norm_isf(eta)) + 0.0
-    x_exact = a - z
+    x_exact = a - (float(norm_isf(eta)) + 0.0)
     rows: list[tuple[float, float, int]] = []
     for j, b in enumerate(np.linspace(x_exact, a, n_grid)):
         margin = a - float(b)
-        pi = float(norm_cdf(margin))
-        n = sample_size_filtered(eta, delta, 1, pi)
-        p_tail = 1.0 - pi
-        feasible = 0
-        for k in range(reps):
-            rng = np.random.default_rng((seed, j, k))
-            worst = max(float(np.max(tail_quantile(margin, p_tail, 1.0 - rng.random(size))))
-                        for size in chunk_sizes(n))
-            x_hat = a - worst
-            feasible += x_hat <= x_exact + tol
-        rows.append((float(b), feasible / reps, n))
+        p_tail = float(norm_sf(margin))
+        n = sample_size_mixture(eta, delta, 1, p_tail)
+        u_min = _min_uniform(np.random.default_rng((seed, j)).random(reps), n)
+        x_hat = a - tail_quantile(margin, p_tail, u_min)
+        rows.append((float(b), int(np.count_nonzero(x_hat <= x_exact + tol)) / reps, n))
     return rows
+
+
+def _min_uniform(r: np.ndarray, n: int) -> np.ndarray:
+    """Least of n uniforms on (0, 1] from each output r of Generator.random."""
+    # r = 0 reads as its neighbour 2**-53, so u_min > 0 and tail draws stay finite
+    return -np.expm1(np.log1p(-np.maximum(r, 2.0**-53)) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,13 @@ def test_sweep_to_stdout(capsys):
     assert [int(line.split(",")[2]) for line in lines[1:]] == [13, 29, 58, 101, 155]
 
 
+def test_sweep_at_tiny_eta(capsys):
+    code, out, err = run_cli(["sweep1d", "--eta", "1e-17", "--grid", "2", "--reps", "1"], capsys)
+    assert code == 0
+    assert "covered mass pi" not in err
+    assert out.splitlines()[-1] == "0.0,1.0,4374911676688686592"
+
+
 def test_sweep_to_file(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(

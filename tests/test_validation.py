@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
@@ -32,7 +33,7 @@ from ccopf import (
     solve_prepared,
     sweep_1d,
 )
-from ccopf.kernels import norm_cdf, norm_isf
+from ccopf.kernels import norm_cdf, norm_isf, norm_sf, tail_quantile
 from ccopf.validation import load_case_ref, resolve_scenario_count
 from ccopf.scenario import sample_size_cc, sample_size_mixture
 from conftest import TRIANGLE_TEXT, iid_gaussian
@@ -237,8 +238,9 @@ def test_sweep_matches_frozen_run():
 
 
 def test_sweep_draws_stream_in_bounded_memory():
-    # drawn at once, the 18.4M uniforms and their tail deviations held
-    # about 442 MB
+    # a repetition draws only its worst tail deviation, in closed form, so
+    # memory does not grow with the count; the 18.4M explicit uniforms and
+    # tail deviations of the last point would hold about 442 MB at once
     tracemalloc.start()
     try:
         rows = sweep_1d(0.0, 1e-6, 0.01, 2, 1, 0)
@@ -247,6 +249,38 @@ def test_sweep_draws_stream_in_bounded_memory():
         tracemalloc.stop()
     assert rows == [(-4.753424308822899, 1.0, 13), (0.0, 1.0, 18_420_683)]
     assert peak < 4e6
+
+
+def test_sweep_finishes_at_tiny_eta():
+    # the last count is beyond any per-draw loop, and 1 - norm_cdf(margin)
+    # would round the first point's tail mass to 0
+    rows = sweep_1d(0.0, 1e-17, 0.01, 2, 1, 0)
+    assert [n for _, _, n in rows] == [13, 4374911676688686592]
+    assert [rate for _, rate, _ in rows] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 50, 500])
+def test_sweep_worst_draw_matches_explicit_maximum(n):
+    from scipy.stats import ks_2samp
+
+    margin, p_tail, m = 0.7, float(norm_sf(0.7)), 2000
+    rng = np.random.default_rng((17, n))
+    closed = tail_quantile(margin, p_tail, validation._min_uniform(rng.random(m), n))
+    # the reference: the largest of n explicit tail draws per repetition
+    explicit = tail_quantile(margin, p_tail, 1.0 - rng.random((m, n))).max(axis=1)
+    assert ks_2samp(closed, explicit).pvalue > 0.01
+
+
+@pytest.mark.parametrize("n", [1, 50, 4374911676688686592])
+def test_min_uniform_stays_in_unit_interval_at_generator_extremes(n):
+    r = np.array([0.0, 1.0 - 2.0**-53])  # the smallest and largest Generator.random
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = validation._min_uniform(r, n)
+        worst = tail_quantile(8.5, float(norm_sf(8.5)), u)
+    assert np.all((u > 0.0) & (u <= 1.0))
+    assert u[0] < u[1]
+    assert np.all(np.isfinite(worst))
 
 
 def test_sweep_counts_grow_with_offset():
