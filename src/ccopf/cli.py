@@ -24,7 +24,13 @@ import numpy as np
 
 from .grid import CaseError
 from .kernels import BACKEND, norm_isf, norm_sf
-from .scenario import SolverError, sample_size_cc, sample_size_filtered, sample_size_is
+from .scenario import (
+    CountOverflowError,
+    SolverError,
+    sample_size_cc,
+    sample_size_filtered,
+    sample_size_is,
+)
 from .validation import (
     METHODS,
     ExperimentConfig,
@@ -313,7 +319,13 @@ def _cmd_nsamples(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = sweep_1d(args.a, args.eta, args.delta, args.grid, args.reps, args.seed)
+    try:
+        rows = sweep_1d(args.a, args.eta, args.delta, args.grid, args.reps, args.seed)
+    except CountOverflowError:
+        # the counts grow as eta falls; at eta in (0, 0.5] no other argument overflows them
+        raise _UsageError(
+            f"--eta {args.eta:g} is too small: the certified scenario count overflows a float"
+        ) from None
     text = _csv_text(["hard_offset", "feasibility_rate", "n_scenarios"], rows)
     if args.out is None:
         sys.stdout.write(text)

@@ -10,20 +10,25 @@ with the generator at the slack bus absorbing the power balance. A
 PreparedProblem holds everything but the draws, so repeated solves
 rebuild nothing, and every solve in a process and thread loads its LP
 into the same HiGHS instance.
+
+Importing this module loads nothing from SciPy. The first solve loads
+the HiGHS binding from its file (_highs), and only the linprog name,
+which the benchmark's tracer counts iterations through, imports
+scipy.optimize.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
 import numpy as np
-import scipy.optimize._highspy._core as highs
-from scipy.optimize import linprog  # noqa: F401  (perfbench/layers.py rebinds it by name)
-from scipy.sparse import csc_array
 
 from .grid import CaseValidationError, FeasibilityPolytope, GridCase, GridMatrices
 from .grid import build_matrices, build_polytope
@@ -43,28 +48,44 @@ CHUNK = 1 << 14
 MAX_ROWS = int(np.iinfo(np.intp).max)
 
 
-# The options linprog(method="highs") passes to HiGHS, so a direct solve
-# returns linprog's status and x bit for bit.
-HIGHS_OPTIONS = highs.HighsOptions()
-HIGHS_OPTIONS.presolve = "on"
-HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-HIGHS_OPTIONS.output_flag = False
-HIGHS_OPTIONS.log_to_console = False
-HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-
 # linprog's post-solve tolerance, sqrt(tol) * 10 at its default tol 1e-9:
 # an optimal x off a bound or row by more than this is a solver failure.
 FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 
-_COLWISE = int(highs.MatrixFormat.kColwise)
-_MINIMIZE = int(highs.ObjSense.kMinimize)
+# The HiGHS binding SciPy ships. _load_highs loads it on the first solve
+# and binds it as highs, next to HIGHS_OPTIONS, _COLWISE and _MINIMIZE.
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_HIGHS_LOAD = threading.Lock()
 
 # This thread's HiGHS instance and the (process id, class) that built it.
 _SOLVER = threading.local()
 
 
+def __getattr__(name: str):
+    """The names that need SciPy, bound on first access.
+
+    highs and HIGHS_OPTIONS load the binding as a first solve does.
+    linprog imports scipy.optimize, which the package itself never
+    needs; perfbench/layers.py rebinds it by name. Each name is written
+    into the module dict, where a later access, or a tracer scanning the
+    module's names, finds it.
+    """
+    if name in ("highs", "HIGHS_OPTIONS"):
+        _load_highs()
+    elif name == "linprog":
+        from scipy.optimize import linprog
+        globals()["linprog"] = linprog
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
+
+
 class SolverError(RuntimeError):
     """LP solver failed for reasons other than infeasible/unbounded."""
+
+
+class CountOverflowError(ValueError):
+    """A certified scenario count too large for a float."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +98,9 @@ def _size(epsilon: float, delta: float, d: int, scale: float) -> int:
         + 2.0 * d * scale * math.log(2.0 * scale / epsilon) / epsilon
     )
     if raw == math.inf:
-        raise ValueError(f"scenario count overflows at scale {scale:g} and level {epsilon:g}")
+        raise CountOverflowError(
+            f"scenario count overflows at scale {scale:g} and level {epsilon:g}"
+        )
     return max(0, math.ceil(raw))
 
 def _check_size_args(epsilon: float, delta: float, d: int):
@@ -425,14 +448,14 @@ def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> LinearProgram:
         )
         labels += [("residual-upper", slack_bus), ("residual-lower", slack_bus)]
 
-    columns = csc_array(a_ub)
+    a_start, a_index, a_value = _columns(a_ub)
     return LinearProgram(
         cost=cost,
         cost_offset=offset,
         a_ub=a_ub,
-        a_start=columns.indptr,
-        a_index=columns.indices,
-        a_value=columns.data,
+        a_start=a_start,
+        a_index=a_index,
+        a_value=a_value,
         b_ub=b_ub,
         lower=lower,
         upper=upper,
@@ -446,6 +469,18 @@ def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> LinearProgram:
         residual_at_zero=residual_at_zero,
         n_gens=len(case.generators),
     )
+
+
+def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column starts, row indices and values of a in CSC form.
+
+    The arrays scipy.sparse.csc_array(a) holds as indptr, indices and
+    data: each column's nonzeros in row order, zeros (either sign) left
+    out, int32 indices.
+    """
+    col, row = np.nonzero(a.T)
+    start = np.searchsorted(col, np.arange(a.shape[1] + 1)).astype(np.int32)
+    return start, row.astype(np.int32), a.T[col, row]
 
 
 def _with_offsets(lp: LinearProgram, offsets: np.ndarray) -> LinearProgram:
@@ -520,15 +555,77 @@ def solve(lp: LinearProgram) -> DispatchSolution:
 def _highs() -> highs._Highs:
     """This thread's HiGHS instance, built once per process and thread.
 
-    A forked process builds its own rather than use its parent's copy,
-    and a new instance replaces the old one when highs._Highs is no
-    longer the class that built it.
+    The first call in a process loads the binding (_load_highs). A
+    forked process builds its own instance rather than use its parent's
+    copy, and a new instance replaces the old one when highs._Highs is
+    no longer the class that built it.
     """
+    if "highs" not in globals():
+        _load_highs()
     key = (os.getpid(), highs._Highs)
     if getattr(_SOLVER, "key", None) != key:
         _SOLVER.instance = highs._Highs()
         _SOLVER.key = key
     return _SOLVER.instance
+
+
+def _load_highs() -> None:
+    """Bind the HiGHS binding as highs and build the solve constants, once.
+
+    The binding is the extension module scipy.optimize._highspy._core.
+    Importing it by that name first runs scipy.optimize's __init__,
+    which loads most of SciPy (about 0.3 s beyond scipy.special, and a
+    second OpenBLAS) for nothing a solve uses; the extension alone loads
+    in about 0.02 s. So it is loaded from its file in SciPy's
+    optimize/_highspy folder, found without importing scipy, and is
+    registered in sys.modules under its real name before it executes. A
+    later import of scipy.optimize then reuses that module object, as it
+    must: pybind11 refuses to register the binding's types twice. For
+    the same reason a binding already in sys.modules is reused, and the
+    load runs under a lock, so threads whose first action is a solve
+    load it once.
+
+    HIGHS_OPTIONS are the options linprog(method="highs") passes to
+    HiGHS, so a direct solve returns linprog's status and x bit for bit.
+    """
+    with _HIGHS_LOAD:
+        if "highs" in globals():
+            return
+        core = sys.modules.get(_HIGHS_MODULE)
+        if core is None:
+            core = _load_binding_file()
+        options = core.HighsOptions()
+        options.presolve = "on"
+        options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.output_flag = False
+        options.log_to_console = False
+        options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+        globals().update(
+            HIGHS_OPTIONS=options,
+            _COLWISE=int(core.MatrixFormat.kColwise),
+            _MINIMIZE=int(core.ObjSense.kMinimize),
+        )
+        globals()["highs"] = core  # last: _highs reads it as "all of them are bound"
+
+
+def _load_binding_file():
+    """Load scipy.optimize._highspy._core from its file, under that name."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("SciPy, which ships the HiGHS binding, is not installed")
+    folder = os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec("_core", [folder])
+    if spec is None:
+        raise ImportError(f"no HiGHS binding _core in {folder}")
+    spec.name = _HIGHS_MODULE
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    return core
 
 
 def _package_solution(

@@ -115,6 +115,9 @@ NSAMPLES = ["nsamples", "--eta", "0.05", "--delta", "0.01", "--d", "5"]
           "--reps", "1"], "sa-is: scenario count exceeds the index range"),
         # floats near a are spaced beyond the sweep's feasibility slack
         (["sweep1d", "--a", "1e308", "--grid", "3", "--reps", "2"], "row offset a"),
+        # a subnormal eta: the last offset's certified count exceeds any float
+        (["sweep1d", "--eta", "1e-310", "--grid", "3", "--reps", "2"],
+         "--eta 1e-310 is too small: the certified scenario count overflows a float"),
         # nsamples computes every count before it prints the first
         (NSAMPLES + ["--pi", "0.9", "--M", "inf"], "likelihood ratio bound"),
         (NSAMPLES + ["--pi", "0.9", "--M", "0.5"], "likelihood ratio bound"),
@@ -122,7 +125,7 @@ NSAMPLES = ["nsamples", "--eta", "0.05", "--delta", "0.01", "--d", "5"]
         (NSAMPLES + ["--M", "2"], "--M requires --pi"),
     ],
     ids=["sigma-overflow", "sa-count-overflow", "fixed-count-overflow",
-         "sa-is-fixed-count-overflow", "sweep-large-a", "nsamples-m-inf",
+         "sa-is-fixed-count-overflow", "sweep-large-a", "sweep-tiny-eta", "nsamples-m-inf",
          "nsamples-m-below-one", "nsamples-pi-above-one", "nsamples-m-without-pi"],
 )
 def test_out_of_range_arguments_are_one_error_line(tmp_path, args, message):

@@ -507,7 +507,8 @@ def test_solution_off_its_rows_is_a_solver_error(monkeypatch, case30):
 
 def test_solves_share_the_skeleton_columns(monkeypatch, case30):
     built = []
-    monkeypatch.setattr(scenario, "csc_array", lambda a: built.append(1) or csc_array(a))
+    columns = scenario._columns
+    monkeypatch.setattr(scenario, "_columns", lambda a: built.append(1) or columns(a))
     prep = prepared(case30, 0.05)
     lps = []
     monkeypatch.setattr(scenario, "solve", lps.append)
@@ -518,6 +519,32 @@ def test_solves_share_the_skeleton_columns(monkeypatch, case30):
         assert lp.a_value is prep.lp.a_value
         dense = csc_array((lp.a_value, lp.a_index, lp.a_start), shape=lp.a_ub.shape).toarray()
         assert dense.tobytes() == lp.a_ub.tobytes()
+
+
+def signed_zeros() -> np.ndarray:
+    # explicit 0.0 and -0.0 among the nonzeros, an empty first and last
+    # column, and a column whose only entry is -0.0
+    a = np.zeros((4, 6))
+    a[:, 1] = [1.5, 0.0, -0.0, -2.0]
+    a[:, 2] = [-0.0, 3.0, 0.0, 4.0]
+    a[2, 3] = -0.0
+    a[:, 4] = [0.0, -1e-300, 7.0, -0.0]
+    return a
+
+
+@pytest.mark.parametrize("source", ["case30", "case57", "signed-zeros"])
+def test_skeleton_columns_equal_scipy_csc(request, source):
+    if source == "signed-zeros":
+        a = signed_zeros()
+        got = scenario._columns(a)
+    else:
+        lp = prepared(request.getfixturevalue(source), 0.05).lp
+        a = lp.a_ub
+        got = (lp.a_start, lp.a_index, lp.a_value)
+    want = csc_array(a)
+    for ours, theirs in zip(got, (want.indptr, want.indices, want.data)):
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
 
 
 # HiGHS's x of each thread's last optimal solve, as bytes (see record_x)
