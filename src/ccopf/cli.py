@@ -4,8 +4,7 @@ Subcommands: run (experiments on a grid case), nsamples (certified
 scenario counts), sweep1d (hard-offset versus sample-count trade on the
 1-D problem), validate (quick self-checks). Exit codes: 0 success,
 1 usage, failed validation or unwritable output, 2 unreadable or invalid
-input data, 3 solver breakdown. The CCOPF_SEED environment variable,
-when set, overrides any --seed argument.
+input data, 3 solver breakdown.
 """
 from __future__ import annotations
 
@@ -132,17 +131,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
 
-    if hasattr(args, "seed"):
-        env = os.environ.get("CCOPF_SEED")
-        try:
-            args.seed = args.seed if env is None else int(env)
-        except ValueError:
-            print(f"ccopf: error: CCOPF_SEED={env!r} is not an integer", file=sys.stderr)
-            return EXIT_USAGE
-        if args.seed < 0:  # NumPy's generators take no negative seed
-            source = "--seed" if env is None else "CCOPF_SEED"
-            print(f"ccopf: error: {source} must be non-negative, got {args.seed}", file=sys.stderr)
-            return EXIT_USAGE
+    if hasattr(args, "seed") and args.seed < 0:  # NumPy's generators take no negative seed
+        print(f"ccopf: error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         if args.command == "run":

@@ -476,24 +476,19 @@ def _openblas(entry: str) -> list:
     return found
 
 
-def _one_blas_thread() -> list[tuple[object, int]]:
+def _one_blas_thread() -> None:
     """Set every OpenBLAS that reports more than one thread to one.
 
-    Returns each changed library's set_num_threads and its former count,
-    so the caller can put them back. A library already at one thread is
-    not called: after a fork, OpenBLAS starts its thread server on the
-    first set_num_threads, and those threads busy-wait before they sleep.
+    A library already at one thread is not called: after a fork, OpenBLAS
+    starts its thread server on the first set_num_threads, and those
+    threads busy-wait before they sleep.
     """
-    saved = []
     gets, sets = _openblas("get_num_threads"), _openblas("set_num_threads")
     for get, set_threads in zip(gets, sets, strict=True):
         get.argtypes, get.restype = [], ctypes.c_int
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        count = get()
-        if count > 1:
+        if get() > 1:
             set_threads(1)
-            saved.append((set_threads, count))
-    return saved
 
 
 def _usable_cores() -> int:
@@ -535,11 +530,12 @@ def run_experiment(
     method-major. problem, when given, is prepare_experiment(config), so
     a caller that already prepared the case does not prepare it twice.
     With jobs > 1 the repetitions go to min(jobs, reps, usable cores)
-    pool workers; each receives the prepared experiment once and uses one
-    BLAS thread. The workers inherit that thread count: while the pool
-    runs, every OpenBLAS of the calling process is set to one thread, so
-    other threads of the caller doing BLAS meanwhile see one thread too,
-    and the former counts are restored when the pool closes.
+    pool workers, each of which receives the prepared experiment once;
+    jobs is the only parallelism of a run. Before the first repetition,
+    every OpenBLAS of the calling process is set to one thread, and the
+    run leaves it there: forked workers inherit that count, and a worker
+    started by spawn or forkserver sets it in _start_worker for the
+    libraries it has loaded by then.
     """
     if problem is None:
         problem = prepare_experiment(config)
@@ -547,17 +543,13 @@ def run_experiment(
     resolved = {m: resolve_scenario_count(config, case, m, problem) for m in config.methods}
     nominal = _solve(problem, "sa", 0, config.seed) if "dc-opf" in config.methods else None
     experiment = _Experiment(config, problem, resolved, nominal)
+    _one_blas_thread()
     workers = min(config.jobs, config.reps, _usable_cores())
     if workers > 1:
-        saved = _one_blas_thread()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_start_worker, initargs=(experiment,)
-            ) as pool:
-                by_rep = list(pool.map(_rep_in_worker, range(config.reps)))
-        finally:
-            for set_threads, count in saved:
-                set_threads(count)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(experiment,)
+        ) as pool:
+            by_rep = list(pool.map(_rep_in_worker, range(config.reps)))
     else:
         by_rep = [_run_rep(experiment, rep) for rep in range(config.reps)]
     records = tuple(

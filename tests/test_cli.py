@@ -64,7 +64,6 @@ def test_malformed_case_is_data_error(tmp_path, capsys):
 def run_child(args):
     # a child process, so an escaping exception shows as a traceback
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    env.pop("CCOPF_SEED", None)
     return subprocess.run(
         [sys.executable, "-m", "ccopf", *args], env=env, capture_output=True, text=True
     )
@@ -447,22 +446,6 @@ def test_sweep_to_file(tmp_path, capsys):
     assert len(rows) == 4
 
 
-def test_seed_env_overrides_flag(capsys, monkeypatch):
-    base, _, _ = (lambda r: (r[1], None, None))(
-        run_cli(["sweep1d", "--grid", "3", "--reps", "4", "--seed", "123"], capsys)
-    )
-    monkeypatch.setenv("CCOPF_SEED", "123")
-    _, with_env, _ = run_cli(["sweep1d", "--grid", "3", "--reps", "4", "--seed", "55"], capsys)
-    assert with_env == base
-
-
-def test_bad_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("CCOPF_SEED", "pi")
-    code, _, err = run_cli(["sweep1d", "--grid", "3", "--reps", "2"], capsys)
-    assert code == 1
-    assert "CCOPF_SEED" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -470,20 +453,13 @@ def test_bad_seed_env(capsys, monkeypatch):
         ["sweep1d", "--grid", "3", "--reps", "2"],
         ["validate"],
     ],
-    ids=["run", "sweep1d", "validate"],
+    ids=["flag-run", "flag-sweep1d", "flag-validate"],
 )
-@pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
-def test_negative_seed_is_refused_before_any_work(capsys, monkeypatch, argv, from_env):
-    if from_env:
-        monkeypatch.setenv("CCOPF_SEED", "-1")
-    else:
-        monkeypatch.delenv("CCOPF_SEED", raising=False)
-        argv = argv + ["--seed", "-1"]
-    code, out, err = run_cli(argv, capsys)
+def test_negative_seed_is_refused_before_any_work(capsys, argv):
+    code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
     assert code == 1
     assert out == ""
-    source = "CCOPF_SEED" if from_env else "--seed"
-    assert err == f"ccopf: error: {source} must be non-negative, got -1\n"
+    assert err == "ccopf: error: --seed must be non-negative, got -1\n"
 
 
 # ---------------------------------------------------------------------------

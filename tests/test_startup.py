@@ -34,7 +34,6 @@ def prepared_lp():
 
 def run_script(body: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    env.pop("CCOPF_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
         env=env, capture_output=True, text=True, timeout=120,

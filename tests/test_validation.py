@@ -4,7 +4,10 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -708,17 +711,85 @@ def _worker_blas_threads() -> list[int]:
     return counts
 
 
-def test_pool_workers_use_one_blas_thread():
-    before = _worker_blas_threads()
-    if not before:
+@pytest.fixture
+def threaded_blas():
+    # the caller's OpenBLAS libraries at two threads each, so a run or a
+    # worker has counts to lower; the former counts are restored after
+    sets = validation._openblas("set_num_threads")
+    if not sets:
         pytest.skip("no OpenBLAS library found")
+    before = _worker_blas_threads()
+    for set_threads in sets:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(2)
+    yield _worker_blas_threads()
+    for set_threads, count in zip(sets, before, strict=True):
+        set_threads(count)
+
+
+def test_pool_workers_use_one_blas_thread(threaded_blas):
+    # a forked worker starts at the caller's two threads, so only
+    # _start_worker brings it to one
     with ProcessPoolExecutor(
         max_workers=1, initializer=validation._start_worker, initargs=(None,)
     ) as pool:
         in_worker = pool.submit(_worker_blas_threads).result()
-    assert in_worker == [1] * len(before)
+    assert in_worker == [1] * len(threaded_blas)
     # the caller's own BLAS is left alone
-    assert _worker_blas_threads() == before
+    assert _worker_blas_threads() == threaded_blas
+
+
+def test_spawned_workers_use_one_blas_thread(monkeypatch):
+    # a spawned worker shares no memory with the caller and starts at the
+    # environment's count (capped at the cores): _start_worker is the only
+    # place that count is lowered
+    if not _worker_blas_threads():
+        pytest.skip("no OpenBLAS library found")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn"),
+        initializer=validation._start_worker, initargs=(None,),
+    ) as pool:
+        in_worker = pool.submit(_worker_blas_threads).result()
+    # the worker loads only the libraries it imports, so count its own
+    assert set(in_worker) == {1}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_leaves_one_blas_thread(monkeypatch, threaded_blas, jobs):
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
+                                    n_test=100, jobs=jobs))
+    # SciPy's OpenBLAS may have loaded during the run: every library counts
+    assert set(_worker_blas_threads()) == {1}
+
+
+_POOLED_RUN_THREADS = """
+import os
+import ccopf.validation as validation
+from ccopf import ExperimentConfig, run_experiment
+validation._usable_cores = lambda: 2
+before = len(os.listdir("/proc/self/task"))
+run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
+                                n_test=100, jobs=2))
+print(before, len(os.listdir("/proc/self/task")))
+"""
+
+
+def test_pooled_run_ends_with_no_more_os_threads():
+    # a fresh interpreter, whose run loads SciPy's OpenBLAS with its thread
+    # server running: the fork shuts every server down, and a count set
+    # after it would start that server again
+    if not _worker_blas_threads():
+        pytest.skip("no OpenBLAS library found")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count threads")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _POOLED_RUN_THREADS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split())
+    assert after <= before
 
 
 def _threads_after_blas(report_dir, rep: int) -> None:
@@ -755,42 +826,6 @@ def test_pool_workers_never_start_blas_threads(monkeypatch, tmp_path):
         assert report["pid"] != os.getpid()
         assert report["blas"] == [1] * len(_worker_blas_threads())
         assert report["os_threads"] == 1
-
-
-@pytest.fixture
-def threaded_blas():
-    # the caller's OpenBLAS libraries at two threads each, so a run has
-    # counts to lower and put back; the former counts are restored after
-    sets = validation._openblas("set_num_threads")
-    if not sets:
-        pytest.skip("no OpenBLAS library found")
-    before = _worker_blas_threads()
-    for set_threads in sets:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(2)
-    yield _worker_blas_threads()
-    for set_threads, count in zip(sets, before, strict=True):
-        set_threads(count)
-
-
-def test_pooled_run_restores_the_callers_blas_threads(monkeypatch, threaded_blas):
-    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
-    config = ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
-                              n_test=100, jobs=2)
-    run_experiment(config)
-    assert _worker_blas_threads() == threaded_blas
-
-    run_rep = validation._run_rep
-
-    def fail_on_rep_1(experiment, rep):
-        if rep == 1:
-            raise RuntimeError("repetition 1 broke")
-        return run_rep(experiment, rep)
-
-    monkeypatch.setattr(validation, "_run_rep", fail_on_rep_1)
-    with pytest.raises(RuntimeError, match="repetition 1 broke"):
-        run_experiment(config)
-    assert _worker_blas_threads() == threaded_blas
 
 
 def test_experiment_records_infeasible_runs(tmp_path):
