@@ -207,10 +207,13 @@ def _cmd_run(args) -> int:
     # every count is resolved, and refused if out of range, before the first line
     counts = {m: resolve_scenario_count(config, problem.case, m, problem) for m in config.methods}
     for method, n in counts.items():
-        origin = "fixed" if config.scenarios != "auto" or method == "dc-opf" else "certified bound"
-        if method == "sa-is" and config.scenarios == "auto":
+        if config.scenarios != "auto" or method == "dc-opf":
+            origin = "fixed"
+        elif method == "sa":
+            origin = "closed-form bound"
+        else:
             k, s = (0, 0.0) if mix is None else (mix.n_components, mix.tail_mass)
-            origin += f"; K={k} stochastic rows, tail mass S={s:.3g}"
+            origin = f"exact binomial bound at eta/S; K={k} stochastic rows, tail mass S={s:.3g}"
         print(f"{method}: {n} scenarios ({origin})")
 
     report = run_experiment(config, problem)

@@ -9,7 +9,8 @@ stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
 is what the margins cover. Its probability pi (estimate_pi, which no
 code in the package calls) enters only the filtered sample size bound,
 for which nsamples takes --pi from the user. An experiment's certified
-count, and sweep1d's, comes from the total tail mass instead
+sa-is count comes from the total tail mass instead
+(scenario.sample_size_exact at eta / S), and so does sweep1d's
 (scenario.sample_size_mixture).
 """
 from __future__ import annotations

@@ -6,7 +6,8 @@ weighted proportionally to their tail probabilities p_i, so the mixture
 density is q = phi |A| / S, with S = sum(p) the total tail mass and A the
 set of half-spaces containing the point. The likelihood ratio phi / q =
 S / |A| is therefore at most S outside the inner set, which certifies the
-sa-is scenario count (scenario.sample_size_mixture). Against the plain
+sa-is scenario count (scenario.sample_size_mixture in closed form,
+scenario.sample_size_exact by exact binomial inversion). Against the plain
 Gaussian conditioned on the outside of the inner set, the ratio is at
 most the looser M = S / max(p). Draws, densities and ratios all live in
 the support coordinates of the uncertainty (scenario.projected_draws

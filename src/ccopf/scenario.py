@@ -32,6 +32,7 @@ import numpy as np
 
 from .grid import CaseValidationError, FeasibilityPolytope, GridCase, GridMatrices
 from .grid import build_matrices, build_polytope
+from .kernels import binom_cdf
 from .margins import GaussianSpec, MarginSet, compute_margins
 from .sampler import MixtureSampler, build_mixture, sample_mixture_batch
 
@@ -103,9 +104,10 @@ def _size(epsilon: float, delta: float, d: int, scale: float) -> int:
         )
     return max(0, math.ceil(raw))
 
-def _check_size_args(epsilon: float, delta: float, d: int):
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"violation level must lie in (0, 1), got {epsilon}")
+def _check_size_args(epsilon: float, delta: float, d: int, top: str = ")"):
+    # top is "]" where a violation level of 1 is allowed
+    if not (0.0 < epsilon <= 1.0 if top == "]" else 0.0 < epsilon < 1.0):
+        raise ValueError(f"violation level must lie in (0, 1{top}, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"confidence delta must lie in (0, 1), got {delta}")
     if d < 1:
@@ -168,12 +170,46 @@ def sample_size_mixture(eta: float, delta: float, d: int, tail_mass: float) -> i
     The count is the classical bound with eta / S in place of eta; S < 1
     gives fewer scenarios than classical sampling. Margins at the upper
     eta quantile give every row p_i = eta, so S = K eta for K stochastic
-    rows and the count does not depend on eta.
+    rows and the count does not depend on eta. The exact binomial count
+    at eta / S (sample_size_exact) gives the same guarantee with fewer
+    draws; it is the one run experiments use.
     """
     _check_size_args(eta, delta, d)
     if not 0.0 < tail_mass < math.inf:
         raise ValueError(f"total tail mass must be finite and positive, got {tail_mass}")
     return _size(eta, delta, d, tail_mass)
+
+
+def sample_size_exact(epsilon: float, delta: float, d: int) -> int:
+    """Smallest N with P(Binomial(N, epsilon) <= d - 1) <= delta.
+
+    This is the exact condition of Campi & Garatti 2008 ("The exact
+    feasibility of randomized solutions of uncertain convex programs"):
+    for a convex scenario program in d variables whose N scenarios are
+    drawn i.i.d. from any law Q, the solution's violation probability
+    under Q exceeds epsilon with probability at most
+    P(Binomial(N, epsilon) <= d - 1). The law is arbitrary, so Q may be
+    the tail mixture q of sample_size_mixture. That function's argument
+    gives P(V) <= S Q(V) for the violation event V of any dispatch that
+    meets the margin-tightened rows, S being the total tail mass. At
+    epsilon = min(eta / S, 1), N draws from q therefore give
+    P(V) <= S epsilon <= eta with confidence 1 - delta. At epsilon = 1
+    (a single stochastic row, S about eta) every N >= d qualifies, so
+    the count is d.
+
+    The closed form sample_size_cc(epsilon, delta, d) implies the exact
+    condition, so N is never larger: N is bisected between d and that
+    count, over a probability that falls as N grows.
+    """
+    _check_size_args(epsilon, delta, d, top="]")
+    lo, hi = d - 1, _size(epsilon, delta, d, 1.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if binom_cdf(d - 1, mid, epsilon) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

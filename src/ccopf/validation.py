@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels, scenario
 from .grid import FeasibilityPolytope, GridCase, bundled_case_path, load_case
 from .grid import build_matrices  # noqa: F401  (perfbench/test_perfbench.py reads it)
 from .kernels import norm_isf, norm_sf, tail_quantile
@@ -32,6 +33,7 @@ from .scenario import (
     prepare_problem,
     projected_draws,
     sample_size_cc,
+    sample_size_exact,
     sample_size_mixture,
     scenario_offsets,
     solve_prepared,
@@ -197,10 +199,10 @@ def _min_uniform(r: np.ndarray, n: int) -> np.ndarray:
 class ExperimentConfig:
     """Everything needed to reproduce an experiment run.
 
-    scenarios is a fixed count or 'auto' for the certified bound
-    (classical for sa; for sa-is the classical bound at eta / S, with S
-    the tail mixture's total tail mass, see sample_size_mixture). The
-    dc-opf method ignores it.
+    scenarios is a fixed count or 'auto' for the certified bound (the
+    closed-form classical bound for sa; for sa-is the exact binomial
+    bound at eta / S, with S the tail mixture's total tail mass, see
+    sample_size_exact). The dc-opf method ignores it.
     """
 
     case: str
@@ -352,13 +354,15 @@ def resolve_scenario_count(
     """Scenario count a method will use under this config.
 
     Fixed counts pass through (dc-opf always uses none). 'auto' applies
-    the certified bounds: the classical one for sa; for sa-is the
-    classical one at eta / S (sample_size_mixture), S being the tail
-    mass of the prepared problem's mixture, and 0 when it has none (no
-    stochastic row). That bound is closed-form, so no covered mass is
-    estimated, and it does not depend on eta. problem, when given, is
-    this config's prepared case; otherwise the sa-is count prepares one.
-    A count no draw can hold (above scenario.MAX_ROWS) is refused.
+    the certified bounds: the closed-form classical one for sa
+    (sample_size_cc); for sa-is the exact binomial one at
+    eps = min(eta / S, 1) (sample_size_exact), S being the tail mass of
+    the prepared problem's mixture, and 0 when it has none (no
+    stochastic row). No covered mass is estimated, and since S = K eta
+    for K stochastic rows, the sa-is count does not depend on eta.
+    problem, when given, is this config's prepared case; otherwise the
+    sa-is count prepares one. A count no draw can hold (above
+    scenario.MAX_ROWS) is refused.
     """
     if method == "dc-opf":
         return 0
@@ -371,7 +375,9 @@ def resolve_scenario_count(
         if problem is None:
             problem = _prepare(config, case)
         mix = problem.mixture
-        n = 0 if mix is None else sample_size_mixture(config.eta, config.delta, d, mix.tail_mass)
+        n = 0 if mix is None else sample_size_exact(
+            min(config.eta / mix.tail_mass, 1.0), config.delta, d
+        )
     if n > MAX_ROWS:
         raise ValueError(f"{method}: scenario count exceeds the index range ({MAX_ROWS})")
     return n
@@ -505,10 +511,15 @@ _WORKER_EXPERIMENT: _Experiment | None = None
 
 def _start_worker(experiment: _Experiment) -> None:
     # every worker gets one BLAS thread: the workers already fill the
-    # cores, and more threads per worker only oversubscribe them. A worker
-    # forked by run_experiment inherits one thread and calls nothing here.
+    # cores, and more threads per worker only oversubscribe them. SciPy's
+    # OpenBLAS is mapped first (scipy.special and the HiGHS binding), so a
+    # spawn or forkserver worker lowers it too. A worker forked by
+    # run_experiment has scipy.special and one thread per library already;
+    # the binding, if its parent never solved, loads here, not on a solve.
     global _WORKER_EXPERIMENT
     _WORKER_EXPERIMENT = experiment
+    kernels._special()
+    scenario._load_highs()
     _one_blas_thread()
 
 

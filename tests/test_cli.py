@@ -266,7 +266,7 @@ def test_run_auto_counts_labelled_certified(tri_path, capsys):
     )
     assert code == 0
     want = sample_size_cc(0.05, 0.01, 1)
-    assert f"sa: {want} scenarios (certified bound)" in out
+    assert f"sa: {want} scenarios (closed-form bound)" in out
 
 
 def test_run_auto_sa_is_count_names_its_basis(capsys):
@@ -276,7 +276,8 @@ def test_run_auto_sa_is_count_names_its_basis(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == (
-        "sa-is: 5656 scenarios (certified bound; K=92 stochastic rows, tail mass S=4.6)"
+        "sa-is: 1064 scenarios "
+        "(exact binomial bound at eta/S; K=92 stochastic rows, tail mass S=4.6)"
     )
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 import ccopf.scenario as scenario
+from ccopf import kernels
 from ccopf import (
     ExperimentConfig,
     GaussianSpec,
@@ -36,6 +38,7 @@ from ccopf import (
     run_sa_is,
     sample_mixture_batch,
     sample_size_cc,
+    sample_size_exact,
     sample_size_filtered,
     sample_size_is,
     sample_size_mixture,
@@ -135,6 +138,52 @@ def test_size_ordering_property(eta, delta, d, pi, M):
     assert sample_size_is(eta, delta, d, pi, M) >= d
 
 
+# criterion 4's grid, then the bundled cases' sa-is levels 1 / K at eta
+# 0.05 (K = 92 rows and d = 5 on case30, K = 14 and d = 6 on case57)
+EXACT_ARGS = [args[:3] for args in CC_SIZES] + [
+    (eps, 0.01, d) for eps in (1 / 92, 1 / 14) for d in (5, 6)
+]
+
+
+@pytest.mark.parametrize("epsilon, delta, d", EXACT_ARGS)
+def test_exact_size_is_the_smallest_meeting_the_binomial_condition(epsilon, delta, d):
+    n = sample_size_exact(epsilon, delta, d)
+    assert kernels.binom_cdf(d - 1, n, epsilon) <= delta
+    assert kernels.binom_cdf(d - 1, n - 1, epsilon) > delta
+    assert d <= n <= sample_size_cc(epsilon, delta, d)
+
+
+def test_exact_size_at_unit_level_is_the_dimension():
+    # one stochastic row at S = eta: every draw lands in its tail
+    for d in (1, 5, 40):
+        assert sample_size_exact(1.0, 0.01, d) == d
+
+
+@given(
+    st.floats(min_value=1e-4, max_value=0.999),
+    st.floats(min_value=1e-6, max_value=0.999),
+    st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=150, deadline=None)
+def test_exact_size_never_exceeds_the_closed_form(epsilon, delta, d):
+    assert d <= sample_size_exact(epsilon, delta, d) <= sample_size_cc(epsilon, delta, d)
+
+
+# table B's points: (k = d - 1, n, p) for case30 sa-is and case57 sa-is at
+# eta 0.05, and case30 sa at eta 1e-3
+BINOM_POINTS = [(4, 1064, 1 / 92), (5, 180, 1 / 14), (4, 11601, 1e-3)]
+
+
+@pytest.mark.parametrize("k, n, p", BINOM_POINTS)
+def test_binomial_cdf_matches_mpmath(k, n, p):
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)  # the double's exact value
+        want = mpmath.fsum(
+            mpmath.binomial(n, j) * q**j * (1 - q) ** (n - j) for j in range(k + 1)
+        )
+        assert abs(kernels.binom_cdf(k, n, p) - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -153,6 +202,13 @@ def test_size_ordering_property(eta, delta, d, pi, M):
         lambda: sample_size_is(0.05, 0.01, 2, 0.5, 1e308),  # finite, but the count overflows
         lambda: sample_size_mixture(0.05, 0.01, 2, math.inf),
         lambda: sample_size_mixture(0.05, 0.01, 2, math.nan),
+        lambda: sample_size_exact(0.0, 0.01, 2),
+        lambda: sample_size_exact(1.5, 0.01, 2),
+        lambda: sample_size_exact(math.nan, 0.01, 2),
+        lambda: sample_size_exact(0.05, 0.0, 2),
+        lambda: sample_size_exact(0.05, 1.0, 2),
+        lambda: sample_size_exact(0.05, 0.01, 0),
+        lambda: sample_size_exact(1e-320, 0.01, 2),  # the closed form overflows
     ],
 )
 def test_size_argument_validation(call):
@@ -436,8 +492,8 @@ LP_FAMILIES = [
     for method in ("sa", "sa-is")
     for scenarios in (600, "auto")
 ] + [
-    # 5,656 mixture draws: extreme tail scenarios empty the feasible set
-    # on 6 of seeds 0-7 (ROADMAP item 5)
+    # 1,064 mixture draws: extreme tail scenarios empty the feasible set
+    # on 1 of seeds 0-7 (6 of them at the closed-form count, 5,656)
     ("case30", "sa-is", 1e-4, "auto"),
 ]
 

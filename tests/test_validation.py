@@ -18,6 +18,7 @@ import pytest
 
 import ccopf.scenario as scenario
 import ccopf.validation as validation
+from ccopf import kernels
 from ccopf import (
     ExperimentConfig,
     ExperimentReport,
@@ -29,6 +30,7 @@ from ccopf import (
     build_uncertainty,
     bundled_case_path,
     out_of_sample_confidence,
+    parse_case,
     prepare_problem,
     run_experiment,
     run_sa_is,
@@ -36,9 +38,9 @@ from ccopf import (
     solve_prepared,
     sweep_1d,
 )
-from ccopf.kernels import norm_cdf, norm_isf, norm_sf, tail_quantile
+from ccopf.kernels import binom_cdf, norm_cdf, norm_isf, norm_sf, tail_quantile
 from ccopf.validation import load_case_ref, resolve_scenario_count
-from ccopf.scenario import sample_size_cc, sample_size_mixture
+from ccopf.scenario import sample_size_cc, sample_size_exact, sample_size_mixture
 from conftest import TRIANGLE_TEXT, iid_gaussian
 
 Z_95 = 1.6448536269514722
@@ -454,11 +456,12 @@ def test_resolve_scenario_counts(tmp_path, case30, case57):
     # degenerate uncertainty needs no scenarios at all
     rigid = ExperimentConfig(case=str(path), scenarios="auto", sigma_frac=0.0)
     assert resolve_scenario_count(rigid, case, "sa-is") == 0
-    # on the bundled cases the sa-is count is the classical bound at eta / S
-    # with S = K eta, so it stays put as eta shrinks; the sa count grows
+    # on the bundled cases the sa-is count is the exact binomial bound at
+    # eta / S with S = K eta, so it stays put as eta shrinks; the sa count
+    # (the closed form at eta) grows
     bundled = (
-        (case30, 5656, {0.05: 932, 1e-3: 85230}),
-        (case57, 701, {0.05: 1082, 1e-3: 100434}),
+        (case30, 1064, {0.05: 932, 1e-3: 85230}),
+        (case57, 180, {0.05: 1082, 1e-3: 100434}),
     )
     for grid, n_is, n_sa in bundled:
         d = len(grid.generators) - 1
@@ -481,26 +484,31 @@ def test_tail_probabilities_have_one_source(request, name):
         m = prep.margins
         assert prep.mixture.tail_probs.tobytes() == m.tail_probs[m.stochastic].tobytes()
         config = ExperimentConfig(case=name, eta=eta)
-        want = sample_size_mixture(eta, config.delta, len(case.generators) - 1,
-                                   prep.mixture.tail_mass)
+        want = sample_size_exact(eta / prep.mixture.tail_mass, config.delta,
+                                 len(case.generators) - 1)
         assert resolve_scenario_count(config, case, "sa-is") == want
         assert resolve_scenario_count(config, case, "sa-is", prep) == want
+        # the exact count never exceeds the closed form at the same arguments
+        assert want <= sample_size_mixture(eta, config.delta, len(case.generators) - 1,
+                                           prep.mixture.tail_mass)
 
 
 @pytest.mark.parametrize("name", ["case30", "case57"])
 def test_sa_is_auto_count_meets_the_guarantee(name):
     # "violation <= eta with confidence 1 - delta" at the count 'auto'
-    # picks: at least a 1 - delta share of the optimal repetitions keeps
-    # the out-of-sample violation within eta
+    # picks: each repetition seed breaks it with probability at most delta,
+    # so the number of seeds whose estimated violation exceeds eta must
+    # not be improbable (p < 1e-3) under Binomial(reps, delta)
     config = ExperimentConfig(
-        case=name, methods=("sa-is",), eta=0.05, scenarios="auto", reps=20,
-        n_test=100_000, delta=0.01,
+        case=name, methods=("sa-is",), eta=0.05, scenarios="auto", reps=100,
+        n_test=20_000, delta=0.01,
     )
     report = run_experiment(config)
     good = [r for r in report.records if r.status == "optimal"]
     assert len(good) == config.reps
-    within = sum(1.0 - r.confidence <= config.eta for r in good)
-    assert within >= math.ceil((1.0 - config.delta) * len(good))
+    broken = sum(1.0 - r.confidence > config.eta for r in good)
+    p_value = 1.0 if broken == 0 else 1.0 - binom_cdf(broken - 1, len(good), config.delta)
+    assert p_value >= 1e-3, f"{broken} of {len(good)} seeds above eta"
 
 
 def test_run_experiment_smoke(tmp_path):
@@ -693,11 +701,12 @@ def _nan_as_none(records) -> list[dict]:
 
 
 def test_run_with_mixed_statuses_in_a_repetition():
-    # at eta 1e-4 the tail draws leave sa-is infeasible on seeds 0 and 1;
-    # dc-opf, listed after it, is optimal on every seed, so an index slip
-    # between the solves and the checked dispatches would move its scores
+    # at eta 1e-4, 5,656 tail draws (the closed-form mixture count) leave
+    # sa-is infeasible on seeds 0 and 1; dc-opf, listed after it, is
+    # optimal on every seed, so an index slip between the solves and the
+    # checked dispatches would move its scores
     config = ExperimentConfig(case="case30", methods=("sa-is", "dc-opf"), eta=1e-4,
-                              reps=3, n_test=1000)
+                              scenarios=5656, reps=3, n_test=1000)
     report = run_experiment(config)
     assert [r.status for r in report.records] == ["infeasible"] * 2 + ["optimal"] * 4
     assert _nan_as_none(report.records) == _nan_as_none(_one_check_per_record(config))
@@ -713,8 +722,11 @@ def _worker_blas_threads() -> list[int]:
 
 @pytest.fixture
 def threaded_blas():
-    # the caller's OpenBLAS libraries at two threads each, so a run or a
-    # worker has counts to lower; the former counts are restored after
+    # the caller's OpenBLAS libraries, NumPy's and the one SciPy's kernels
+    # and solver load, at two threads each, so a run or a worker has counts
+    # to lower; the former counts are restored after
+    kernels._special()
+    scenario._load_highs()
     sets = validation._openblas("set_num_threads")
     if not sets:
         pytest.skip("no OpenBLAS library found")
@@ -739,10 +751,20 @@ def test_pool_workers_use_one_blas_thread(threaded_blas):
     assert _worker_blas_threads() == threaded_blas
 
 
+def _blas_threads_after_a_solve() -> list[int]:
+    # in a pool worker: a kernel call and a dispatch solve, the run path's
+    # uses of SciPy, then the thread counts of every OpenBLAS mapped
+    norm_cdf(0.0)
+    case = parse_case(TRIANGLE_TEXT)
+    solve_prepared(prepare_problem(case, build_uncertainty(case, 0.05), 0.05), "sa", 10, 0)
+    return _worker_blas_threads()
+
+
 def test_spawned_workers_use_one_blas_thread(monkeypatch):
     # a spawned worker shares no memory with the caller and starts at the
     # environment's count (capped at the cores): _start_worker is the only
-    # place that count is lowered
+    # place that count is lowered, and it maps SciPy's OpenBLAS first, so
+    # the library a later kernel call or solve runs on is lowered as well
     if not _worker_blas_threads():
         pytest.skip("no OpenBLAS library found")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -750,9 +772,9 @@ def test_spawned_workers_use_one_blas_thread(monkeypatch):
         max_workers=1, mp_context=multiprocessing.get_context("spawn"),
         initializer=validation._start_worker, initargs=(None,),
     ) as pool:
-        in_worker = pool.submit(_worker_blas_threads).result()
-    # the worker loads only the libraries it imports, so count its own
-    assert set(in_worker) == {1}
+        in_worker = pool.submit(_blas_threads_after_a_solve).result()
+    # NumPy's OpenBLAS and SciPy's
+    assert in_worker == [1, 1]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
