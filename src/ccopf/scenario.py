@@ -610,9 +610,9 @@ def _load_highs() -> None:
 
     The binding is the extension module scipy.optimize._highspy._core.
     Importing it by that name first runs scipy.optimize's __init__,
-    which loads most of SciPy (about 0.3 s beyond scipy.special, and a
-    second OpenBLAS) for nothing a solve uses; the extension alone loads
-    in about 0.02 s. So it is loaded from its file in SciPy's
+    which loads most of SciPy (about 0.5 s, scipy.special and SciPy's
+    own OpenBLAS among it) for nothing a solve uses; the extension alone
+    loads in about 0.02 s. So it is loaded from its file in SciPy's
     optimize/_highspy folder, found without importing scipy, and is
     registered in sys.modules under its real name before it executes. A
     later import of scipy.optimize then reuses that module object, as it

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels, scenario
+from . import scenario
 from .grid import FeasibilityPolytope, GridCase, bundled_case_path, load_case
 from .grid import build_matrices  # noqa: F401  (perfbench/test_perfbench.py reads it)
 from .kernels import norm_isf, norm_sf, tail_quantile
@@ -460,8 +460,10 @@ def _openblas(entry: str) -> list:
     """The named entry point of every OpenBLAS mapped into this process.
 
     NumPy and SciPy each bundle their own OpenBLAS, with its own symbol
-    prefix and suffix (e.g. scipy_openblas_set_num_threads64_). Empty
-    when none is found: another BLAS, or no /proc to list libraries.
+    prefix and suffix (e.g. scipy_openblas_set_num_threads64_ in NumPy's
+    wheel). A run maps NumPy's alone; SciPy's is there when the caller
+    imports SciPy itself. Empty when none is found: another BLAS, or no
+    /proc to list libraries.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -511,14 +513,13 @@ _WORKER_EXPERIMENT: _Experiment | None = None
 
 def _start_worker(experiment: _Experiment) -> None:
     # every worker gets one BLAS thread: the workers already fill the
-    # cores, and more threads per worker only oversubscribe them. SciPy's
-    # OpenBLAS is mapped first (scipy.special and the HiGHS binding), so a
-    # spawn or forkserver worker lowers it too. A worker forked by
-    # run_experiment has scipy.special and one thread per library already;
-    # the binding, if its parent never solved, loads here, not on a solve.
+    # cores, and more threads per worker only oversubscribe them. The run
+    # path maps one OpenBLAS, NumPy's: the kernels need no SciPy, and the
+    # HiGHS binding, loaded here first, brings no OpenBLAS of its own. A
+    # worker forked by run_experiment has one thread already; the binding,
+    # if its parent never solved, loads here, not on a solve.
     global _WORKER_EXPERIMENT
     _WORKER_EXPERIMENT = experiment
-    kernels._special()
     scenario._load_highs()
     _one_blas_thread()
 
@@ -557,6 +558,10 @@ def run_experiment(
     _one_blas_thread()
     workers = min(config.jobs, config.reps, _usable_cores())
     if workers > 1:
+        # numpy.random loads on first use (about 20 ms): load it before the
+        # fork, so the workers inherit it rather than each importing it
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_start_worker, initargs=(experiment,)
         ) as pool:

@@ -3,9 +3,14 @@
 Reference values were computed once with mpmath at 40 significant digits,
 evaluated at the exact binary double arguments, so the tables below test
 the algorithms rather than decimal-to-binary conversion of the inputs.
+The sweeps further down compute theirs with mpmath as they run, and
+cross-check against scipy.special, which the package itself never loads.
 """
 from __future__ import annotations
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,3 +162,121 @@ def test_tail_quantile_deep_threshold_stays_finite():
     y = kernels.tail_quantile(8.0, p_tail, np.array([1e-6, 0.5, 1.0]))
     assert np.all(np.isfinite(y))
     assert np.all(y >= 8.0 - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sweeps against mpmath, and the cross-check against scipy.special
+
+# p in [1e-300, 1): log-spaced down the lower tail, uniform across the
+# middle, and log-spaced up to 1 - 1e-12 in the upper tail
+SWEEP_P = np.unique(np.concatenate([
+    np.logspace(-300, 0, 151)[:-1],
+    np.random.default_rng(11).random(60),
+    1.0 - np.logspace(-12, -0.5, 40),
+]))
+
+
+def mp_isf(p: float) -> mpmath.mpf:
+    """Upper p quantile of the standard normal, to 40 digits."""
+    with mpmath.workdps(40):
+        target = mpmath.mpf(p)
+        start = -float(kernels.norm_ppf(p))
+        return mpmath.findroot(lambda x: mpmath.ncdf(-x) - target, start)
+
+
+def max_rel_err(got, want) -> float:
+    """Largest relative error; a zero reference must be met exactly."""
+    return max(float(abs((mpmath.mpf(float(g)) - w) / (w or 1))) for g, w in zip(got, want))
+
+
+@pytest.fixture(scope="module")
+def isf_reference():
+    return [mp_isf(float(p)) for p in SWEEP_P]
+
+
+def test_isf_and_ppf_match_mpmath(isf_reference):
+    # contract: relative error <= 1e-15 over [1e-300, 1 - 1e-12];
+    # scipy.special.ndtri's is 4e-16 on the same points
+    assert max_rel_err(kernels.norm_isf(SWEEP_P), isf_reference) <= 1e-15
+    assert max_rel_err(kernels.norm_ppf(SWEEP_P), [-w for w in isf_reference]) <= 1e-15
+
+
+def test_ppf_agrees_with_scipy_ndtri():
+    special = pytest.importorskip("scipy.special")
+    np.testing.assert_allclose(kernels.norm_ppf(SWEEP_P), special.ndtri(SWEEP_P), rtol=2e-15)
+
+
+@pytest.mark.parametrize("beta", [0.0, 2.0, 8.0, 30.0])
+def test_tail_quantile_matches_mpmath(beta):
+    p_tail = kernels.norm_sf(beta)
+    u = np.logspace(-250 if beta < 30.0 else -100, 0, 41)
+    p = p_tail * u  # the product the kernel forms, rounded alike
+    want = [max(mp_isf(float(x)), mpmath.mpf(beta)) for x in p]
+    assert max_rel_err(kernels.tail_quantile(beta, p_tail, u), want) <= 1e-15
+
+
+def test_cdf_and_sf_match_mpmath():
+    # contract: norm_cdf to 2e-14 relative for |z| <= 8, and norm_sf to
+    # 1e-12 for z up to 37, where erfc's argument z / sqrt(2), rounded to
+    # a double, sets the error
+    z = np.linspace(-8.0, 8.0, 161)
+    with mpmath.workdps(40):
+        cdf = [mpmath.ncdf(mpmath.mpf(float(x))) for x in z]
+        deep = np.linspace(8.0, 37.0, 59)
+        sf = [mpmath.ncdf(-mpmath.mpf(float(x))) for x in deep]
+    assert max_rel_err(kernels.norm_cdf(z), cdf) <= 2e-14
+    assert max_rel_err(kernels.norm_sf(deep), sf) <= 1e-12
+
+
+def test_erfc_matches_mpmath():
+    # math.erfc; scipy.special.erfc is up to 6e-14 off on these points
+    x = np.linspace(-6.0, 26.0, 321)
+    with mpmath.workdps(40):
+        want = [mpmath.erfc(mpmath.mpf(float(v))) for v in x]
+    assert max_rel_err(kernels.erfc(x), want) <= 1e-15
+
+
+def test_cdf_agrees_with_scipy_ndtr():
+    special = pytest.importorskip("scipy.special")
+    z = np.linspace(-37.0, 8.0, 451)
+    np.testing.assert_allclose(kernels.norm_cdf(z), special.ndtr(z), rtol=4e-13)
+    x = np.linspace(-6.0, 6.0, 241)
+    np.testing.assert_allclose(kernels.erfc(x), special.erfc(x), rtol=2e-13)
+
+
+def test_quantile_edge_values():
+    p = np.array([0.0, -0.0, 1.0, -1e-300, -1.0, 1.0 + 2.0**-52, 2.0, np.inf, -np.inf, np.nan])
+    want = [-np.inf, -np.inf, np.inf] + [np.nan] * 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division or invalid-value warning either
+        got = kernels.norm_ppf(p)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(kernels.norm_isf(p), [-w for w in want])
+        assert kernels.norm_ppf(0.0) == -np.inf and kernels.norm_isf(0.0) == np.inf
+        assert np.isnan(kernels.norm_ppf(np.nan)) and np.isnan(kernels.norm_isf(1.5))
+        # the smallest subnormal stays finite, far in the tail
+        assert -39.0 < kernels.norm_ppf(5e-324) < -38.0
+
+
+KERNEL_CALLS = {
+    "erfc": kernels.erfc,
+    "norm_cdf": kernels.norm_cdf,
+    "norm_sf": kernels.norm_sf,
+    "norm_ppf": lambda x: kernels.norm_ppf(np.abs(x) / 2.0),
+    "norm_isf": lambda x: kernels.norm_isf(np.abs(x) / 2.0),
+    "tail_quantile": lambda x: kernels.tail_quantile(1.0, 0.15, 1.0 - np.abs(x) / 2.0),
+    "binom_cdf": lambda x: kernels.binom_cdf(3, 100, np.abs(x) / 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
+def test_scalars_give_floats_and_arrays_keep_their_shape(name):
+    call = KERNEL_CALLS[name]
+    scalar = call(0.25)
+    assert isinstance(scalar, float) and np.ndim(scalar) == 0
+    assert isinstance(call(np.float64(0.25)), float)
+    assert isinstance(call(np.array(0.25)), float)  # a 0-d array gives a scalar too
+    for shape in [(0,), (3,), (2, 3)]:
+        out = call(np.full(shape, 0.25))
+        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+        assert np.all(out == scalar)

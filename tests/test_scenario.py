@@ -170,8 +170,12 @@ def test_exact_size_never_exceeds_the_closed_form(epsilon, delta, d):
 
 
 # table B's points: (k = d - 1, n, p) for case30 sa-is and case57 sa-is at
-# eta 0.05, and case30 sa at eta 1e-3
-BINOM_POINTS = [(4, 1064, 1 / 92), (5, 180, 1 / 14), (4, 11601, 1e-3)]
+# eta 0.05, and case30 sa at eta 1e-3; then ten stitched case30 copies'
+# sa-is count (d = 59, K = 920 rows at eta 0.05, so p = 1 / 920); then
+# points where t_0 = (1 - p)**n underflows (n log1p(-p) = -990.5) and the
+# CDF is still far from 0
+BINOM_POINTS = [(4, 1064, 1 / 92), (5, 180, 1 / 14), (4, 11601, 1e-3), (58, 72049, 1 / 920),
+                (950, 990_000, 1e-3), (990, 990_000, 1e-3), (1050, 990_000, 1e-3)]
 
 
 @pytest.mark.parametrize("k, n, p", BINOM_POINTS)
@@ -182,6 +186,32 @@ def test_binomial_cdf_matches_mpmath(k, n, p):
             mpmath.binomial(n, j) * q**j * (1 - q) ** (n - j) for j in range(k + 1)
         )
         assert abs(kernels.binom_cdf(k, n, p) - want) <= 1e-12 * want
+
+
+def test_binomial_cdf_edges_and_broadcasting():
+    assert kernels.binom_cdf(5, 5, 0.3) == 1.0  # k = n
+    assert kernels.binom_cdf(3, 10, 0.0) == 1.0
+    assert kernels.binom_cdf(3, 10, 1.0) == 0.0
+    assert kernels.binom_cdf(0, 10, 0.5) == 0.5**10
+    assert all(math.isnan(kernels.binom_cdf(3, 10, p)) for p in (-0.1, 1.1, math.nan))
+    # t_0 = exp(-1000) and the CDF, about exp(-976), both underflow
+    assert kernels.binom_cdf(4, 10**7, 1e-4) == 0.0
+    got = kernels.binom_cdf(np.array([[4], [5]]), np.array([1064, 180]), 1 / 92)
+    assert got.shape == (2, 2)
+    assert got[1, 0] == kernels.binom_cdf(5, 1064, 1 / 92)
+
+
+def test_exact_counts_match_the_scipy_betaincc_count(monkeypatch):
+    # the exact count over a grid of levels, confidences and dimensions,
+    # against the same bisection over scipy.special.betaincc
+    special = pytest.importorskip("scipy.special")
+    grid = [(eps, delta, d) for eps in (0.2, 0.05, 1 / 14, 0.01, 1 / 92, 1e-3, 1 / 920, 1e-4)
+            for delta in (0.1, 0.01, 1e-3, 1e-6) for d in (1, 2, 5, 6, 17, 59)]
+    ours = [sample_size_exact(*args) for args in grid]
+    monkeypatch.setattr(
+        scenario, "binom_cdf", lambda k, n, p: special.betaincc(k + 1.0, float(n) - k, p)
+    )
+    assert [sample_size_exact(*args) for args in grid] == ours
 
 
 @pytest.mark.parametrize(

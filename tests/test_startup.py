@@ -1,4 +1,5 @@
-"""What a fresh interpreter loads: SciPy only on first use.
+"""What a fresh interpreter loads: SciPy only on first use, and
+scipy.special never.
 
 Each test runs its script in a new interpreter, so modules an earlier
 test imported cannot hide a load.
@@ -59,12 +60,36 @@ def test_light_commands_load_no_scipy_module(argv):
     assert out.splitlines()[-1] == "loaded: []"
 
 
+RUN_AUTO = ["run", "--case", "case30", "--method", "dc-opf,sa,sa-is", "--scenarios", "auto",
+            "--reps", "2", "--ntest", "200"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [RUN_AUTO + ["--jobs", "1"], RUN_AUTO + ["--jobs", "2"], ["validate"],
+     ["sweep1d", "--grid", "3", "--reps", "2"]],
+    ids=["run-auto-jobs1", "run-auto-jobs2", "validate", "sweep1d"],
+)
+def test_kernel_commands_load_no_scipy_module(argv):
+    # each evaluates margins, tail masses, quantiles and, under auto, the
+    # exact binomial count, and the runs solve: the kernels are NumPy's and
+    # the binding loads by file. Two usable cores, so --jobs 2 pools.
+    out = run_script(f"""
+        import ccopf.validation as validation
+        from ccopf.cli import main
+        validation._usable_cores = lambda: 2
+        assert main({argv!r}) == 0
+        print("loaded:", loaded())
+    """)
+    assert out.splitlines()[-1] == "loaded: []"
+
+
 def test_solve_loads_the_binding_that_scipy_optimize_then_reuses():
     out = run_script("""
         import ccopf.scenario as scenario
         lp = prepared_lp()
         assert scenario.solve(lp).status == "optimal"
-        print("after solve:", [m for m in loaded() if m != "scipy.special"])
+        print("after solve:", loaded())
 
         import scipy.optimize._highspy._core as core
         from scipy.optimize import linprog

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -18,7 +19,6 @@ import pytest
 
 import ccopf.scenario as scenario
 import ccopf.validation as validation
-from ccopf import kernels
 from ccopf import (
     ExperimentConfig,
     ExperimentReport,
@@ -720,13 +720,24 @@ def _worker_blas_threads() -> list[int]:
     return counts
 
 
+def _mapped_openblas() -> set[str]:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        return {line.split()[-1] for line in fh if "openblas" in line.lower()}
+
+
+def _scipy_dirs() -> tuple[str, ...]:
+    # SciPy's package folder and the scipy.libs folder beside it, where its
+    # wheel keeps its own OpenBLAS; found without importing SciPy. NumPy's
+    # OpenBLAS (numpy.libs/libscipy_openblas64_-*.so in a wheel) lies
+    # outside both.
+    package = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    return (package + os.sep, package + ".libs" + os.sep)
+
+
 @pytest.fixture
 def threaded_blas():
-    # the caller's OpenBLAS libraries, NumPy's and the one SciPy's kernels
-    # and solver load, at two threads each, so a run or a worker has counts
-    # to lower; the former counts are restored after
-    kernels._special()
-    scenario._load_highs()
+    # every OpenBLAS library the caller has mapped at two threads, so a run
+    # or a worker has counts to lower; the former counts are restored after
     sets = validation._openblas("set_num_threads")
     if not sets:
         pytest.skip("no OpenBLAS library found")
@@ -751,20 +762,23 @@ def test_pool_workers_use_one_blas_thread(threaded_blas):
     assert _worker_blas_threads() == threaded_blas
 
 
-def _blas_threads_after_a_solve() -> list[int]:
-    # in a pool worker: a kernel call and a dispatch solve, the run path's
-    # uses of SciPy, then the thread counts of every OpenBLAS mapped
+def _blas_after_a_solve() -> dict:
+    # in a pool worker: a kernel call and a dispatch solve, then the thread
+    # counts of every OpenBLAS mapped and those that SciPy's folders hold
     norm_cdf(0.0)
     case = parse_case(TRIANGLE_TEXT)
     solve_prepared(prepare_problem(case, build_uncertainty(case, 0.05), 0.05), "sa", 10, 0)
-    return _worker_blas_threads()
+    return {"threads": _worker_blas_threads(),
+            "scipy": sorted(p for p in _mapped_openblas() if p.startswith(_scipy_dirs()))}
 
 
 def test_spawned_workers_use_one_blas_thread(monkeypatch):
     # a spawned worker shares no memory with the caller and starts at the
     # environment's count (capped at the cores): _start_worker is the only
-    # place that count is lowered, and it maps SciPy's OpenBLAS first, so
-    # the library a later kernel call or solve runs on is lowered as well
+    # place that count is lowered. The run path maps one OpenBLAS, NumPy's:
+    # the kernels need no SciPy, and the HiGHS binding maps none, so after
+    # a kernel call and a solve that one library reports one thread and no
+    # SciPy OpenBLAS is mapped
     if not _worker_blas_threads():
         pytest.skip("no OpenBLAS library found")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -772,18 +786,19 @@ def test_spawned_workers_use_one_blas_thread(monkeypatch):
         max_workers=1, mp_context=multiprocessing.get_context("spawn"),
         initializer=validation._start_worker, initargs=(None,),
     ) as pool:
-        in_worker = pool.submit(_blas_threads_after_a_solve).result()
-    # NumPy's OpenBLAS and SciPy's
-    assert in_worker == [1, 1]
+        in_worker = pool.submit(_blas_after_a_solve).result()
+    assert in_worker == {"threads": [1], "scipy": []}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_leaves_one_blas_thread(monkeypatch, threaded_blas, jobs):
     monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    before = _mapped_openblas()
     run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
                                     n_test=100, jobs=jobs))
-    # SciPy's OpenBLAS may have loaded during the run: every library counts
-    assert set(_worker_blas_threads()) == {1}
+    # the run maps no OpenBLAS of its own, and leaves every one at one thread
+    assert _mapped_openblas() == before
+    assert _worker_blas_threads() == [1] * len(threaded_blas)
 
 
 _POOLED_RUN_THREADS = """
@@ -799,9 +814,9 @@ print(before, len(os.listdir("/proc/self/task")))
 
 
 def test_pooled_run_ends_with_no_more_os_threads():
-    # a fresh interpreter, whose run loads SciPy's OpenBLAS with its thread
-    # server running: the fork shuts every server down, and a count set
-    # after it would start that server again
+    # a fresh interpreter, whose NumPy OpenBLAS has its thread server
+    # running: the fork shuts every server down, and a count set after it
+    # would start that server again
     if not _worker_blas_threads():
         pytest.skip("no OpenBLAS library found")
     if not os.path.isdir("/proc/self/task"):
@@ -812,6 +827,36 @@ def test_pooled_run_ends_with_no_more_os_threads():
     assert proc.returncode == 0, proc.stderr
     before, after = map(int, proc.stdout.split())
     assert after <= before
+
+
+_POOLED_RUN_MODULES = """
+import multiprocessing
+import sys
+import ccopf.validation as validation
+from ccopf import ExperimentConfig, run_experiment
+multiprocessing.set_start_method("fork")
+validation._usable_cores = lambda: 2
+start = validation._start_worker
+
+def start_and_list(experiment):
+    start(experiment)
+    print("worker has numpy.random:", "numpy.random" in sys.modules, flush=True)
+
+validation._start_worker = start_and_list
+run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
+                                n_test=100, jobs=2))
+"""
+
+
+def test_forked_workers_inherit_the_random_module():
+    # a fresh interpreter, where numpy.random (lazy in NumPy 2) is not yet
+    # loaded when the pool forks; a worker that imported it would spend
+    # about 20 ms of every pooled run on it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _POOLED_RUN_MODULES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["worker has numpy.random: True"] * 2
 
 
 def _threads_after_blas(report_dir, rep: int) -> None:
@@ -828,6 +873,10 @@ def _threads_after_blas(report_dir, rep: int) -> None:
 
 
 def test_pool_workers_never_start_blas_threads(monkeypatch, tmp_path):
+    # a library caller that uses SciPy's BLAS itself maps SciPy's OpenBLAS
+    # before the run, so the run lowers that one too
+    import scipy.linalg.blas  # noqa: F401
+
     if not _worker_blas_threads():
         pytest.skip("no OpenBLAS library found")
     if not os.path.isdir("/proc/self/task"):
