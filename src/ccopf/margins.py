@@ -3,7 +3,8 @@
 Fluctuations enter as a zero-mean Gaussian deviation xi of the injection
 vector. Each polytope row picks up a margin delta_i so that a dispatch
 satisfying the tightened system keeps the row's violation probability at
-eta; they also hold R = W U, the one view of xi that every row reads.
+eta; they also hold R = W U, the one view of xi that every row reads,
+and B = rank_factor(R), the rows' Gaussian law in rank R normals.
 Rows invisible to the uncertainty (zero variance along the normal)
 stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
 is what the margins cover. Its probability pi (estimate_pi, which no
@@ -15,7 +16,7 @@ sa-is count comes from the total tail mass instead
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -78,7 +79,7 @@ class GaussianSpec:
         top = float(np.max(np.abs(eigval))) if eigval.size else 0.0
         if np.any(eigval < -1e-10 * top):
             raise ValueError("covariance is not positive semidefinite")
-        keep = eigval > 1e-12 * max(top, 1e-300)
+        keep = _support(eigval)
         factor = eigvec[:, keep] * np.sqrt(eigval[keep])
         factor.setflags(write=False)
         return factor
@@ -93,6 +94,31 @@ class GaussianSpec:
         return np.asarray(w, dtype=float) @ self.reduced_factor.T
 
 
+def _support(eigval: np.ndarray) -> np.ndarray:
+    """Mask of eigenvalues above 1e-12 times the largest magnitude."""
+    top = float(np.max(np.abs(eigval))) if eigval.size else 0.0
+    return eigval > 1e-12 * max(top, 1e-300)
+
+
+def rank_factor(row_factor: np.ndarray) -> np.ndarray:
+    """Factor B (n_rows x k, k = rank R) with B @ B.T == R @ R.T, R = row_factor.
+
+    R z, z standard normal, depends only on z's component in R's row
+    space, so B z' with k standard normals z' has the same law: a Gaussian
+    draw of the rows' projections needs k normals, not R.shape[1].
+    B = R V_k, where V_k holds the eigenvectors of R.T @ R whose
+    eigenvalues pass the support cutoff of GaussianSpec.reduced_factor,
+    so rows that are exact negatives of each other stay so. At full
+    column rank B is R itself, the same array, and draws through it are
+    the draws through R.
+    """
+    eigval, eigvec = np.linalg.eigh(row_factor.T @ row_factor)
+    keep = _support(eigval)
+    if np.all(keep):
+        return row_factor
+    return row_factor @ eigvec[:, keep]
+
+
 @dataclass(frozen=True)
 class MarginSet:
     """Per-row margins for a fixed polytope / uncertainty / eta.
@@ -102,7 +128,10 @@ class MarginSet:
     deterministic rows, where delta is 0). row_factor is R = W U
     (n_rows x reduced_dim): row i sees support coordinates w as R_i w.
     sigma holds its row norms, the mixture axes are R_i / sigma_i and
-    every scenario projection is w @ row_factor.T.
+    every mixture projection is w @ row_factor.T. draw_factor is
+    rank_factor(R) (n_rows x rank R), built with the set: the Gaussian
+    draws of the solves and checks go through it, rank R normals per
+    draw, and it is row_factor itself at full column rank.
     """
 
     delta: np.ndarray
@@ -110,6 +139,7 @@ class MarginSet:
     eta: float
     row_factor: np.ndarray
     sigma: np.ndarray
+    draw_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_rows = self.delta.shape[0]
@@ -118,7 +148,8 @@ class MarginSet:
                 raise ValueError(f"{name} must have shape ({n_rows},)")
         if self.row_factor.ndim != 2 or self.row_factor.shape[0] != n_rows:
             raise ValueError("row_factor needs one row per margin row")
-        for arr in (self.delta, self.beta, self.row_factor, self.sigma):
+        object.__setattr__(self, "draw_factor", rank_factor(self.row_factor))
+        for arr in (self.delta, self.beta, self.row_factor, self.sigma, self.draw_factor):
             arr.setflags(write=False)
 
     @property

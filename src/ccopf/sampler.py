@@ -12,7 +12,10 @@ Gaussian conditioned on the outside of the inner set, the ratio is at
 most the looser M = S / max(p). Draws, densities and ratios all live in
 the support coordinates of the uncertainty (scenario.projected_draws
 takes draws straight to the rows; from_reduced maps them to the buses),
-so singular covariances cost nothing.
+so singular covariances cost nothing. The plain Gaussian draws of the
+solves and checks need fewer coordinates still: rank R normals, through
+MarginSet.draw_factor. The mixture keeps the support coordinates, in
+which its axes, densities and ratios are defined.
 """
 from __future__ import annotations
 

@@ -2,11 +2,13 @@
 
 A scenario set turns the chance constraint into finitely many shifted
 copies of the polytope rows, which collapse to one offset per row. Solves
-and checks project support-coordinate draws straight onto the rows
-(projected_draws, rows by draws); bus-space sets and reduce_scenarios
-are the reference. The dispatch LP optimises generator outputs against
-those offsets, optionally intersected with the margin-tightened offsets,
-with the generator at the slack bus absorbing the power balance. A
+and checks draw straight onto the rows (projected_draws, rows by draws):
+Gaussian draws through the margins' draw_factor, rank R normals each,
+and mixture draws in support coordinates through the row factor R.
+Bus-space sets and reduce_scenarios are the reference. The dispatch LP
+optimises generator outputs against those offsets, optionally
+intersected with the margin-tightened offsets, with the generator at
+the slack bus absorbing the power balance. A
 PreparedProblem holds everything but the draws, so repeated solves
 rebuild nothing, and every solve in a process and thread loads its LP
 into the same HiGHS instance.
@@ -253,7 +255,10 @@ def draw_gaussian_scenarios(g: GaussianSpec, n: int, seed: int | None) -> Scenar
     """n deviations straight from the uncertainty model.
 
     Each is g.from_reduced of one row of standard_normal((n,
-    g.reduced_dim)), the stream projected_draws projects block by block.
+    g.reduced_dim)). projected_draws projects this stream block by block
+    only where the rows see every support direction (draw_factor is
+    row_factor, as on case30); elsewhere its Gaussian draws take fewer
+    normals, and the two share their law, not their bits.
     """
     if n < 1:
         raise ValueError(f"need at least one scenario, got {n}")
@@ -284,14 +289,17 @@ def projected_draws(
     row_factor: np.ndarray, n: int, seed: int | None,
     mixture: MixtureSampler | None = None,
 ) -> Iterator[np.ndarray]:
-    """Row projections R z' of n deviations, R = W U the margins' row_factor.
+    """Row projections F z' of n deviations, F a factor of the rows' covariance.
 
-    z, row_factor.shape[1] normals per deviation, is the stream of
-    draw_gaussian_scenarios in chunk_sizes(n) blocks, or with a mixture
-    that of draw_mixture_scenarios(mixture, n, seed) in one block. Each
-    block comes rows by draws, so the reductions over a block's draws
-    (a row's maximum, a draw's check over every row) run along its
-    contiguous axis.
+    Without a mixture, z holds row_factor.shape[1] standard normals per
+    deviation, drawn in chunk_sizes(n) blocks of one stream, so F z' is
+    N(0, F F'): the solves and checks pass the margins' draw_factor, rank
+    R normals per draw. With R = W U itself (the margins' row_factor) the
+    stream is draw_gaussian_scenarios'. With a mixture, row_factor must
+    be R, and z is the support-coordinate stream of
+    draw_mixture_scenarios(mixture, n, seed) in one block. Each block
+    comes rows by draws, so the reductions over a block's draws (a row's
+    maximum, a draw's check over every row) run along its contiguous axis.
     """
     sizes = chunk_sizes(n)  # refuses n < 1 for either law
     rng = np.random.default_rng(seed)
@@ -694,8 +702,9 @@ class PreparedProblem:
     """A case and deviation model prepared once for any number of solves.
 
     Holds everything a scenario solve at one eta shares, whatever its
-    seed: the polytope, the margins (with the row factor R that every
-    projection reads, and the shrink delta that tightens the rows), the
+    seed: the polytope, the margins (with the row factor R that mixture
+    draws project through, the draw factor B that Gaussian draws project
+    through, and the shrink delta that tightens the rows), the
     tail mixture (None when no row is stochastic), and the dispatch LP at
     the polytope's own offsets. A solve only moves the polytope rows of
     that LP (see LinearProgram.row_shift). The mixture is also the one
@@ -731,12 +740,13 @@ def scenario_offsets(
 ) -> np.ndarray:
     """Row offsets of one scenario solve, before any LP is built.
 
-    Each row's offset less its largest projection, through
-    margins.row_factor (projected_draws), of n_scenarios Gaussian draws
-    for 'sa', or tail-mixture draws for 'sa-is', which then takes the
-    elementwise minimum with the tightened offsets poly.offsets -
-    margins.delta (what tightened_polytope holds). With n_scenarios = 0,
-    or for 'sa-is' with no mixture (no stochastic row), nothing is drawn.
+    Each row's offset less its largest projection (projected_draws) of
+    n_scenarios Gaussian draws through margins.draw_factor for 'sa', or
+    of tail-mixture draws through margins.row_factor for 'sa-is', which
+    then takes the elementwise minimum with the tightened offsets
+    poly.offsets - margins.delta (what tightened_polytope holds). With
+    n_scenarios = 0, or for 'sa-is' with no mixture (no stochastic row),
+    nothing is drawn.
     """
     if method not in ("sa", "sa-is"):
         raise ValueError(f"unknown method {method!r}; use 'sa' or 'sa-is'")
@@ -745,8 +755,9 @@ def scenario_offsets(
     offsets = poly.offsets
     law = mixture if method == "sa-is" else None
     if n_scenarios > 0 and (method == "sa" or law is not None):
+        factor = margins.draw_factor if law is None else margins.row_factor
         worst = np.full(poly.n_rows, -np.inf)
-        for y in projected_draws(margins.row_factor, n_scenarios, seed, law):
+        for y in projected_draws(factor, n_scenarios, seed, law):
             worst = np.maximum(worst, y.max(axis=1))
             del y  # so the next block is drawn with only one projection alive
         offsets = offsets - worst

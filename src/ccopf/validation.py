@@ -23,7 +23,7 @@ from . import scenario
 from .grid import FeasibilityPolytope, GridCase, bundled_case_path, load_case
 from .grid import build_matrices  # noqa: F401  (perfbench/test_perfbench.py reads it)
 from .kernels import norm_isf, norm_sf, tail_quantile
-from .margins import GaussianSpec, compute_margins
+from .margins import GaussianSpec, compute_margins, rank_factor
 from .sampler import build_mixture
 from .scenario import (
     MAX_ROWS,
@@ -56,6 +56,7 @@ def out_of_sample_confidence(
     g: GaussianSpec,
     n_test: int,
     seed: int | None,
+    factor: np.ndarray | None = None,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Fraction of fresh deviations keeping x + xi feasible.
 
@@ -63,8 +64,9 @@ def out_of_sample_confidence(
     allow _OOS_TOL of slack so boundary dispatches are not miscounted.
     The deviations' row projections come from the solves' own Gaussian
     path, scenario.projected_draws, in blocks of one stream, so memory
-    stays bounded for any n_test. They go through R = W U built from poly
-    and g, the validation law, which need not be the prepared one.
+    stays bounded for any n_test. They go through B = rank_factor(R),
+    rank R normals per draw, with R = W U built from poly and g, the
+    validation law, which need not be the prepared one.
 
     A stack of k dispatches is checked against one draw: each block is
     drawn and projected once and then compared with every dispatch's
@@ -87,6 +89,10 @@ def out_of_sample_confidence(
         Number of test deviations.
     seed : int, optional
         Seed for the test stream.
+    factor : ndarray, optional
+        B already built from poly and g (margins.draw_factor of the
+        problem they were prepared in), so a repeated check factorises
+        nothing; formed from poly and g when omitted.
     """
     if n_test < 1:
         raise ValueError(f"n_test must be positive, got {n_test}")
@@ -98,7 +104,9 @@ def out_of_sample_confidence(
     # a batched product would round differently
     headrooms = [(poly.offsets - poly.normals @ xj + _OOS_TOL)[:, None] for xj in stack]
     inside = np.zeros(len(headrooms), dtype=np.int64)
-    for y in projected_draws(poly.normals @ g.reduced_factor, n_test, seed):
+    if factor is None:
+        factor = rank_factor(poly.normals @ g.reduced_factor)
+    for y in projected_draws(factor, n_test, seed):
         for j, headroom in enumerate(headrooms):
             inside[j] += np.count_nonzero(np.all(y <= headroom, axis=0))
         del y  # so the next block is drawn with only one projection alive
@@ -439,7 +447,7 @@ def _run_rep(experiment: _Experiment, rep: int) -> list[RepetitionRecord]:
     if optimal:
         confidence[optimal], stderr[optimal] = out_of_sample_confidence(
             np.stack([sols[i].injection_pu for i in optimal]), problem.poly, problem.g,
-            config.n_test, config.seed + rep + _TEST_SEED_OFFSET,
+            config.n_test, config.seed + rep + _TEST_SEED_OFFSET, problem.margins.draw_factor,
         )
     return [
         RepetitionRecord(

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 import ccopf.scenario as scenario
-from ccopf import kernels
+from ccopf import cli, kernels
 from ccopf import (
     ExperimentConfig,
     GaussianSpec,
@@ -270,8 +271,8 @@ def test_gaussian_scenarios_reproducible():
 
 @pytest.mark.parametrize("case_name", ["case30", "case57"])
 def test_gaussian_draws_take_reduced_dim_normals(request, case_name):
-    # the sa stream: reduced_dim normals per deviation, mapped through the
-    # reduced factor, with nothing drawn for zero-variance buses
+    # the bus-space reference: reduced_dim normals per deviation, mapped
+    # through the reduced factor, with nothing drawn for zero-variance buses
     case = request.getfixturevalue(case_name)
     g = build_uncertainty(case, 0.07)
     assert g.reduced_dim == {"case30": 23, "case57": 41}[case_name]
@@ -317,6 +318,55 @@ def test_row_geometry_has_one_source(request, case_name, rho):
         (poly.normals[rows] @ g.reduced_factor) / m.sigma[rows][:, None],
     )
     assert "tightened" not in {f.name for f in fields(prep)}
+
+
+def _one_factor(g, rho):
+    s = np.sqrt(np.diag(g.cov))
+    return GaussianSpec.from_covariance(rho * np.outer(s, s) + (1.0 - rho) * np.diag(s**2))
+
+
+@pytest.mark.parametrize("rho", [None, 0.5])
+@pytest.mark.parametrize("case_name", ["case30", "case57"])
+def test_draw_factor_reproduces_the_rows_covariance(request, case_name, rho):
+    # B = R V_k has rank R columns and B B' = R R' to rounding; case57's
+    # rows see 7 of the 41 support directions, with or without correlation
+    case = request.getfixturevalue(case_name)
+    g = build_uncertainty(case, 0.07)
+    if rho is not None:
+        g = _one_factor(g, rho)
+    m = prepare_problem(case, g, 0.05).margins
+    r, b = m.row_factor, m.draw_factor
+    assert b.shape == (r.shape[0], np.linalg.matrix_rank(r))
+    assert b.shape[1] == {"case30": 23, "case57": 7}[case_name]
+    assert r.shape[1] == {"case30": 23, "case57": 41}[case_name]
+    gram = r @ r.T
+    np.testing.assert_allclose(b @ b.T, gram, rtol=0, atol=1e-14 * np.max(np.abs(gram)))
+    assert not b.flags.writeable
+
+
+def test_draw_factor_is_empty_without_uncertainty(case30, capsys):
+    # at sigma 0 no bus fluctuates: R and B have no column and every row is
+    # deterministic, and a run still solves every method
+    m = prepare_problem(case30, build_uncertainty(case30, 0.0), 0.05).margins
+    n_rows = m.delta.shape[0]
+    assert m.row_factor.shape == m.draw_factor.shape == (n_rows, 0)
+    np.testing.assert_array_equal(m.draw_factor @ m.draw_factor.T, np.zeros((n_rows, n_rows)))
+    args = ["run", "--case", "case30", "--method", "dc-opf,sa,sa-is", "--sigma", "0",
+            "--scenarios", "50", "--reps", "2", "--ntest", "100"]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+
+
+def test_draw_factor_keeps_paired_rows_exact_negatives(case57):
+    # case57's rows are the upper and lower injection limits of 7 buses,
+    # in that order; B keeps each pair exact negatives, bit for bit, as R does
+    prep = _prepared(case57)
+    labels = prep.poly.labels
+    assert [kind for kind, _ in labels] == ["injection-upper"] * 7 + ["injection-lower"] * 7
+    assert [bus for _, bus in labels[:7]] == [bus for _, bus in labels[7:]]
+    r, b = prep.margins.row_factor, prep.margins.draw_factor
+    np.testing.assert_array_equal(r[:7], -r[7:])
+    np.testing.assert_array_equal(b[:7], -b[7:])
 
 
 def test_mixture_scenarios_tagged_with_components():
@@ -821,6 +871,8 @@ def test_projected_blocks_are_rows_by_draws(case30):
     # offsets are the rows' own less their maximum over every block
     prep = _prepared(case30)
     r = prep.margins.row_factor
+    # case30's rows see every support direction, so sa draws through R itself
+    assert prep.margins.draw_factor is r
     n, seed = scenario.CHUNK + 3, 12
     rng = np.random.default_rng(seed)
     blocks = list(projected_draws(r, n, seed))
@@ -840,15 +892,42 @@ def test_projected_blocks_are_rows_by_draws(case30):
     assert _offsets(prep, "sa-is", 700, seed).tobytes() == want.tobytes()
 
 
+def _sa_row_maxima(prep, margins, seeds) -> np.ndarray:
+    # each seed's row maxima of 600 sa draws, one row per seed
+    return np.array([prep.poly.offsets - scenario_offsets(prep.poly, margins, None, "sa", 600, s)
+                     for s in seeds])
+
+
+def _same_row_law(a: np.ndarray, b: np.ndarray) -> bool:
+    # per-row two-sample KS tests at a Bonferroni level of 1e-3 over the rows
+    from scipy.stats import ks_2samp
+
+    pvalues = [ks_2samp(a[:, i], b[:, i]).pvalue for i in range(a.shape[1])]
+    return min(pvalues) > 1e-3 / a.shape[1]
+
+
 @pytest.mark.parametrize("case_name", ["case30", "case57"])
 def test_projected_offsets_match_the_bus_space_reference(request, case_name):
     # the solves project support-coordinate draws straight onto the rows;
     # mapping them to the buses first and reducing those (two blocks of
-    # Gaussian draws here) differs only in the rounding of the projection
+    # Gaussian draws here) differs only in the rounding of the projection.
+    # case57's sa draws take rank R = 7 normals, not 41, so there the sa
+    # offsets share the reference's law, not its draws: a factor that
+    # drops any one of B's columns fails the same test
     prep = _prepared(request.getfixturevalue(case_name))
     n, seed = 20_000, 6
-    sa = reduce_scenarios(prep.poly, draw_gaussian_scenarios(prep.g, n, seed))
-    np.testing.assert_allclose(_offsets(prep, "sa", n, seed), sa, rtol=0, atol=1e-12)
+    if case_name == "case30":
+        sa = reduce_scenarios(prep.poly, draw_gaussian_scenarios(prep.g, n, seed))
+        np.testing.assert_allclose(_offsets(prep, "sa", n, seed), sa, rtol=0, atol=1e-12)
+    else:
+        # bus-space draws reduced onto the rows, at seeds the sa draws do not use
+        ref = np.array([prep.poly.offsets - reduce_scenarios(
+            prep.poly, draw_gaussian_scenarios(prep.g, 600, s)) for s in range(300, 600)])
+        b = prep.margins.draw_factor
+        assert _same_row_law(_sa_row_maxima(prep, prep.margins, range(300)), ref)
+        for j in range(b.shape[1]):
+            short = SimpleNamespace(draw_factor=np.delete(b, j, axis=1))
+            assert not _same_row_law(_sa_row_maxima(prep, short, range(300)), ref)
     sa_is = np.minimum(
         reduce_scenarios(prep.poly, draw_mixture_scenarios(prep.mixture, n, seed)),
         prep.poly.offsets - prep.margins.delta,
@@ -881,11 +960,14 @@ def test_gaussian_blocks_reproduce_the_one_shot_draw(monkeypatch, case30):
 
 
 def test_case57_blocks_reproduce_the_one_shot_draw(monkeypatch, case57):
-    # BLAS may round a product of a few rows on a small-matrix kernel (an
-    # AVX-512 OpenBLAS build does so on case57's 14 rows for blocks of up
-    # to 85 rows), so bits match the one-shot draw for blocks as long as
-    # CHUNK's own, which hold at least CHUNK / 2 rows; 2001 gives 1667 or
-    # 1666 rows
+    # case57's sa draws multiply 7-column blocks (draw_factor), and BLAS
+    # rounds those by kernel: a Haswell OpenBLAS build gives the one-shot
+    # product's bits to blocks of 2 to 192 draws and to whole 8-draw
+    # panels, but rounds a longer block's last (size mod 8) draws and a
+    # one-draw block (gemv) differently in the last bit. So only the row
+    # maxima can match; here they do for every CHUNK from 2 to 5000 but
+    # 500-555 (blocks of 500 draws). CHUNK 2001 gives blocks of 1667 or
+    # 1666 draws
     prep = _prepared(case57)
     n, seed = 5000, 9
     monkeypatch.setattr(scenario, "CHUNK", 1 << 62)

@@ -579,6 +579,35 @@ def test_pool_matches_serial_on_a_bundled_case(monkeypatch):
     assert [r.status for r in serial.records] == ["optimal"] * 9
 
 
+def test_draw_factor_is_built_once_per_run(monkeypatch):
+    # the run prepares case57's rank-7 draw factor before any repetition,
+    # and neither a repetition nor a pool worker factorises again; a
+    # worker that did would raise here, and its repetition with it
+    import ccopf.margins as margins
+
+    parent, calls = os.getpid(), []
+    build = margins.rank_factor
+
+    def counting(row_factor):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker factorised the rows")
+        calls.append(row_factor.shape)
+        return build(row_factor)
+
+    monkeypatch.setattr(margins, "rank_factor", counting)
+    monkeypatch.setattr(validation, "rank_factor", counting)
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    base = dict(case="case57", methods=("dc-opf", "sa", "sa-is"), scenarios=200,
+                reps=3, n_test=2000, seed=3)
+    by_jobs = {}
+    for jobs in (1, 2):
+        calls.clear()
+        by_jobs[jobs] = run_experiment(ExperimentConfig(**base, jobs=jobs))
+        assert calls == [(14, 41)]
+    assert by_jobs[2].records == by_jobs[1].records
+    assert [r.status for r in by_jobs[1].records] == ["optimal"] * 9
+
+
 def test_single_repetition_with_two_jobs_runs_serially(monkeypatch):
     base = dict(case="case30", methods=("dc-opf", "sa", "sa-is"), scenarios=300,
                 reps=1, n_test=2000, seed=23)
