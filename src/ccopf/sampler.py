@@ -10,12 +10,11 @@ sa-is scenario count (scenario.sample_size_mixture in closed form,
 scenario.sample_size_exact by exact binomial inversion). Against the plain
 Gaussian conditioned on the outside of the inner set, the ratio is at
 most the looser M = S / max(p). Draws, densities and ratios all live in
-the support coordinates of the uncertainty (scenario.projected_draws
-takes draws straight to the rows; from_reduced maps them to the buses),
-so singular covariances cost nothing. The plain Gaussian draws of the
-solves and checks need fewer coordinates still: rank R normals, through
-MarginSet.draw_factor. The mixture keeps the support coordinates, in
-which its axes, densities and ratios are defined.
+the support coordinates of the uncertainty, so singular covariances cost
+nothing. Runs draw the mixture as sample_mixture_batch blocks of at most
+scenario.CHUNK draws from one generator, and project each onto the rows
+(scenario.projected_draws) or map it to the buses (from_reduced). Their
+plain Gaussian draws take rank R normals, through MarginSet.draw_factor.
 """
 from __future__ import annotations
 
@@ -136,7 +135,7 @@ def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> M
 def sample_mixture_batch(
     ms: MixtureSampler, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n mixture deviations in one shot; returns (n x reduced_dim, components).
+    """n mixture deviations in one batch; returns (n x reduced_dim, components).
 
     Each row, in support coordinates (from_reduced maps it to the buses),
     draws a standard normal and replaces its coordinate along its

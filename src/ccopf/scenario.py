@@ -5,7 +5,7 @@ copies of the polytope rows, which collapse to one offset per row. Solves
 and checks draw straight onto the rows (projected_draws, rows by draws):
 Gaussian draws through the margins' draw_factor, rank R normals each,
 and mixture draws in support coordinates through the row factor R.
-Bus-space sets and reduce_scenarios are the reference. The dispatch LP
+The bus-space reference sets map the same blocks. The dispatch LP
 optimises generator outputs against those offsets, optionally
 intersected with the margin-tightened offsets, with the generator at
 the slack bus absorbing the power balance. A
@@ -42,9 +42,8 @@ from .sampler import MixtureSampler, build_mixture, sample_mixture_batch
 # reported as active.
 ACTIVE_TOL = 1e-7
 
-# Most rows one block of Gaussian draws holds: classical draws and the
-# out-of-sample check stream through blocks, so memory stays O(CHUNK)
-# for any count.
+# Most draws one block holds: every draw, Gaussian or mixture, streams
+# through blocks (_support_draws), so memory stays O(CHUNK) for any count.
 CHUNK = 1 << 14
 
 # Most rows one draw may hold: NumPy indexes arrays with intp.
@@ -254,27 +253,23 @@ def nominal_scenario_set(n_buses: int, seed: int | None = None) -> ScenarioSet:
 def draw_gaussian_scenarios(g: GaussianSpec, n: int, seed: int | None) -> ScenarioSet:
     """n deviations straight from the uncertainty model.
 
-    Each is g.from_reduced of one row of standard_normal((n,
-    g.reduced_dim)). projected_draws projects this stream block by block
-    only where the rows see every support direction (draw_factor is
-    row_factor, as on case30); elsewhere its Gaussian draws take fewer
-    normals, and the two share their law, not their bits.
+    g.from_reduced of the _support_draws blocks: for any n, the rows of
+    standard_normal((n, g.reduced_dim)). projected_draws shares these
+    draws where draw_factor is row_factor (case30), elsewhere their law.
     """
-    if n < 1:
-        raise ValueError(f"need at least one scenario, got {n}")
-    rng = np.random.default_rng(seed)
-    xi = g.from_reduced(rng.standard_normal((n, g.reduced_dim)))
-    return ScenarioSet(scenarios=xi, origin="gaussian", seed=seed)
+    w = np.concatenate(list(_support_draws(n, seed, g.reduced_dim)))
+    return ScenarioSet(scenarios=g.from_reduced(w), origin="gaussian", seed=seed)
 
 
 def chunk_sizes(n: int) -> Iterator[int]:
     """Split n >= 1 rows into ceil(n / CHUNK) blocks of near-equal size.
 
-    No block is a sliver: BLAS rounds a one-row product (gemv) and very
-    short blocks (small-matrix kernels) differently from a long block,
-    so a short remainder would make results depend on how n falls
-    against CHUNK. The sizes come lazily, so memory stays O(1) in n;
-    n is checked at call time and must fit the index range.
+    CHUNK is a constant, so reports are deterministic, and the blocks
+    define the mixture's stream. Whether a block's product keeps the
+    one-shot bits depends on the factor's width (a long 7-column block,
+    as on case57, may not); no block is a sliver, which BLAS (gemv,
+    small-matrix kernels) rounds apart at any width. The sizes come
+    lazily, so memory stays O(1) in n; n is checked at call time.
     """
     if n < 1:
         raise ValueError(f"need at least one row, got {n}")
@@ -285,36 +280,42 @@ def chunk_sizes(n: int) -> Iterator[int]:
     return chain(repeat(size + 1, longer), repeat(size, blocks - longer))
 
 
+def _support_draws(n: int, seed: int | None, width: int,
+                   mixture: MixtureSampler | None = None) -> Iterator[np.ndarray]:
+    """The one draw stream: chunk_sizes(n) blocks from default_rng(seed).
+
+    Each block is standard_normal((size, width)), which concatenate to
+    the one-shot draw, or sample_mixture_batch(mixture, size, rng)[0].
+    """
+    rng = np.random.default_rng(seed)
+    for size in chunk_sizes(n):
+        yield (rng.standard_normal((size, width)) if mixture is None
+               else sample_mixture_batch(mixture, size, rng)[0])
+
+
 def projected_draws(
     row_factor: np.ndarray, n: int, seed: int | None,
     mixture: MixtureSampler | None = None,
 ) -> Iterator[np.ndarray]:
     """Row projections F z' of n deviations, F a factor of the rows' covariance.
 
-    Without a mixture, z holds row_factor.shape[1] standard normals per
-    deviation, drawn in chunk_sizes(n) blocks of one stream, so F z' is
+    z runs over the blocks of _support_draws. Without a mixture, z holds
+    row_factor.shape[1] standard normals per deviation, so F z' is
     N(0, F F'): the solves and checks pass the margins' draw_factor, rank
     R normals per draw. With R = W U itself (the margins' row_factor) the
     stream is draw_gaussian_scenarios'. With a mixture, row_factor must
-    be R, and z is the support-coordinate stream of
-    draw_mixture_scenarios(mixture, n, seed) in one block. Each block
-    comes rows by draws, so the reductions over a block's draws (a row's
-    maximum, a draw's check over every row) run along its contiguous axis.
+    be R, and z is draw_mixture_scenarios(mixture, n, seed)'s stream.
+    Blocks come rows by draws, so a row's maximum and a draw's check
+    over every row run along the contiguous axis.
     """
-    sizes = chunk_sizes(n)  # refuses n < 1 for either law
-    rng = np.random.default_rng(seed)
-    if mixture is not None:
-        # one block: the mixture draws components, then normals, then tail
-        # uniforms over all n rows, so blocks would make its stream depend on CHUNK
-        yield row_factor @ sample_mixture_batch(mixture, n, rng)[0].T
-        return
-    for size in sizes:
-        yield row_factor @ rng.standard_normal((size, row_factor.shape[1])).T
+    blocks = _support_draws(n, seed, row_factor.shape[1], mixture)
+    # map, unlike a for loop, drops each block of draws once it is projected
+    return map(lambda z: row_factor @ z.T, blocks)
 
 
 def draw_mixture_scenarios(ms: MixtureSampler, n: int, seed: int | None) -> ScenarioSet:
-    """n deviations from the tail mixture, mapped to the buses."""
-    w, _ = sample_mixture_batch(ms, n, np.random.default_rng(seed))
+    """n deviations from the tail mixture (the _support_draws stream), mapped to the buses."""
+    w = np.concatenate(list(_support_draws(n, seed, ms.reduced_dim, ms)))
     return ScenarioSet(scenarios=ms.gaussian.from_reduced(w), origin="mixture", seed=seed)
 
 

@@ -276,8 +276,10 @@ def test_gaussian_draws_take_reduced_dim_normals(request, case_name):
     case = request.getfixturevalue(case_name)
     g = build_uncertainty(case, 0.07)
     assert g.reduced_dim == {"case30": 23, "case57": 41}[case_name]
-    want = np.random.default_rng(11).standard_normal((300, g.reduced_dim)) @ g.reduced_factor.T
-    np.testing.assert_array_equal(draw_gaussian_scenarios(g, 300, 11).scenarios, want)
+    # over two blocks, the one-shot stream: sequential normals concatenate
+    n = scenario.CHUNK + 5
+    want = np.random.default_rng(11).standard_normal((n, g.reduced_dim)) @ g.reduced_factor.T
+    np.testing.assert_array_equal(draw_gaussian_scenarios(g, n, 11).scenarios, want)
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.9])
@@ -860,15 +862,20 @@ def test_empty_draws_rejected():
         chunk_sizes(0)
     poly, g = box_polytope(2, 1.0), iid_gaussian(2)
     m = compute_margins(poly, g, 0.05)
-    for mixture in (None, build_mixture(poly, m, g)):
+    mixture = build_mixture(poly, m, g)
+    for draw in (lambda: next(projected_draws(m.row_factor, 0, 0)),
+                 lambda: next(projected_draws(m.row_factor, 0, 0, mixture)),
+                 lambda: draw_gaussian_scenarios(g, 0, 0),
+                 lambda: draw_mixture_scenarios(mixture, 0, 0)):
         with pytest.raises(ValueError, match="at least one row"):
-            next(projected_draws(m.row_factor, 0, 0, mixture))
+            draw()
 
 
 def test_projected_blocks_are_rows_by_draws(case30):
-    # a Gaussian draw over two blocks and one mixture block: each block is
-    # R z' of its part of the documented stream, bit for bit, and the
-    # offsets are the rows' own less their maximum over every block
+    # Gaussian and mixture draws over two blocks, and one mixture block:
+    # each block is R z' of its part of the documented stream, bit for
+    # bit, and the offsets are the rows' own less their maximum over
+    # every block
     prep = _prepared(case30)
     r = prep.margins.row_factor
     # case30's rows see every support direction, so sa draws through R itself
@@ -890,6 +897,17 @@ def test_projected_blocks_are_rows_by_draws(case30):
     assert y.tobytes() == (r @ w.T).tobytes()
     want = np.minimum(prep.poly.offsets - y.max(axis=1), prep.poly.offsets - prep.margins.delta)
     assert _offsets(prep, "sa-is", 700, seed).tobytes() == want.tobytes()
+
+    # above CHUNK the mixture draws each block in turn from the one generator
+    rng = np.random.default_rng(seed)
+    blocks = list(projected_draws(r, n, seed, prep.mixture))
+    assert [y.shape[1] for y in blocks] == list(chunk_sizes(n))
+    for y in blocks:
+        w, _ = sample_mixture_batch(prep.mixture, y.shape[1], rng)
+        assert y.tobytes() == (r @ w.T).tobytes()
+    worst = np.concatenate(blocks, axis=1).max(axis=1)
+    want = np.minimum(prep.poly.offsets - worst, prep.poly.offsets - prep.margins.delta)
+    assert _offsets(prep, "sa-is", n, seed).tobytes() == want.tobytes()
 
 
 def _sa_row_maxima(prep, margins, seeds) -> np.ndarray:
@@ -990,3 +1008,16 @@ def test_classical_draws_stream_in_bounded_memory(case30):
         tracemalloc.stop()
     assert sol.status in ("optimal", "infeasible")
     assert peak < 64e6
+
+
+def test_mixture_draws_stream_in_bounded_memory(case30):
+    # the one-block mixture draw held about 187 MB at this count, 0.94 KB
+    # per draw; in blocks of CHUNK draws the peak does not grow with n
+    prep = _prepared(case30)
+    tracemalloc.start()
+    try:
+        _offsets(prep, "sa-is", 200_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

@@ -557,8 +557,10 @@ def test_run_experiment_parallel_matches_serial(monkeypatch, tmp_path):
 
 
 def test_run_experiment_does_not_depend_on_the_block_size(monkeypatch):
+    # sa-is is left out: above CHUNK its mixture stream is the one the
+    # blocks define, so a smaller CHUNK draws other deviations
     config = ExperimentConfig(
-        case="case30", methods=("dc-opf", "sa", "sa-is"), scenarios=500, reps=2,
+        case="case30", methods=("dc-opf", "sa"), scenarios=500, reps=2,
         n_test=1001, seed=8,
     )
     monkeypatch.setattr(scenario, "CHUNK", 1 << 62)
@@ -869,7 +871,10 @@ start = validation._start_worker
 
 def start_and_list(experiment):
     start(experiment)
-    print("worker has numpy.random:", "numpy.random" in sys.modules, flush=True)
+    # one write per line: the two workers share the pipe, and unbuffered
+    # print writes each argument apart, so their lines could interleave
+    sys.stdout.write(f"worker has numpy.random: {'numpy.random' in sys.modules}\\n")
+    sys.stdout.flush()
 
 validation._start_worker = start_and_list
 run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
