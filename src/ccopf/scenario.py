@@ -44,7 +44,11 @@ ACTIVE_TOL = 1e-7
 
 # Most draws one block holds: every draw, Gaussian or mixture, streams
 # through blocks (_support_draws), so memory stays O(CHUNK) for any count.
-CHUNK = 1 << 14
+# 2,048 draws keep a block's projection cache-sized (1.5 MB on case30's 94
+# rows), which also bounds the pages a fresh pool worker faults in, and
+# cover both bundled cases' auto sa-is counts (1,064 and 180), so their
+# mixture streams stay one block.
+CHUNK = 1 << 11
 
 # Most rows one draw may hold: NumPy indexes arrays with intp.
 MAX_ROWS = int(np.iinfo(np.intp).max)
@@ -265,11 +269,14 @@ def chunk_sizes(n: int) -> Iterator[int]:
     """Split n >= 1 rows into ceil(n / CHUNK) blocks of near-equal size.
 
     CHUNK is a constant, so reports are deterministic, and the blocks
-    define the mixture's stream. Whether a block's product keeps the
-    one-shot bits depends on the factor's width (a long 7-column block,
-    as on case57, may not); no block is a sliver, which BLAS (gemv,
-    small-matrix kernels) rounds apart at any width. The sizes come
-    lazily, so memory stays O(1) in n; n is checked at call time.
+    define the mixture's stream above CHUNK draws. CHUNK is at least the
+    bundled cases' auto sa-is counts, so their default streams are one
+    block, and small enough that a block's rows-by-draws projection stays
+    in cache. Whether a block's product keeps the one-shot bits depends
+    on the factor's width (a long 7-column block, as on case57, may
+    not); no block is a sliver, which BLAS (gemv, small-matrix kernels)
+    rounds apart at any width. The sizes come lazily, so memory stays
+    O(1) in n; n is checked at call time.
     """
     if n < 1:
         raise ValueError(f"need at least one row, got {n}")
