@@ -2,10 +2,12 @@
 
 A scenario set turns the chance constraint into finitely many shifted
 copies of the polytope rows, which collapse to one offset per row. Solves
-and checks draw straight onto the rows (projected_draws, rows by draws):
-Gaussian draws through the margins' draw_factor, rank R normals each,
-and mixture draws in support coordinates through the row factor R.
-The bus-space reference sets map the same blocks. The dispatch LP
+draw straight onto the rows (projected_draws, rows by draws): Gaussian
+draws through the margins' draw_factor, rank R normals each, and
+mixture draws in support coordinates through the row factor R. The
+out-of-sample check draws the same Gaussian blocks (_support_draws) and
+projects only the rows each block can reach. The bus-space reference
+sets map the same blocks. The dispatch LP
 optimises generator outputs against those offsets, optionally
 intersected with the margin-tightened offsets, with the generator at
 the slack bus absorbing the power balance. A
@@ -308,12 +310,13 @@ def projected_draws(
 
     z runs over the blocks of _support_draws. Without a mixture, z holds
     row_factor.shape[1] standard normals per deviation, so F z' is
-    N(0, F F'): the solves and checks pass the margins' draw_factor, rank
-    R normals per draw. With R = W U itself (the margins' row_factor) the
-    stream is draw_gaussian_scenarios'. With a mixture, row_factor must
-    be R, and z is draw_mixture_scenarios(mixture, n, seed)'s stream.
-    Blocks come rows by draws, so a row's maximum and a draw's check
-    over every row run along the contiguous axis.
+    N(0, F F'): the solves pass the margins' draw_factor, rank R normals
+    per draw, and validation.out_of_sample_confidence projects the same
+    blocks through a subset of its rows. With R = W U itself (the
+    margins' row_factor) the stream is draw_gaussian_scenarios'. With a
+    mixture, row_factor must be R, and z is draw_mixture_scenarios(mixture,
+    n, seed)'s stream. Blocks come rows by draws, so a row's maximum runs
+    along the contiguous axis.
     """
     blocks = _support_draws(n, seed, row_factor.shape[1], mixture)
     # map, unlike a for loop, drops each block of draws once it is projected

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib.util
 import json
 import math
@@ -111,13 +112,14 @@ def test_confidence_streams_in_bounded_memory(case30):
         out_of_sample_confidence(x, poly, g, 10**6, seed=5)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        # a stack shares each block's projection; only one is alive at a time
+        # each dispatch of a stack projects only its reached rows, one
+        # product at a time, so the stack stays below one all-row block
         out_of_sample_confidence(np.stack([x] * 3), poly, g, 10**6, seed=5)
         _, stacked_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64e6
-    assert stacked_peak < 2 * 8 * scenario.CHUNK * poly.n_rows
+    assert stacked_peak < 8 * scenario.CHUNK * poly.n_rows
 
 
 def test_repetition_runs_in_bounded_memory(monkeypatch):
@@ -203,6 +205,112 @@ def test_empty_stack_rejected(case30):
     xs, poly, g = _three_dispatches(case30)
     with pytest.raises(ValueError, match="empty"):
         out_of_sample_confidence(xs[:0], poly, g, 1000, seed=4)
+
+
+@functools.cache
+def _method_dispatches(name: str, eta: float):
+    # each method's dispatch at its auto count under one seed, stacked
+    config = ExperimentConfig(case=name, methods=("dc-opf", "sa", "sa-is"), eta=eta)
+    prep = validation.prepare_experiment(config)
+    xs = []
+    for method in config.methods:
+        n = resolve_scenario_count(config, prep.case, method, prep)
+        xs.append(solve_prepared(prep, "sa" if method == "dc-opf" else method, n, 3).injection_pu)
+    return np.stack(xs), prep
+
+
+def _all_rows_check(xs, poly, factor, n_test, seed) -> list[float]:
+    # the reference: every row of every draw projected and compared
+    headrooms = [poly.offsets - poly.normals @ x + validation._OOS_TOL for x in xs]
+    inside = [0] * len(xs)
+    for y in scenario.projected_draws(factor, n_test, seed):
+        for j, headroom in enumerate(headrooms):
+            inside[j] += int(np.count_nonzero(np.all(y <= headroom[:, None], axis=0)))
+    return [k / n_test for k in inside]
+
+
+@pytest.mark.parametrize("name", ["case30", "case57"])
+@pytest.mark.parametrize("eta", [0.05, 1e-3])
+@pytest.mark.parametrize("n_test", [1, 1000, scenario.CHUNK, scenario.CHUNK + 1, 100_000])
+def test_screened_check_counts_what_the_all_row_check_counts(name, eta, n_test):
+    xs, prep = _method_dispatches(name, eta)
+    factor = prep.margins.draw_factor
+    for seed in (0, 1, 2, 17, validation._TEST_SEED_OFFSET + 4):
+        want = _all_rows_check(xs, prep.poly, factor, n_test, seed)
+        prob, _ = out_of_sample_confidence(xs, prep.poly, prep.g, n_test, seed, factor)
+        assert prob.tolist() == want
+        singles = [out_of_sample_confidence(x, prep.poly, prep.g, n_test, seed, factor)[0]
+                   for x in xs]
+        assert singles == want
+
+
+def test_rare_eta_blocks_reach_few_case30_rows():
+    # the rare-failure dispatches against a 1e5-draw check: no block comes
+    # within reach of more than 12 of case30's 94 rows
+    xs, prep = _method_dispatches("case30", 1e-3)
+    factor = prep.margins.draw_factor
+    sigma = np.linalg.norm(factor, axis=1)
+    headrooms = [prep.poly.offsets - prep.poly.normals @ x + validation._OOS_TOL for x in xs]
+    reached = [
+        len(validation._reached_rows(sigma, float(np.max(np.linalg.norm(z, axis=1))), h))
+        for z in scenario._support_draws(100_000, validation._TEST_SEED_OFFSET,
+                                         factor.shape[1])
+        for h in headrooms
+    ]
+    assert prep.poly.n_rows == 94
+    assert 0 < max(reached) <= 12
+
+
+def test_reach_rule():
+    sigma = np.array([1.0, 1.0, 0.0, 0.0, 2.0])
+    headroom = np.array([2.0, 3.0, 0.0, -1e-300, np.nan])
+    # at the bound the widening still reaches a row; a deterministic row
+    # is reached only below zero headroom; a NaN headroom always is
+    assert validation._reached_rows(sigma, 2.0, headroom).tolist() == [0, 3, 4]
+    assert validation._reached_rows(sigma, 0.0, headroom).tolist() == [3, 4]
+
+
+def test_nan_injection_counts_as_outside(case30):
+    xs, poly, g = _three_dispatches(case30)
+    xs[1, 5] = math.nan
+    prob, stderr = out_of_sample_confidence(xs, poly, g, 3000, seed=8)
+    assert prob[1] == 0.0 and stderr[1] == 0.0
+    assert out_of_sample_confidence(xs[1], poly, g, 3000, seed=8) == (0.0, 0.0)
+    assert out_of_sample_confidence(xs[0], poly, g, 3000, seed=8)[0] == prob[0] > 0.0
+
+
+def test_negative_headroom_on_a_deterministic_row_gives_zero():
+    # bus 1 carries no deviation, so its row has no spread and is only
+    # reached because its headroom is negative
+    poly = FeasibilityPolytope(np.eye(2), np.array([5.0, 0.0]),
+                               (("injection-upper", 0), ("injection-upper", 1)))
+    g = GaussianSpec(cov=np.diag([1.0, 0.0]))
+    assert out_of_sample_confidence(np.array([0.0, 0.5]), poly, g, 1000, seed=2) == (0.0, 0.0)
+    assert out_of_sample_confidence(np.array([0.0, 0.0]), poly, g, 1000, seed=2)[0] == 1.0
+
+
+def test_zero_width_factor_keeps_every_draw(case30):
+    # sigma 0 gives a draw factor with no columns: every block has radius
+    # 0, no row with headroom >= 0 is reached, and each of three blocks
+    # counts all of its draws
+    prep = prepare_problem(case30, build_uncertainty(case30, 0.0), 0.05)
+    assert prep.margins.draw_factor.shape[1] == 0
+    x = solve_prepared(prep, "sa", 0, seed=0).injection_pu
+    n_test = 2 * scenario.CHUNK + 1
+    assert out_of_sample_confidence(x, prep.poly, prep.g, n_test, 3,
+                                    prep.margins.draw_factor) == (1.0, 0.0)
+    xs, poly, _ = _three_dispatches(case30)
+    rigid = GaussianSpec(cov=np.zeros((xs.shape[1],) * 2))
+    on_rows = FeasibilityPolytope(poly.normals, poly.normals @ xs[0], poly.labels)
+    assert out_of_sample_confidence(xs[0], on_rows, rigid, n_test, 3) == (1.0, 0.0)
+
+
+def test_block_reaching_no_row_counts_all_its_draws():
+    poly, g = one_row(100.0), iid_gaussian(1)
+    (z,) = scenario._support_draws(1000, 1, 1)
+    radius = float(np.max(np.linalg.norm(z, axis=1)))
+    assert validation._reached_rows(np.ones(1), radius, poly.offsets).size == 0
+    assert out_of_sample_confidence(np.array([0.0]), poly, g, 1000, seed=1) == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +1025,55 @@ def test_forked_workers_inherit_the_random_module():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["worker has numpy.random: True"] * 2
+
+
+_REPEATED_RUN_FAULTS = """
+import resource
+from ccopf import ExperimentConfig, run_experiment
+from ccopf.validation import prepare_experiment
+for case in ("case30", "case57"):
+    config = ExperimentConfig(case=case, methods=("dc-opf", "sa", "sa-is"), reps=10,
+                              seed=2024)
+    problem = prepare_experiment(config)
+    run_experiment(config, problem)
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_experiment(config, problem)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+def test_repeated_runs_reuse_the_heap():
+    # a fresh interpreter running the certified-count protocol (eta 0.05,
+    # auto counts, 1,000 test draws) again after a warm-up run: with
+    # glibc's default thresholds each case30 run trimmed its heap and
+    # faulted it back in, about 3,650 minor faults a run
+    if not _has_mallopt():
+        pytest.skip("no glibc mallopt")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _REPEATED_RUN_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(line) for line in proc.stdout.split()]
+    assert len(faults) == 6 and max(faults) < 100
+
+
+@pytest.mark.parametrize("library", [object(), OSError("no C library")], ids=["no-mallopt", "no-library"])
+def test_steady_heap_does_nothing_without_mallopt(monkeypatch, library):
+    def cdll(name):
+        if isinstance(library, Exception):
+            raise library
+        return library
+
+    monkeypatch.setattr(validation.ctypes, "CDLL", cdll)
+    assert validation._steady_heap() is None
 
 
 def _threads_after_blas(report_dir, rep: int) -> None:
