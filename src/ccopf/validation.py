@@ -11,8 +11,11 @@ serialisable report.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import os
+import pickle
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -335,6 +338,8 @@ class ExperimentReport:
 
         cfg = asdict(self.config)
         cfg["methods"] = list(self.config.methods)
+        # the job count changes no record, so reports at any --jobs match
+        del cfg["jobs"]
         return {
             "config": cfg,
             "case_name": self.case_name,
@@ -346,6 +351,7 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> ExperimentReport:
+        """The report to_dict wrote; config.jobs is read where a report has it."""
         cfg = dict(data["config"])
         cfg["methods"] = tuple(cfg["methods"])
         records = tuple(
@@ -431,7 +437,7 @@ def prepare_experiment(config: ExperimentConfig) -> PreparedProblem:
 
 @dataclass(frozen=True)
 class _Experiment:
-    """What every repetition of one run shares; pool workers get it once.
+    """What every repetition of one run shares; a pool worker unpickles it once.
 
     nominal is the dc-opf dispatch, which no seed changes: None when the
     solver broke down, and unused when dc-opf is not among the methods.
@@ -568,27 +574,93 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# The experiment a pool worker runs repetitions of, set by _start_worker.
-_WORKER_EXPERIMENT: _Experiment | None = None
+# The one run a pool worker holds, as (run id, experiment): replaced by
+# _rep_in_worker when a task of another run arrives.
+_WORKER_EXPERIMENT: tuple[int, _Experiment] | None = None
+
+# Ids that tell one pooled run's experiment from the next.
+_RUN_IDS = itertools.count()
+
+# The process-wide pool, as (key, executor), or None; see _pool.
+_POOL: tuple[tuple, ProcessPoolExecutor] | None = None
+_POOL_LOCK = threading.RLock()
 
 
-def _start_worker(experiment: _Experiment) -> None:
+def _start_worker() -> None:
     # every worker gets one BLAS thread: the workers already fill the
     # cores, and more threads per worker only oversubscribe them. The run
     # path maps one OpenBLAS, NumPy's: the kernels need no SciPy, and the
     # HiGHS binding, loaded here first, brings no OpenBLAS of its own. A
     # worker forked by run_experiment has one thread already; the binding,
     # if its parent never solved, loads here, not on a solve. The heap
-    # thresholds are fixed here too, for a worker that did not fork.
+    # thresholds are fixed here too, for a worker that did not fork. A
+    # worker forked by a worker drops the run it inherited, whose id came
+    # from another process's counter.
     global _WORKER_EXPERIMENT
-    _WORKER_EXPERIMENT = experiment
+    _WORKER_EXPERIMENT = None
     scenario._load_highs()
     _one_blas_thread()
     _steady_heap()
 
 
-def _rep_in_worker(rep: int) -> list[RepetitionRecord]:
-    return _run_rep(_WORKER_EXPERIMENT, rep)
+def _rep_in_worker(run: int, blob: bytes, rep: int) -> list[RepetitionRecord]:
+    """Repetition rep of the pickled experiment blob, unpickled once per run."""
+    global _WORKER_EXPERIMENT
+    if _WORKER_EXPERIMENT is None or _WORKER_EXPERIMENT[0] != run:
+        _WORKER_EXPERIMENT = (run, pickle.loads(blob))
+    return _run_rep(_WORKER_EXPERIMENT[1], rep)
+
+
+def _intact(pool: ProcessPoolExecutor) -> bool:
+    # a pool that lost a worker is broken, or will be once its manager
+    # thread sees the exit; either way it would fail the next run
+    processes = (pool._processes or {}).values()
+    return not pool._broken and all(p.is_alive() for p in processes)
+
+
+def _shutdown_pool() -> None:
+    """Shut the process-wide pool down; the next pooled run starts a new one."""
+    # the workers are joined when this process started the pool; a forked
+    # child's copy of its parent's pool is the parent's to shut down. A
+    # worker that died may have held the task queue's read lock, which
+    # its idle mates then wait on forever, so they are terminated rather
+    # than asked to stop.
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            return
+        (pid, *_), pool = _POOL
+        _POOL = None
+        if pid == os.getpid():
+            if not _intact(pool):
+                for process in (pool._processes or {}).values():
+                    process.terminate()
+            pool.shutdown()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of workers, kept warm from one run to the next.
+
+    Cached under (pid, ProcessPoolExecutor, workers), as scenario._highs
+    caches its HiGHS instance, and built under a lock: a forked child, a
+    patched class or a new worker count gets a new pool, and so does a
+    pool that lost a worker (a run that loses one raises
+    BrokenProcessPool). The pool replaced is shut down first. The
+    workers exit with the interpreter, through concurrent.futures' own
+    exit hook.
+    """
+    global _POOL
+    key = (os.getpid(), ProcessPoolExecutor, workers)
+    with _POOL_LOCK:
+        if _POOL is not None and (_POOL[0] != key or not _intact(_POOL[1])):
+            _shutdown_pool()
+        if _POOL is None:
+            # numpy.random loads on first use (about 20 ms): load it before
+            # the fork, so the workers inherit it rather than each import it
+            import numpy.random  # noqa: F401
+
+            _POOL = key, ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
+        return _POOL[1]
 
 
 def run_experiment(
@@ -605,15 +677,22 @@ def run_experiment(
     method-major. problem, when given, is prepare_experiment(config), so
     a caller that already prepared the case does not prepare it twice.
     With jobs > 1 the repetitions go to min(jobs, reps, usable cores)
-    pool workers, each of which receives the prepared experiment once;
-    jobs is the only parallelism of a run. Before the first repetition,
-    every OpenBLAS of the calling process is set to one thread, and the
-    run leaves it there: forked workers inherit that count, and a worker
-    started by spawn or forkserver sets it in _start_worker for the
-    libraries it has loaded by then. glibc's mmap and trim thresholds
-    are fixed the same way, at 16 and 32 MB (_steady_heap), and stay
-    fixed: a process that repeats runs then reuses its heap, where the
-    default thresholds trim it after a run and fault it back in.
+    pool workers, each of which unpickles the prepared experiment once;
+    jobs is the only parallelism of a run. The pool is the process's
+    own (_pool): it outlives the run, and the next pooled run with as
+    many workers reuses its warm workers. So the workers keep the module
+    state of when the pool started: a function or setting of ccopf
+    patched after that does not reach them (_shutdown_pool lets the next
+    run start afresh). A worker that dies fails its run with
+    BrokenProcessPool, and the next run starts a new pool. Before the
+    first repetition, every OpenBLAS of the calling process is set to
+    one thread, and the run leaves it there: forked workers inherit that
+    count, and a worker started by spawn or forkserver sets it in
+    _start_worker for the libraries it has loaded by then. glibc's mmap
+    and trim thresholds are fixed the same way, at 16 and 32 MB
+    (_steady_heap), and stay fixed: a process that repeats runs then
+    reuses its heap, where the default thresholds trim it after a run
+    and fault it back in.
     """
     if problem is None:
         problem = prepare_experiment(config)
@@ -625,14 +704,10 @@ def run_experiment(
     _steady_heap()
     workers = min(config.jobs, config.reps, _usable_cores())
     if workers > 1:
-        # numpy.random loads on first use (about 20 ms): load it before the
-        # fork, so the workers inherit it rather than each importing it
-        import numpy.random  # noqa: F401
-
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(experiment,)
-        ) as pool:
-            by_rep = list(pool.map(_rep_in_worker, range(config.reps)))
+        run, blob = next(_RUN_IDS), pickle.dumps(experiment, pickle.HIGHEST_PROTOCOL)
+        by_rep = list(_pool(workers).map(
+            _rep_in_worker, itertools.repeat(run), itertools.repeat(blob), range(config.reps)
+        ))
     else:
         by_rep = [_run_rep(experiment, rep) for rep in range(config.reps)]
     records = tuple(

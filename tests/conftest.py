@@ -1,9 +1,10 @@
-"""Shared fixtures: bundled cases and a hand-sized triangle grid."""
+"""Shared fixtures: bundled cases, a hand-sized triangle grid, a fresh pool."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import ccopf.validation as validation
 from ccopf import (
     FeasibilityPolytope,
     GaussianSpec,
@@ -40,6 +41,15 @@ mpc.gencost = [
 \t2\t0\t0\t2\t1\t0;
 ];
 """
+
+
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    # pool workers keep the module state of when their pool started, so
+    # every test starts its own: what it patches then reaches its workers
+    validation._shutdown_pool()
+    yield
+    validation._shutdown_pool()
 
 
 @pytest.fixture(scope="session")

@@ -8,12 +8,14 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -550,6 +552,17 @@ def test_report_round_trips_through_json():
     assert math.isnan(back.records[3].objective)
 
 
+def test_report_leaves_out_the_job_count():
+    # the records do not depend on jobs, so neither does report.json; a
+    # report that still carries the field reads as before
+    report = sample_report()
+    data = report.to_dict()
+    assert "jobs" not in data["config"]
+    assert replace(report, config=replace(report.config, jobs=2)).to_dict() == data
+    data["config"]["jobs"] = 2
+    assert ExperimentReport.from_dict(data).config == replace(report.config, jobs=2)
+
+
 def test_load_case_ref(tmp_path, case30):
     assert load_case_ref("case30").n == case30.n
     path = tmp_path / "tri.m"
@@ -788,6 +801,131 @@ def test_pool_starts_no_more_workers_than_usable_cores(monkeypatch, tmp_path):
     assert started == [2]
 
 
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _alive(pid: int) -> bool:
+    # a running process; one that exited and awaits its reaping is not
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_pooled_runs_reuse_one_warm_pool(monkeypatch):
+    # the benchmark's pass shape: case30, then case57, in one process
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    pids = []
+    for name in ("case30", "case57"):
+        config = ExperimentConfig(case=name, methods=("dc-opf", "sa", "sa-is"), scenarios=300,
+                                  reps=3, n_test=5000, seed=41, jobs=2)
+        want = run_experiment(replace(config, jobs=1)).records
+        assert run_experiment(config).records == want
+        pids.append(_worker_pids())
+    assert len(pids[0]) == 2
+    assert pids[1] == pids[0]
+
+
+def test_a_worker_killed_between_runs_gets_a_fresh_pool(monkeypatch):
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    config = ExperimentConfig(case="case30", methods=("sa", "sa-is"), scenarios=200, reps=2,
+                              n_test=2000, seed=43, jobs=2)
+    want = run_experiment(replace(config, jobs=1)).records
+    assert run_experiment(config).records == want
+    old = multiprocessing.active_children()
+    os.kill(old[0].pid, signal.SIGKILL)
+    old[0].join(timeout=60)
+    assert run_experiment(config).records == want
+    assert len(_worker_pids()) == 2
+    assert not any(_alive(p.pid) for p in old)
+
+
+def test_a_worker_dying_in_a_run_fails_that_run_alone(monkeypatch):
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    config = ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
+                              n_test=2000, seed=47, jobs=2)
+    want = run_experiment(replace(config, jobs=1)).records
+
+    def die(experiment, rep):
+        os._exit(1)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(validation, "_run_rep", die)
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(config)
+    dead = _worker_pids()
+    # the next pool forks from the restored module
+    assert run_experiment(config).records == want
+    assert _worker_pids().isdisjoint(dead)
+
+
+def test_a_new_worker_count_replaces_the_pool(monkeypatch, tmp_path):
+    path = tmp_path / "tri.m"
+    path.write_text(TRIANGLE_TEXT)
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 3)
+    config = ExperimentConfig(case=str(path), methods=("sa",), scenarios=5, reps=3, n_test=50)
+    want = run_experiment(config).records
+    assert run_experiment(replace(config, jobs=2)).records == want
+    two = _worker_pids()
+    assert run_experiment(replace(config, jobs=3)).records == want
+    three = _worker_pids()
+    assert (len(two), len(three)) == (2, 3)
+    assert not any(_alive(pid) for pid in two)
+    assert two.isdisjoint(three)
+
+
+def test_concurrent_pooled_runs_keep_their_own_records(monkeypatch, tmp_path):
+    # two threads' runs interleave on one pool of three workers, more than
+    # the cores: each worker switches between the two experiments by run
+    # id, and each run still gets its own records
+    from concurrent.futures import ThreadPoolExecutor
+
+    path = tmp_path / "tri.m"
+    path.write_text(TRIANGLE_TEXT)
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 3)
+    configs = [ExperimentConfig(case=str(path), methods=("sa", "sa-is"), scenarios=5, reps=6,
+                                n_test=50, seed=seed, jobs=3) for seed in (1, 2)]
+    want = [run_experiment(replace(config, jobs=1)).records for config in configs]
+    assert want[0] != want[1]
+    # the pool forks before the threads start: a fork beside a running
+    # thread could copy a lock that thread holds
+    assert run_experiment(configs[0]).records == want[0]
+    with ThreadPoolExecutor(max_workers=2) as threads:
+        for _ in range(5):
+            reports = threads.map(run_experiment, configs, timeout=120)
+            assert [report.records for report in reports] == want
+
+
+_POOLED_RUN_EXIT = """
+import multiprocessing
+import ccopf.validation as validation
+from ccopf import ExperimentConfig, run_experiment
+validation._usable_cores = lambda: 2
+run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
+                                n_test=100, jobs=2))
+print(*sorted(p.pid for p in multiprocessing.active_children()))
+"""
+
+
+def test_pool_workers_exit_with_the_interpreter():
+    # nothing shuts the pool down but concurrent.futures' exit hook
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("no /proc to tell a live process from a reaped one")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _POOLED_RUN_EXIT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    assert not any(_alive(pid) for pid in pids)
+
+
 def test_usable_cores_without_an_affinity_call(monkeypatch):
     assert 1 <= validation._usable_cores() <= (os.cpu_count() or 1)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -918,9 +1056,7 @@ def threaded_blas():
 def test_pool_workers_use_one_blas_thread(threaded_blas):
     # a forked worker starts at the caller's two threads, so only
     # _start_worker brings it to one
-    with ProcessPoolExecutor(
-        max_workers=1, initializer=validation._start_worker, initargs=(None,)
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=1, initializer=validation._start_worker) as pool:
         in_worker = pool.submit(_worker_blas_threads).result()
     assert in_worker == [1] * len(threaded_blas)
     # the caller's own BLAS is left alone
@@ -949,7 +1085,7 @@ def test_spawned_workers_use_one_blas_thread(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     with ProcessPoolExecutor(
         max_workers=1, mp_context=multiprocessing.get_context("spawn"),
-        initializer=validation._start_worker, initargs=(None,),
+        initializer=validation._start_worker,
     ) as pool:
         in_worker = pool.submit(_blas_after_a_solve).result()
     assert in_worker == {"threads": [1], "scipy": []}
@@ -968,20 +1104,27 @@ def test_run_leaves_one_blas_thread(monkeypatch, threaded_blas, jobs):
 
 _POOLED_RUN_THREADS = """
 import os
+import threading
 import ccopf.validation as validation
 from ccopf import ExperimentConfig, run_experiment
 validation._usable_cores = lambda: 2
-before = len(os.listdir("/proc/self/task"))
+
+def native_threads():
+    return len(os.listdir("/proc/self/task")) - threading.active_count()
+
+before = native_threads()
 run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=200, reps=2,
                                 n_test=100, jobs=2))
-print(before, len(os.listdir("/proc/self/task")))
+print(before, native_threads())
 """
 
 
 def test_pooled_run_ends_with_no_more_os_threads():
     # a fresh interpreter, whose NumPy OpenBLAS has its thread server
     # running: the fork shuts every server down, and a count set after it
-    # would start that server again
+    # would start that server again. Only threads Python did not start
+    # are counted: the pool's own manager and queue threads outlive the
+    # run on purpose
     if not _worker_blas_threads():
         pytest.skip("no OpenBLAS library found")
     if not os.path.isdir("/proc/self/task"):
@@ -1003,8 +1146,8 @@ multiprocessing.set_start_method("fork")
 validation._usable_cores = lambda: 2
 start = validation._start_worker
 
-def start_and_list(experiment):
-    start(experiment)
+def start_and_list():
+    start()
     # one write per line: the two workers share the pipe, and unbuffered
     # print writes each argument apart, so their lines could interleave
     sys.stdout.write(f"worker has numpy.random: {'numpy.random' in sys.modules}\\n")
