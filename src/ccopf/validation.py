@@ -16,7 +16,7 @@ import math
 import os
 import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -574,16 +574,22 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# The one run a pool worker holds, as (run id, experiment): replaced by
-# _rep_in_worker when a task of another run arrives.
-_WORKER_EXPERIMENT: tuple[int, _Experiment] | None = None
+# The one run a pool worker holds, as (pickled, unpickled) experiment:
+# replaced by _rep_in_worker when a task of another run arrives.
+_WORKER_EXPERIMENT: tuple[bytes, _Experiment] | None = None
 
-# Ids that tell one pooled run's experiment from the next.
-_RUN_IDS = itertools.count()
-
-# The process-wide pool, as (key, executor), or None; see _pool.
-_POOL: tuple[tuple, ProcessPoolExecutor] | None = None
+# The process's pool, as (workers, executor), or None; see _pool. The
+# lock is held for a whole pooled run, so no run replaces a pool that
+# another thread's run is using.
+_POOL: tuple[int, ProcessPoolExecutor] | None = None
 _POOL_LOCK = threading.RLock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's workers, and its copy of the
+    # lock may be held by a parent thread that does not exist here
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.RLock()
 
 
 def _start_worker() -> None:
@@ -593,21 +599,18 @@ def _start_worker() -> None:
     # HiGHS binding, loaded here first, brings no OpenBLAS of its own. A
     # worker forked by run_experiment has one thread already; the binding,
     # if its parent never solved, loads here, not on a solve. The heap
-    # thresholds are fixed here too, for a worker that did not fork. A
-    # worker forked by a worker drops the run it inherited, whose id came
-    # from another process's counter.
-    global _WORKER_EXPERIMENT
-    _WORKER_EXPERIMENT = None
+    # thresholds are fixed here too, for a worker that did not fork.
     scenario._load_highs()
     _one_blas_thread()
     _steady_heap()
 
 
-def _rep_in_worker(run: int, blob: bytes, rep: int) -> list[RepetitionRecord]:
+def _rep_in_worker(blob: bytes, rep: int) -> list[RepetitionRecord]:
     """Repetition rep of the pickled experiment blob, unpickled once per run."""
+    # equal blobs are the same experiment, whichever run sent them
     global _WORKER_EXPERIMENT
-    if _WORKER_EXPERIMENT is None or _WORKER_EXPERIMENT[0] != run:
-        _WORKER_EXPERIMENT = (run, pickle.loads(blob))
+    if _WORKER_EXPERIMENT is None or _WORKER_EXPERIMENT[0] != blob:
+        _WORKER_EXPERIMENT = (blob, pickle.loads(blob))
     return _run_rep(_WORKER_EXPERIMENT[1], rep)
 
 
@@ -619,48 +622,54 @@ def _intact(pool: ProcessPoolExecutor) -> bool:
 
 
 def _shutdown_pool() -> None:
-    """Shut the process-wide pool down; the next pooled run starts a new one."""
-    # the workers are joined when this process started the pool; a forked
-    # child's copy of its parent's pool is the parent's to shut down. A
-    # worker that died may have held the task queue's read lock, which
-    # its idle mates then wait on forever, so they are terminated rather
-    # than asked to stop.
+    """Shut the process's pool down; the next pooled run starts a new one.
+
+    It waits for a pooled run in progress. It also runs at interpreter
+    exit, before concurrent.futures' own exit hook.
+    """
+    # no run uses the pool while the lock is held, so its workers are
+    # terminated rather than asked to stop: one that died may have held
+    # the task queue's read lock, which a live mate then waits on forever,
+    # and one killed just now can still look alive
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             return
-        (pid, *_), pool = _POOL
+        _, pool = _POOL
         _POOL = None
-        if pid == os.getpid():
-            if not _intact(pool):
-                for process in (pool._processes or {}).values():
-                    process.terminate()
-            pool.shutdown()
+        for process in (pool._processes or {}).values():
+            process.terminate()
+        pool.shutdown()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+# threading's exit hooks run last-registered first, and before the
+# interpreter joins its threads: this one runs before the hook that
+# concurrent.futures.process registered on import
+threading._register_atexit(_shutdown_pool)
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of workers, kept warm from one run to the next.
 
-    Cached under (pid, ProcessPoolExecutor, workers), as scenario._highs
-    caches its HiGHS instance, and built under a lock: a forked child, a
-    patched class or a new worker count gets a new pool, and so does a
-    pool that lost a worker (a run that loses one raises
-    BrokenProcessPool). The pool replaced is shut down first. The
-    workers exit with the interpreter, through concurrent.futures' own
-    exit hook.
+    Cached per process under its worker count, as scenario._highs caches
+    its HiGHS instance. A new worker count gets a new pool, and so does
+    a pool that lost a worker (a run that loses one raises
+    BrokenProcessPool); the pool replaced is shut down first. A forked
+    child starts without a pool. The caller holds _POOL_LOCK for as long
+    as it uses the pool.
     """
     global _POOL
-    key = (os.getpid(), ProcessPoolExecutor, workers)
-    with _POOL_LOCK:
-        if _POOL is not None and (_POOL[0] != key or not _intact(_POOL[1])):
-            _shutdown_pool()
-        if _POOL is None:
-            # numpy.random loads on first use (about 20 ms): load it before
-            # the fork, so the workers inherit it rather than each import it
-            import numpy.random  # noqa: F401
+    if _POOL is not None and (_POOL[0] != workers or not _intact(_POOL[1])):
+        _shutdown_pool()
+    if _POOL is None:
+        # numpy.random loads on first use (about 20 ms): load it before
+        # the fork, so the workers inherit it rather than each import it
+        import numpy.random  # noqa: F401
 
-            _POOL = key, ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
-        return _POOL[1]
+        _POOL = workers, ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
+    return _POOL[1]
 
 
 def run_experiment(
@@ -680,11 +689,13 @@ def run_experiment(
     pool workers, each of which unpickles the prepared experiment once;
     jobs is the only parallelism of a run. The pool is the process's
     own (_pool): it outlives the run, and the next pooled run with as
-    many workers reuses its warm workers. So the workers keep the module
-    state of when the pool started: a function or setting of ccopf
-    patched after that does not reach them (_shutdown_pool lets the next
-    run start afresh). A worker that dies fails its run with
-    BrokenProcessPool, and the next run starts a new pool. Before the
+    many workers reuses its warm workers. Pooled runs of one process
+    take turns on it, so a run in another thread waits for the one in
+    progress. The workers keep the module state of when the pool
+    started: a function or setting of ccopf patched after that does not
+    reach them (_shutdown_pool lets the next run start afresh). A worker
+    that dies fails its run with BrokenProcessPool, and the next run
+    starts a new pool. Before the
     first repetition, every OpenBLAS of the calling process is set to
     one thread, and the run leaves it there: forked workers inherit that
     count, and a worker started by spawn or forkserver sets it in
@@ -704,10 +715,11 @@ def run_experiment(
     _steady_heap()
     workers = min(config.jobs, config.reps, _usable_cores())
     if workers > 1:
-        run, blob = next(_RUN_IDS), pickle.dumps(experiment, pickle.HIGHEST_PROTOCOL)
-        by_rep = list(_pool(workers).map(
-            _rep_in_worker, itertools.repeat(run), itertools.repeat(blob), range(config.reps)
-        ))
+        blob = pickle.dumps(experiment, pickle.HIGHEST_PROTOCOL)
+        with _POOL_LOCK:
+            by_rep = list(_pool(workers).map(
+                _rep_in_worker, itertools.repeat(blob), range(config.reps)
+            ))
     else:
         by_rep = [_run_rep(experiment, rep) for rep in range(config.reps)]
     records = tuple(
