@@ -13,7 +13,7 @@ most the looser M = S / max(p). Draws, densities and ratios all live in
 the support coordinates of the uncertainty, so singular covariances cost
 nothing. Runs draw the mixture as sample_mixture_batch blocks of at most
 scenario.CHUNK (2,048) draws from one generator, and project each onto
-the rows (scenario.projected_draws) or map it to the buses
+the rows (scenario.scenario_offsets) or map it to the buses
 (from_reduced); the bundled cases' auto sa-is counts fit one block, and
 above CHUNK the blocks define the stream. Their plain Gaussian draws
 take rank R normals, through MarginSet.draw_factor.

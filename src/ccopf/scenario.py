@@ -2,15 +2,15 @@
 
 A scenario set turns the chance constraint into finitely many shifted
 copies of the polytope rows, which collapse to one offset per row. Solves
-draw straight onto the rows (projected_draws, rows by draws): Gaussian
-draws through the margins' draw_factor, rank R normals each, and
-mixture draws in support coordinates through the row factor R. The
-out-of-sample check draws the same Gaussian blocks (_support_draws) and
-projects only the rows each block can reach. The bus-space reference
-sets map the same blocks. The dispatch LP
-optimises generator outputs against those offsets, optionally
-intersected with the margin-tightened offsets, with the generator at
-the slack bus absorbing the power balance. A
+project the blocks of the one draw stream (_support_draws) straight
+onto the rows (scenario_offsets, rows by draws): Gaussian draws through
+the margins' draw_factor, rank R normals each, and mixture draws in
+support coordinates through the row factor R. The out-of-sample check
+draws the same Gaussian blocks and projects only the rows each block
+can reach. The bus-space reference sets map the same blocks. The
+dispatch LP optimises generator outputs against those offsets,
+optionally intersected with the margin-tightened offsets, with the
+generator at the slack bus absorbing the power balance. A
 PreparedProblem holds everything but the draws, so repeated solves
 rebuild nothing, and every solve in a process and thread loads its LP
 into the same HiGHS instance.
@@ -65,7 +65,7 @@ FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 _HIGHS_LOAD = threading.Lock()
 
-# This thread's HiGHS instance and the (process id, class) that built it.
+# This thread's HiGHS instance and the id of the process that built it.
 _SOLVER = threading.local()
 
 
@@ -260,8 +260,9 @@ def draw_gaussian_scenarios(g: GaussianSpec, n: int, seed: int | None) -> Scenar
     """n deviations straight from the uncertainty model.
 
     g.from_reduced of the _support_draws blocks: for any n, the rows of
-    standard_normal((n, g.reduced_dim)). projected_draws shares these
-    draws where draw_factor is row_factor (case30), elsewhere their law.
+    standard_normal((n, g.reduced_dim)). The 'sa' solves (scenario_offsets)
+    share these draws where draw_factor is row_factor (case30), elsewhere
+    their law.
     """
     w = np.concatenate(list(_support_draws(n, seed, g.reduced_dim)))
     return ScenarioSet(scenarios=g.from_reduced(w), origin="gaussian", seed=seed)
@@ -300,27 +301,6 @@ def _support_draws(n: int, seed: int | None, width: int,
     for size in chunk_sizes(n):
         yield (rng.standard_normal((size, width)) if mixture is None
                else sample_mixture_batch(mixture, size, rng)[0])
-
-
-def projected_draws(
-    row_factor: np.ndarray, n: int, seed: int | None,
-    mixture: MixtureSampler | None = None,
-) -> Iterator[np.ndarray]:
-    """Row projections F z' of n deviations, F a factor of the rows' covariance.
-
-    z runs over the blocks of _support_draws. Without a mixture, z holds
-    row_factor.shape[1] standard normals per deviation, so F z' is
-    N(0, F F'): the solves pass the margins' draw_factor, rank R normals
-    per draw, and validation.out_of_sample_confidence projects the same
-    blocks through a subset of its rows. With R = W U itself (the
-    margins' row_factor) the stream is draw_gaussian_scenarios'. With a
-    mixture, row_factor must be R, and z is draw_mixture_scenarios(mixture,
-    n, seed)'s stream. Blocks come rows by draws, so a row's maximum runs
-    along the contiguous axis.
-    """
-    blocks = _support_draws(n, seed, row_factor.shape[1], mixture)
-    # map, unlike a for loop, drops each block of draws once it is projected
-    return map(lambda z: row_factor @ z.T, blocks)
 
 
 def draw_mixture_scenarios(ms: MixtureSampler, n: int, seed: int | None) -> ScenarioSet:
@@ -612,15 +592,14 @@ def _highs() -> highs._Highs:
 
     The first call in a process loads the binding (_load_highs). A
     forked process builds its own instance rather than use its parent's
-    copy, and a new instance replaces the old one when highs._Highs is
-    no longer the class that built it.
+    copy.
     """
     if "highs" not in globals():
         _load_highs()
-    key = (os.getpid(), highs._Highs)
-    if getattr(_SOLVER, "key", None) != key:
+    pid = os.getpid()
+    if getattr(_SOLVER, "pid", None) != pid:
         _SOLVER.instance = highs._Highs()
-        _SOLVER.key = key
+        _SOLVER.pid = pid
     return _SOLVER.instance
 
 
@@ -751,11 +730,14 @@ def scenario_offsets(
 ) -> np.ndarray:
     """Row offsets of one scenario solve, before any LP is built.
 
-    Each row's offset less its largest projection (projected_draws) of
-    n_scenarios Gaussian draws through margins.draw_factor for 'sa', or
-    of tail-mixture draws through margins.row_factor for 'sa-is', which
-    then takes the elementwise minimum with the tightened offsets
-    poly.offsets - margins.delta (what tightened_polytope holds). With
+    Each row's offset less its largest projection F z' over the
+    _support_draws blocks z of n_scenarios draws: for 'sa', Gaussian
+    draws of F's width with F = margins.draw_factor, so F z' is
+    N(0, F F'); for 'sa-is', tail-mixture draws (draw_mixture_scenarios'
+    stream) with F = margins.row_factor, after which it takes the
+    elementwise minimum with the tightened offsets poly.offsets -
+    margins.delta (what tightened_polytope holds). Blocks project rows by
+    draws, so a row's maximum runs along the contiguous axis. With
     n_scenarios = 0, or for 'sa-is' with no mixture (no stochastic row),
     nothing is drawn.
     """
@@ -768,9 +750,8 @@ def scenario_offsets(
     if n_scenarios > 0 and (method == "sa" or law is not None):
         factor = margins.draw_factor if law is None else margins.row_factor
         worst = np.full(poly.n_rows, -np.inf)
-        for y in projected_draws(factor, n_scenarios, seed, law):
-            worst = np.maximum(worst, y.max(axis=1))
-            del y  # so the next block is drawn with only one projection alive
+        for z in _support_draws(n_scenarios, seed, factor.shape[1], law):
+            worst = np.maximum(worst, (factor @ z.T).max(axis=1))
         offsets = offsets - worst
     if method == "sa-is":
         offsets = np.minimum(offsets, poly.offsets - margins.delta)

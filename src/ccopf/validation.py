@@ -14,7 +14,6 @@ import ctypes
 import itertools
 import math
 import os
-import pickle
 import threading
 from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -437,7 +436,7 @@ def prepare_experiment(config: ExperimentConfig) -> PreparedProblem:
 
 @dataclass(frozen=True)
 class _Experiment:
-    """What every repetition of one run shares; a pool worker unpickles it once.
+    """What every repetition of one run shares; a pool chunk carries it once.
 
     nominal is the dc-opf dispatch, which no seed changes: None when the
     solver broke down, and unused when dc-opf is not among the methods.
@@ -574,10 +573,6 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# The one run a pool worker holds, as (pickled, unpickled) experiment:
-# replaced by _rep_in_worker when a task of another run arrives.
-_WORKER_EXPERIMENT: tuple[bytes, _Experiment] | None = None
-
 # The process's pool, as (workers, executor), or None; see _pool. The
 # lock is held for a whole pooled run, so no run replaces a pool that
 # another thread's run is using.
@@ -603,15 +598,6 @@ def _start_worker() -> None:
     scenario._load_highs()
     _one_blas_thread()
     _steady_heap()
-
-
-def _rep_in_worker(blob: bytes, rep: int) -> list[RepetitionRecord]:
-    """Repetition rep of the pickled experiment blob, unpickled once per run."""
-    # equal blobs are the same experiment, whichever run sent them
-    global _WORKER_EXPERIMENT
-    if _WORKER_EXPERIMENT is None or _WORKER_EXPERIMENT[0] != blob:
-        _WORKER_EXPERIMENT = (blob, pickle.loads(blob))
-    return _run_rep(_WORKER_EXPERIMENT[1], rep)
 
 
 def _intact(pool: ProcessPoolExecutor) -> bool:
@@ -686,8 +672,9 @@ def run_experiment(
     method-major. problem, when given, is prepare_experiment(config), so
     a caller that already prepared the case does not prepare it twice.
     With jobs > 1 the repetitions go to min(jobs, reps, usable cores)
-    pool workers, each of which unpickles the prepared experiment once;
-    jobs is the only parallelism of a run. The pool is the process's
+    pool workers in one chunk per worker; pickle sends the prepared
+    experiment once per chunk, so a run unpickles it at most once per
+    worker. jobs is the only parallelism of a run. The pool is the process's
     own (_pool): it outlives the run, and the next pooled run with as
     many workers reuses its warm workers. Pooled runs of one process
     take turns on it, so a run in another thread waits for the one in
@@ -715,10 +702,10 @@ def run_experiment(
     _steady_heap()
     workers = min(config.jobs, config.reps, _usable_cores())
     if workers > 1:
-        blob = pickle.dumps(experiment, pickle.HIGHEST_PROTOCOL)
         with _POOL_LOCK:
             by_rep = list(_pool(workers).map(
-                _rep_in_worker, itertools.repeat(blob), range(config.reps)
+                _run_rep, itertools.repeat(experiment), range(config.reps),
+                chunksize=-(-config.reps // workers),
             ))
     else:
         by_rep = [_run_rep(experiment, rep) for rep in range(config.reps)]

@@ -48,7 +48,7 @@ from ccopf import (
     solve_prepared,
     tightened_polytope,
 )
-from ccopf.scenario import SolverError, chunk_sizes, projected_draws
+from ccopf.scenario import SolverError, _support_draws, chunk_sizes
 from ccopf.validation import resolve_scenario_count
 from conftest import TRIANGLE_TEXT, box_polytope, iid_gaussian
 
@@ -636,6 +636,9 @@ def test_solution_off_its_rows_is_a_solver_error(monkeypatch, case30):
             return super().passModel(*args)
 
     prep = prepared(case30, 0.05)
+    # a fresh thread-local store, so this thread builds a LooseRows
+    # instance; undo puts its own instance back
+    monkeypatch.setattr(scenario, "_SOLVER", threading.local())
     monkeypatch.setattr(scenario.highs, "_Highs", LooseRows)
     with pytest.raises(SolverError, match="violates its constraints"):
         solve_prepared(prep, "sa-is", 600, 0)
@@ -863,12 +866,18 @@ def test_empty_draws_rejected():
     poly, g = box_polytope(2, 1.0), iid_gaussian(2)
     m = compute_margins(poly, g, 0.05)
     mixture = build_mixture(poly, m, g)
-    for draw in (lambda: next(projected_draws(m.row_factor, 0, 0)),
-                 lambda: next(projected_draws(m.row_factor, 0, 0, mixture)),
+    width = m.row_factor.shape[1]
+    for draw in (lambda: next(_support_draws(0, 0, width)),
+                 lambda: next(_support_draws(0, 0, width, mixture)),
                  lambda: draw_gaussian_scenarios(g, 0, 0),
                  lambda: draw_mixture_scenarios(mixture, 0, 0)):
         with pytest.raises(ValueError, match="at least one row"):
             draw()
+
+
+def _projected(r, n, seed, mixture=None) -> list[np.ndarray]:
+    # R z' of every block z of the one draw stream, rows by draws
+    return [r @ z.T for z in _support_draws(n, seed, r.shape[1], mixture)]
 
 
 def test_projected_blocks_are_rows_by_draws(case30):
@@ -882,7 +891,7 @@ def test_projected_blocks_are_rows_by_draws(case30):
     assert prep.margins.draw_factor is r
     n, seed = scenario.CHUNK + 3, 12
     rng = np.random.default_rng(seed)
-    blocks = list(projected_draws(r, n, seed))
+    blocks = _projected(r, n, seed)
     assert [y.shape for y in blocks] == [(r.shape[0], size) for size in chunk_sizes(n)]
     assert len(blocks) == 2
     for y in blocks:
@@ -891,7 +900,7 @@ def test_projected_blocks_are_rows_by_draws(case30):
     worst = np.concatenate(blocks, axis=1).max(axis=1)
     assert _offsets(prep, "sa", n, seed).tobytes() == (prep.poly.offsets - worst).tobytes()
 
-    (y,) = projected_draws(r, 700, seed, prep.mixture)
+    (y,) = _projected(r, 700, seed, prep.mixture)
     w, _ = sample_mixture_batch(prep.mixture, 700, np.random.default_rng(seed))
     assert y.shape == (r.shape[0], 700)
     assert y.tobytes() == (r @ w.T).tobytes()
@@ -900,7 +909,7 @@ def test_projected_blocks_are_rows_by_draws(case30):
 
     # above CHUNK the mixture draws each block in turn from the one generator
     rng = np.random.default_rng(seed)
-    blocks = list(projected_draws(r, n, seed, prep.mixture))
+    blocks = _projected(r, n, seed, prep.mixture)
     assert [y.shape[1] for y in blocks] == list(chunk_sizes(n))
     for y in blocks:
         w, _ = sample_mixture_batch(prep.mixture, y.shape[1], rng)

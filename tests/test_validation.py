@@ -226,7 +226,8 @@ def _all_rows_check(xs, poly, factor, n_test, seed) -> list[float]:
     # the reference: every row of every draw projected and compared
     headrooms = [poly.offsets - poly.normals @ x + validation._OOS_TOL for x in xs]
     inside = [0] * len(xs)
-    for y in scenario.projected_draws(factor, n_test, seed):
+    for z in scenario._support_draws(n_test, seed, factor.shape[1]):
+        y = factor @ z.T
         for j, headroom in enumerate(headrooms):
             inside[j] += int(np.count_nonzero(np.all(y <= headroom[:, None], axis=0)))
     return [k / n_test for k in inside]
@@ -853,11 +854,12 @@ def test_a_worker_dying_in_a_run_fails_that_run_alone(monkeypatch):
                               n_test=2000, seed=47, jobs=2)
     want = run_experiment(replace(config, jobs=1)).records
 
-    def die(experiment, rep):
+    def die(experiment, method, rep):
         os._exit(1)
 
+    # the workers fork after the patch, so their _run_rep calls die
     with monkeypatch.context() as patched:
-        patched.setattr(validation, "_run_rep", die)
+        patched.setattr(validation, "_run_one", die)
         with pytest.raises(BrokenProcessPool):
             run_experiment(config)
     dead = _worker_pids()
@@ -884,8 +886,7 @@ def test_a_new_worker_count_replaces_the_pool(monkeypatch, tmp_path):
 def test_concurrent_pooled_runs_keep_their_own_records(monkeypatch, tmp_path):
     # three threads' runs on one process's pool, two of them at three
     # workers (more than the cores) and one at two: the runs take turns,
-    # so none replaces the pool under another, each worker switches
-    # between experiments by their pickled bytes, and each run gets its own
+    # so none replaces the pool under another, and each run gets its own
     # records
     from concurrent.futures import ThreadPoolExecutor
 
@@ -925,6 +926,40 @@ def test_pool_workers_exit_with_the_interpreter():
     pids = [int(pid) for pid in proc.stdout.split()]
     assert len(pids) == 2
     assert not any(_alive(pid) for pid in pids)
+
+
+_POOLED_RUN_STARTED_BY = """
+import multiprocessing, sys
+from dataclasses import replace
+import ccopf.validation as validation
+from ccopf import ExperimentConfig, run_experiment
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    validation._usable_cores = lambda: 2
+    config = ExperimentConfig(case="case57", methods=("dc-opf", "sa", "sa-is"), scenarios=200,
+                              reps=5, n_test=2000, seed=53, jobs=2)
+    want = run_experiment(replace(config, jobs=1)).records
+    got = run_experiment(config).records
+    print(validation._POOL[1]._mp_context.get_start_method(), got == want)
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pooled_run_under_a_start_method_without_fork(tmp_path, method):
+    # a spawned or forkserver worker inherits nothing: it imports ccopf,
+    # starts in _start_worker and gets _run_rep and the experiment by
+    # pickle, two chunks of 3 and 2 repetitions. The script's guard keeps
+    # a worker that imports it as its main module from running it
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    script = tmp_path / "pooled_run.py"
+    script.write_text(_POOLED_RUN_STARTED_BY)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, str(script), method], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [method, "True"]
 
 
 _KILLED_WORKER_EXIT = """
@@ -1279,14 +1314,16 @@ def test_pool_workers_never_start_blas_threads(monkeypatch, tmp_path):
         pytest.skip("no OpenBLAS library found")
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("no /proc to count threads")
-    run_rep = validation._run_rep
+    run_one = validation._run_one
 
-    def run_and_report(experiment, rep):
-        records = run_rep(experiment, rep)
+    # the pool's workers fork after the patch, and the run's one method
+    # solves once per repetition
+    def run_and_report(experiment, method, rep):
+        solution = run_one(experiment, method, rep)
         _threads_after_blas(tmp_path, rep)
-        return records
+        return solution
 
-    monkeypatch.setattr(validation, "_run_rep", run_and_report)
+    monkeypatch.setattr(validation, "_run_one", run_and_report)
     monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
     run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=200,
                                     reps=2, n_test=100, jobs=2))
