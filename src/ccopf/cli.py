@@ -275,13 +275,15 @@ def _write_files(files: Iterable[tuple[Path, str]]) -> None:
 
     Each text goes to a temporary sibling of its path first; the
     temporaries are renamed into place only after every write succeeded,
-    and removed if any failed.
+    and removed if any failed. A temporary's name carries random bits
+    besides the pid, so one left behind by a killed run, maybe by a
+    process with the same pid, blocks no later write.
     """
     staged: list[tuple[Path, Path]] = []
     try:
         for path, text in files:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
             with open(tmp, "x", encoding="utf-8", newline="") as fh:
                 staged.append((tmp, path))
                 fh.write(text)

@@ -13,7 +13,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -511,11 +510,10 @@ def bundled_case_path(name: str) -> Path:
     fname = name if name.endswith(".m") else f"{name}.m"
     if Path(fname).name != fname:
         raise FileNotFoundError(f"no bundled case named {name!r}")
-    candidate = resources.files("ccopf.data").joinpath(fname)
-    with resources.as_file(candidate) as path:
-        if not path.exists():
-            raise FileNotFoundError(f"no bundled case named {name!r}")
-        return Path(path)
+    path = Path(__file__).with_name("data") / fname
+    if not path.is_file():
+        raise FileNotFoundError(f"no bundled case named {name!r}")
+    return path
 
 
 # ---------------------------------------------------------------------------

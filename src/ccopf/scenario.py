@@ -15,10 +15,10 @@ PreparedProblem holds everything but the draws, so repeated solves
 rebuild nothing, and every solve in a process and thread loads its LP
 into the same HiGHS instance.
 
-Importing this module loads nothing from SciPy. The first solve loads
-the HiGHS binding from its file (_highs), and only the linprog name,
-which the benchmark's tracer counts iterations through, imports
-scipy.optimize.
+Importing this module loads nothing from SciPy. The first solve in a
+process loads the HiGHS binding from its file (_highs), the one place
+that loads it, and only the linprog name, which the benchmark's tracer
+counts iterations through, imports scipy.optimize.
 """
 from __future__ import annotations
 
@@ -60,8 +60,8 @@ MAX_ROWS = int(np.iinfo(np.intp).max)
 # an optimal x off a bound or row by more than this is a solver failure.
 FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 
-# The HiGHS binding SciPy ships. _load_highs loads it on the first solve
-# and binds it as highs, next to HIGHS_OPTIONS, _COLWISE and _MINIMIZE.
+# The HiGHS binding SciPy ships. The first solve loads it (_load_highs)
+# and binds it as highs, next to HIGHS_OPTIONS.
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 _HIGHS_LOAD = threading.Lock()
 
@@ -70,22 +70,19 @@ _SOLVER = threading.local()
 
 
 def __getattr__(name: str):
-    """The names that need SciPy, bound on first access.
+    """linprog, bound on first access.
 
-    highs and HIGHS_OPTIONS load the binding as a first solve does.
-    linprog imports scipy.optimize, which the package itself never
-    needs; perfbench/layers.py rebinds it by name. Each name is written
-    into the module dict, where a later access, or a tracer scanning the
-    module's names, finds it.
+    It imports scipy.optimize, which the package itself never needs;
+    perfbench/layers.py rebinds it by name. It is written into the
+    module dict, where a later access, or a tracer scanning the module's
+    names, finds it. highs and HIGHS_OPTIONS are not served here: they
+    exist once a solve has loaded the binding.
     """
-    if name in ("highs", "HIGHS_OPTIONS"):
-        _load_highs()
-    elif name == "linprog":
-        from scipy.optimize import linprog
-        globals()["linprog"] = linprog
-    else:
+    if name != "linprog":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals()[name]
+    from scipy.optimize import linprog
+    globals()["linprog"] = linprog
+    return linprog
 
 
 class SolverError(RuntimeError):
@@ -555,7 +552,8 @@ def solve(lp: LinearProgram) -> DispatchSolution:
     solver.clearModel()  # the model and every piece of solver data
     solver.passOptions(HIGHS_OPTIONS)
     loaded = solver.passModel(
-        d, m, lp.a_value.size, _COLWISE, _MINIMIZE, 0.0,
+        d, m, lp.a_value.size, int(highs.MatrixFormat.kColwise),
+        int(highs.ObjSense.kMinimize), 0.0,
         lp.cost, lp.lower, lp.upper, np.full(m, -highs.kHighsInf), lp.b_ub,
         lp.a_start, lp.a_index, lp.a_value,
         np.zeros(d, dtype=np.int32),  # every column continuous
@@ -590,9 +588,9 @@ def solve(lp: LinearProgram) -> DispatchSolution:
 def _highs() -> highs._Highs:
     """This thread's HiGHS instance, built once per process and thread.
 
-    The first call in a process loads the binding (_load_highs). A
-    forked process builds its own instance rather than use its parent's
-    copy.
+    The first call in a process loads the binding (_load_highs); nothing
+    else loads it. A forked process builds its own instance rather than
+    use its parent's copy.
     """
     if "highs" not in globals():
         _load_highs()
@@ -604,7 +602,9 @@ def _highs() -> highs._Highs:
 
 
 def _load_highs() -> None:
-    """Bind the HiGHS binding as highs and build the solve constants, once.
+    """Bind HIGHS_OPTIONS, then the HiGHS binding as highs, once.
+
+    Its one caller is _highs, so the first solve in a process loads it.
 
     The binding is the extension module scipy.optimize._highspy._core.
     Importing it by that name first runs scipy.optimize's __init__,
@@ -634,12 +634,8 @@ def _load_highs() -> None:
         options.output_flag = False
         options.log_to_console = False
         options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
-        globals().update(
-            HIGHS_OPTIONS=options,
-            _COLWISE=int(core.MatrixFormat.kColwise),
-            _MINIMIZE=int(core.ObjSense.kMinimize),
-        )
-        globals()["highs"] = core  # last: _highs reads it as "all of them are bound"
+        globals()["HIGHS_OPTIONS"] = options
+        globals()["highs"] = core  # last: _highs reads it, without the lock, as "both are bound"
 
 
 def _load_binding_file():

@@ -591,11 +591,10 @@ def _start_worker() -> None:
     # every worker gets one BLAS thread: the workers already fill the
     # cores, and more threads per worker only oversubscribe them. The run
     # path maps one OpenBLAS, NumPy's: the kernels need no SciPy, and the
-    # HiGHS binding, loaded here first, brings no OpenBLAS of its own. A
-    # worker forked by run_experiment has one thread already; the binding,
-    # if its parent never solved, loads here, not on a solve. The heap
-    # thresholds are fixed here too, for a worker that did not fork.
-    scenario._load_highs()
+    # HiGHS binding, which a worker's first solve loads if its parent
+    # never solved, brings no OpenBLAS of its own. A worker forked by
+    # run_experiment has one thread already. The heap thresholds are
+    # fixed here too, for a worker that did not fork.
     _one_blas_thread()
     _steady_heap()
 

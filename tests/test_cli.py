@@ -221,6 +221,27 @@ def test_failed_report_write_leaves_no_file(tri_path, tmp_path, capsys, monkeypa
     assert list(out_dir.iterdir()) == []
 
 
+def test_stale_staged_file_blocks_no_report(tri_path, tmp_path, capsys):
+    # a killed run leaves its staged file behind; a later process with the
+    # same pid (pid 1 in a container, say) must still write its report
+    out_dir = tmp_path / "r"
+    out_dir.mkdir()
+    stale = out_dir / f".r.json.{os.getpid()}.tmp"
+    stale.write_text("stale")
+    code, _, err = run_cli(
+        ["run", "--case", tri_path, "--reps", "1", "--scenarios", "10",
+         "--method", "sa", "--out", str(out_dir / "r.json")],
+        capsys,
+    )
+    assert code == 0, err
+    assert json.loads((out_dir / "r.json").read_text())["records"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (out_dir / "r.json").stat().st_mode & 0o777 == 0o666 & ~umask
+    assert stale.read_text() == "stale"
+    assert sorted(p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")) == [stale.name]
+
+
 def test_bad_method_is_usage_error(tri_path, capsys):
     code, _, err = run_cli(["run", "--case", tri_path, "--method", "bootstrap"], capsys)
     assert code == 1

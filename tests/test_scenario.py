@@ -611,6 +611,7 @@ def test_solve_equals_linprog_on_an_unbounded_lp(monkeypatch, triangle):
 
 def test_other_model_status_is_a_solver_error(monkeypatch, case30):
     prep = prepared(case30, 0.05)
+    scenario._load_highs()  # HIGHS_OPTIONS exists once the binding is loaded
     monkeypatch.setattr(scenario.HIGHS_OPTIONS, "presolve", "off")
     monkeypatch.setattr(scenario.HIGHS_OPTIONS, "simplex_iteration_limit", 0)
     with pytest.raises(SolverError, match="Iteration limit"):
@@ -628,6 +629,8 @@ def test_model_rejected_by_highs_is_a_solver_error(triangle):
 
 
 def test_solution_off_its_rows_is_a_solver_error(monkeypatch, case30):
+    scenario._load_highs()  # highs exists once the binding is loaded
+
     class LooseRows(scenario.highs._Highs):
         # loads every row 1 p.u. looser than the LP it is checked against
         def passModel(self, *args):
@@ -730,6 +733,7 @@ def mixed_lps(request):
 
 
 def fresh_solver_bits(monkeypatch, lps) -> list[tuple]:
+    scenario._load_highs()  # the stand-in _highs below loads nothing
     with monkeypatch.context() as m:
         m.setattr(scenario, "_highs", lambda: scenario.highs._Highs())
         return solved_bits(lps)

@@ -88,7 +88,11 @@ def test_solve_loads_the_binding_that_scipy_optimize_then_reuses():
     out = run_script("""
         import ccopf.scenario as scenario
         lp = prepared_lp()
+        # nothing before the first solve loads the binding or binds highs
+        assert not hasattr(scenario, "highs")
+        assert "scipy.optimize._highspy._core" not in sys.modules
         assert scenario.solve(lp).status == "optimal"
+        assert scenario.highs is sys.modules["scipy.optimize._highspy._core"]
         print("after solve:", loaded())
 
         import scipy.optimize._highspy._core as core

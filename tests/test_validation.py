@@ -1137,21 +1137,24 @@ def test_pool_workers_use_one_blas_thread(threaded_blas):
 
 
 def _blas_after_a_solve() -> dict:
-    # in a pool worker: a kernel call and a dispatch solve, then the thread
+    # in a pool worker: a kernel call and a dispatch solve, then whether
+    # the HiGHS binding was loaded before that solve, and the thread
     # counts of every OpenBLAS mapped and those that SciPy's folders hold
     norm_cdf(0.0)
+    loaded_before = "scipy.optimize._highspy._core" in sys.modules
     case = parse_case(TRIANGLE_TEXT)
     solve_prepared(prepare_problem(case, build_uncertainty(case, 0.05), 0.05), "sa", 10, 0)
-    return {"threads": _worker_blas_threads(),
+    return {"binding_before_solve": loaded_before, "threads": _worker_blas_threads(),
             "scipy": sorted(p for p in _mapped_openblas() if p.startswith(_scipy_dirs()))}
 
 
 def test_spawned_workers_use_one_blas_thread(monkeypatch):
     # a spawned worker shares no memory with the caller and starts at the
     # environment's count (capped at the cores): _start_worker is the only
-    # place that count is lowered. The run path maps one OpenBLAS, NumPy's:
-    # the kernels need no SciPy, and the HiGHS binding maps none, so after
-    # a kernel call and a solve that one library reports one thread and no
+    # place that count is lowered. It loads no HiGHS binding: the worker's
+    # first solve does. The run path maps one OpenBLAS, NumPy's: the
+    # kernels need no SciPy, and the HiGHS binding maps none, so after a
+    # kernel call and a solve that one library reports one thread and no
     # SciPy OpenBLAS is mapped
     if not _worker_blas_threads():
         pytest.skip("no OpenBLAS library found")
@@ -1161,7 +1164,7 @@ def test_spawned_workers_use_one_blas_thread(monkeypatch):
         initializer=validation._start_worker,
     ) as pool:
         in_worker = pool.submit(_blas_after_a_solve).result()
-    assert in_worker == {"threads": [1], "scipy": []}
+    assert in_worker == {"binding_before_solve": False, "threads": [1], "scipy": []}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1349,6 +1352,7 @@ def test_experiment_records_infeasible_runs(tmp_path):
 
 def test_experiment_records_solver_errors_and_completes(monkeypatch):
     # no simplex iteration allowed: HiGHS stops at its iteration limit
+    scenario._load_highs()  # HIGHS_OPTIONS exists once the binding is loaded
     monkeypatch.setattr(scenario.HIGHS_OPTIONS, "presolve", "off")
     monkeypatch.setattr(scenario.HIGHS_OPTIONS, "simplex_iteration_limit", 0)
     config = ExperimentConfig(
