@@ -24,6 +24,7 @@ import numpy as np
 from .grid import CaseError
 from .kernels import BACKEND, norm_isf, norm_sf
 from .scenario import (
+    METHODS,
     CountOverflowError,
     SolverError,
     sample_size_cc,
@@ -31,7 +32,6 @@ from .scenario import (
     sample_size_is,
 )
 from .validation import (
-    METHODS,
     ExperimentConfig,
     ExperimentReport,
     RepetitionRecord,
@@ -207,9 +207,10 @@ def _cmd_run(args) -> int:
     # every count is resolved, and refused if out of range, before the first line
     counts = {m: resolve_scenario_count(config, problem.case, m, problem) for m in config.methods}
     for method, n in counts.items():
-        if config.scenarios != "auto" or method == "dc-opf":
+        law = METHODS[method]
+        if config.scenarios != "auto" or law.factor is None:
             origin = "fixed"
-        elif method == "sa":
+        elif not law.mixture:
             origin = "closed-form bound"
         else:
             k, s = (0, 0.0) if mix is None else (mix.n_components, mix.tail_mass)

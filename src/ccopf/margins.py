@@ -10,9 +10,9 @@ stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
 is what the margins cover. Its probability pi (estimate_pi, which no
 code in the package calls) enters only the filtered sample size bound,
 for which nsamples takes --pi from the user. An experiment's certified
-sa-is count comes from the total tail mass instead
-(scenario.sample_size_exact at eta / S), and so does sweep1d's
-(scenario.sample_size_mixture).
+sa-is count and sweep1d's come from the total tail mass S instead, by
+the one count rule scenario.certified_count: no draw at S <= eta, else
+the exact binomial count at eta / S.
 """
 from __future__ import annotations
 

@@ -176,7 +176,8 @@ def sample_size_mixture(eta: float, delta: float, d: int, tail_mass: float) -> i
     eta quantile give every row p_i = eta, so S = K eta for K stochastic
     rows and the count does not depend on eta. The exact binomial count
     at eta / S (sample_size_exact) gives the same guarantee with fewer
-    draws; it is the one run experiments use.
+    draws; certified_count, the rule that experiments and sweep_1d use,
+    takes it.
     """
     _check_size_args(eta, delta, d)
     if not 0.0 < tail_mass < math.inf:
@@ -196,10 +197,9 @@ def sample_size_exact(epsilon: float, delta: float, d: int) -> int:
     the tail mixture q of sample_size_mixture. That function's argument
     gives P(V) <= S Q(V) for the violation event V of any dispatch that
     meets the margin-tightened rows, S being the total tail mass. At
-    epsilon = min(eta / S, 1), N draws from q therefore give
-    P(V) <= S epsilon <= eta with confidence 1 - delta. At epsilon = 1
-    (a single stochastic row, S about eta) every N >= d qualifies, so
-    the count is d.
+    epsilon = eta / S, N draws from q therefore give P(V) <= S epsilon
+    = eta with confidence 1 - delta; certified_count applies it so. At
+    epsilon = 1 every N >= d qualifies, so the count is d.
 
     The closed form sample_size_cc(epsilon, delta, d) implies the exact
     condition, so N is never larger: N is bisected between d and that
@@ -214,6 +214,24 @@ def sample_size_exact(epsilon: float, delta: float, d: int) -> int:
         else:
             lo = mid
     return hi
+
+
+def certified_count(eta: float, delta: float, d: int, tail_mass: float) -> int:
+    """The one count rule: draws that certify P(V) <= eta with confidence 1 - delta.
+
+    tail_mass S ties a dispatch's violation probability to the draws'
+    law Q: P(V) <= S Q(V) (sample_size_mixture's argument; S is the
+    mixture ratio bound of Owen & Zhou 2000). So S <= eta certifies with
+    no draw at all and the count is 0; above eta it is the exact count
+    of Campi & Garatti 2008 at level eta / S, sample_size_exact(eta / S,
+    delta, d). The sa-is 'auto' count takes S as its tail mixture's total
+    tail mass (0 when no row is stochastic), and sweep_1d takes the
+    one-component mixture's. Plain Gaussian draws have S = 1.
+    """
+    _check_size_args(eta, delta, d)
+    if not 0.0 <= tail_mass < math.inf:
+        raise ValueError(f"total tail mass must be finite and non-negative, got {tail_mass}")
+    return 0 if tail_mass <= eta else sample_size_exact(eta / tail_mass, delta, d)
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +702,25 @@ def _package_solution(
 # end-to-end runs
 
 @dataclass(frozen=True)
+class DrawLaw:
+    """Where a method draws its scenarios, and what caps its rows.
+
+    factor names the MarginSet factor its draws project through, None for
+    a method that draws nothing. mixture draws the tail mixture rather
+    than the Gaussian, and caps every row at the margin-tightened offsets.
+    """
+
+    factor: str | None
+    mixture: bool = False
+
+
+# Every method, as its draw law: dc-opf draws nothing, sa the Gaussian
+# through draw_factor, sa-is the tail mixture through row_factor.
+METHODS = {"dc-opf": DrawLaw(None), "sa": DrawLaw("draw_factor"),
+           "sa-is": DrawLaw("row_factor", mixture=True)}
+
+
+@dataclass(frozen=True)
 class PreparedProblem:
     """A case and deviation model prepared once for any number of solves.
 
@@ -726,30 +763,31 @@ def scenario_offsets(
 ) -> np.ndarray:
     """Row offsets of one scenario solve, before any LP is built.
 
-    Each row's offset less its largest projection F z' over the
-    _support_draws blocks z of n_scenarios draws: for 'sa', Gaussian
-    draws of F's width with F = margins.draw_factor, so F z' is
-    N(0, F F'); for 'sa-is', tail-mixture draws (draw_mixture_scenarios'
-    stream) with F = margins.row_factor, after which it takes the
-    elementwise minimum with the tightened offsets poly.offsets -
-    margins.delta (what tightened_polytope holds). Blocks project rows by
-    draws, so a row's maximum runs along the contiguous axis. With
-    n_scenarios = 0, or for 'sa-is' with no mixture (no stochastic row),
-    nothing is drawn.
+    The method's draw law (METHODS) says what is drawn: each row's offset
+    less its largest projection F z' over the _support_draws blocks z of
+    n_scenarios draws: Gaussian draws of F's width with F =
+    margins.draw_factor, so F z' is N(0, F F'), or tail-mixture draws
+    (draw_mixture_scenarios' stream) with F = margins.row_factor, after
+    which it takes the elementwise minimum with the tightened offsets
+    poly.offsets - margins.delta (what tightened_polytope holds). Blocks
+    project rows by draws, so a row's maximum runs along the contiguous
+    axis. With n_scenarios = 0, for a law that draws nothing (dc-opf), or
+    for the mixture law with no mixture (no stochastic row), nothing is
+    drawn.
     """
-    if method not in ("sa", "sa-is"):
-        raise ValueError(f"unknown method {method!r}; use 'sa' or 'sa-is'")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
     if n_scenarios < 0:
         raise ValueError(f"scenario count must be non-negative, got {n_scenarios}")
-    offsets = poly.offsets
-    law = mixture if method == "sa-is" else None
-    if n_scenarios > 0 and (method == "sa" or law is not None):
-        factor = margins.draw_factor if law is None else margins.row_factor
+    law, offsets = METHODS[method], poly.offsets
+    sampler = mixture if law.mixture else None
+    if n_scenarios > 0 and law.factor is not None and (sampler is not None or not law.mixture):
+        factor = getattr(margins, law.factor)
         worst = np.full(poly.n_rows, -np.inf)
-        for z in _support_draws(n_scenarios, seed, factor.shape[1], law):
+        for z in _support_draws(n_scenarios, seed, factor.shape[1], sampler):
             worst = np.maximum(worst, (factor @ z.T).max(axis=1))
         offsets = offsets - worst
-    if method == "sa-is":
+    if law.mixture:
         offsets = np.minimum(offsets, poly.offsets - margins.delta)
     return offsets
 

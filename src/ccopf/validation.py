@@ -29,19 +29,17 @@ from .margins import GaussianSpec, compute_margins, rank_factor
 from .sampler import build_mixture
 from .scenario import (
     MAX_ROWS,
+    METHODS,
     DispatchSolution,
     PreparedProblem,
     SolverError,
+    certified_count,
     prepare_problem,
     sample_size_cc,
-    sample_size_exact,
-    sample_size_mixture,
     scenario_offsets,
     solve_prepared,
 )
 from .uncertainty import build_uncertainty
-
-METHODS = ("dc-opf", "sa", "sa-is")
 
 # Feasibility slack when counting out-of-sample violations; absorbs LP
 # solver tolerance at active rows.
@@ -193,12 +191,17 @@ def sweep_1d(
     For each hard offset b between the exact optimum and a, the deviations
     below the margin a - b are covered by construction, so the draws are
     the one-component tail mixture's, of mass S = norm_sf(a - b), and the
-    count is n = sample_size_mixture(eta, delta, 1, S). A repetition keeps
-    the largest of its n tail draws; tail_quantile decreases in u, so that
+    count is n = certified_count(eta, delta, 1, S), the rule the sa-is
+    'auto' count takes: 0 where S <= eta (the first point, up to rounding
+    of S), else the exact count at eta / S. A repetition keeps the
+    largest of its n tail draws; tail_quantile decreases in u, so that
     is tail_quantile(a - b, S, u_min), u_min the least of n uniforms on
     (0, 1]. P(u_min > t) = (1 - t)**n gives u_min = 1 - (1 - r)**(1 / n)
-    for one uniform r, so a repetition costs O(1) for any n. A row holds
-    the share of repetitions whose optimiser meets the chance constraint.
+    for one uniform r, so a repetition costs O(1) for any n; with n = 0
+    the optimiser is b itself. On this problem P(V) = S u_min, so the
+    count is tight: a share of failing repetitions near delta, not far
+    below it. A row holds the share of repetitions whose optimiser meets
+    the chance constraint.
 
     Returns rows (b, feasibility_rate, n_scenarios).
     """
@@ -218,9 +221,12 @@ def sweep_1d(
     for j, b in enumerate(np.linspace(x_exact, a, n_grid)):
         margin = a - float(b)
         p_tail = float(norm_sf(margin))
-        n = sample_size_mixture(eta, delta, 1, p_tail)
-        u_min = _min_uniform(np.random.default_rng((seed, j)).random(reps), n)
-        x_hat = a - tail_quantile(margin, p_tail, u_min)
+        n = certified_count(eta, delta, 1, p_tail)
+        if n == 0:
+            x_hat = np.full(reps, float(b))
+        else:
+            u_min = _min_uniform(np.random.default_rng((seed, j)).random(reps), n)
+            x_hat = a - tail_quantile(margin, p_tail, u_min)
         rows.append((float(b), int(np.count_nonzero(x_hat <= x_exact + tol)) / reps, n))
     return rows
 
@@ -238,10 +244,11 @@ def _min_uniform(r: np.ndarray, n: int) -> np.ndarray:
 class ExperimentConfig:
     """Everything needed to reproduce an experiment run.
 
-    scenarios is a fixed count or 'auto' for the certified bound (the
-    closed-form classical bound for sa; for sa-is the exact binomial
-    bound at eta / S, with S the tail mixture's total tail mass, see
-    sample_size_exact). The dc-opf method ignores it.
+    methods are names in scenario.METHODS. scenarios is a fixed count or
+    'auto' for the certified bound (the closed-form classical bound for
+    the Gaussian law, sa; for the mixture law, sa-is, the one count rule
+    scenario.certified_count at the tail mixture's total tail mass S). A
+    method that draws nothing (dc-opf) ignores it.
     """
 
     case: str
@@ -258,7 +265,7 @@ class ExperimentConfig:
     def __post_init__(self):
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+            raise ValueError(f"unknown methods {unknown}; choose from {tuple(METHODS)}")
         if not self.methods:
             raise ValueError("at least one method required")
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
@@ -268,9 +275,7 @@ class ExperimentConfig:
             raise ValueError(f"eta must lie in (0, 0.5], got {self.eta}")
         if isinstance(self.scenarios, str):
             if self.scenarios != "auto":
-                raise ValueError(
-                    f"scenarios must be a count or 'auto', got {self.scenarios!r}"
-                )
+                raise ValueError(f"scenarios must be a count or 'auto', got {self.scenarios!r}")
         elif self.scenarios < 0:
             raise ValueError(f"scenario count must be non-negative, got {self.scenarios}")
         if self.reps < 1:
@@ -343,9 +348,7 @@ class ExperimentReport:
             "config": cfg,
             "case_name": self.case_name,
             "resolved": dict(self.resolved),
-            "records": [
-                {k: _clean(v) for k, v in asdict(r).items()} for r in self.records
-            ],
+            "records": [{k: _clean(v) for k, v in asdict(r).items()} for r in self.records],
         }
 
     @classmethod
@@ -354,12 +357,7 @@ class ExperimentReport:
         cfg = dict(data["config"])
         cfg["methods"] = tuple(cfg["methods"])
         records = tuple(
-            RepetitionRecord(
-                **{
-                    k: (math.nan if v is None else v)
-                    for k, v in rec.items()
-                }
-            )
+            RepetitionRecord(**{k: math.nan if v is None else v for k, v in rec.items()})
             for rec in data["records"]
         )
         return cls(
@@ -395,31 +393,31 @@ def resolve_scenario_count(
 ) -> int:
     """Scenario count a method will use under this config.
 
-    Fixed counts pass through (dc-opf always uses none). 'auto' applies
-    the certified bounds: the closed-form classical one for sa
-    (sample_size_cc); for sa-is the exact binomial one at
-    eps = min(eta / S, 1) (sample_size_exact), S being the tail mass of
-    the prepared problem's mixture, and 0 when it has none (no
-    stochastic row). No covered mass is estimated, and since S = K eta
-    for K stochastic rows, the sa-is count does not depend on eta.
-    problem, when given, is this config's prepared case; otherwise the
-    sa-is count prepares one. A count no draw can hold (above
-    scenario.MAX_ROWS) is refused.
+    The method's draw law (scenario.METHODS) decides: a method that
+    draws nothing (dc-opf) uses none, and fixed counts pass through for
+    the others. 'auto' certifies the mixture law (sa-is) by the one
+    count rule, certified_count(eta, delta, d, S), S being the total
+    tail mass of the prepared problem's mixture, and 0 when it has none
+    (no stochastic row), which certifies without a draw. No covered mass
+    is estimated, and since S = K eta for K stochastic rows, the sa-is
+    count does not depend on eta. problem, when given, is this config's
+    prepared case; otherwise the sa-is count prepares one. A count no
+    draw can hold (above scenario.MAX_ROWS) is refused.
     """
-    if method == "dc-opf":
+    law = METHODS[method]
+    if law.factor is None:
         return 0
     d = max(1, len(case.generators) - 1)
     if config.scenarios != "auto":
         n = int(config.scenarios)
-    elif method == "sa":
+    elif not law.mixture:
+        # the Gaussian law (sa) keeps the closed-form classical bound, which
+        # the benchmark's report check pins; certified_count with S = 1 is
+        # its exact count (ROADMAP item 7, "sa at its exact count")
         n = sample_size_cc(config.eta, config.delta, d)
     else:
-        if problem is None:
-            problem = _prepare(config, case)
-        mix = problem.mixture
-        n = 0 if mix is None else sample_size_exact(
-            min(config.eta / mix.tail_mass, 1.0), config.delta, d
-        )
+        mix = (problem if problem is not None else _prepare(config, case)).mixture
+        n = certified_count(config.eta, config.delta, d, 0.0 if mix is None else mix.tail_mass)
     if n > MAX_ROWS:
         raise ValueError(f"{method}: scenario count exceeds the index range ({MAX_ROWS})")
     return n
@@ -438,14 +436,14 @@ def prepare_experiment(config: ExperimentConfig) -> PreparedProblem:
 class _Experiment:
     """What every repetition of one run shares; a pool chunk carries it once.
 
-    nominal is the dc-opf dispatch, which no seed changes: None when the
-    solver broke down, and unused when dc-opf is not among the methods.
+    fixed holds, for every method whose resolved count is 0, its one
+    dispatch, which no seed changes: None when the solver broke down.
     """
 
     config: ExperimentConfig
     problem: PreparedProblem
     resolved: dict[str, int]
-    nominal: DispatchSolution | None
+    fixed: dict[str, DispatchSolution | None]
 
 
 def _solve(problem: PreparedProblem, method: str, n_scenarios: int, seed: int):
@@ -458,10 +456,10 @@ def _solve(problem: PreparedProblem, method: str, n_scenarios: int, seed: int):
 def _run_one(experiment: _Experiment, method: str, rep: int) -> DispatchSolution | None:
     """One method's solution under one repetition seed; None on a solver error.
 
-    dc-opf's is the experiment's nominal dispatch, which no seed changes.
+    A method whose resolved count is 0 gets its fixed dispatch, solved once.
     """
-    if method == "dc-opf":
-        return experiment.nominal
+    if method in experiment.fixed:
+        return experiment.fixed[method]
     return _solve(
         experiment.problem, method, experiment.resolved[method], experiment.config.seed + rep
     )
@@ -667,7 +665,10 @@ def run_experiment(
     scenarios and validation never reuses optimisation draws. Every
     method of a repetition is scored on the same test deviations, which
     are drawn once and checked against all of its optimal dispatches.
-    Failed repetitions are recorded, not raised. Records come back
+    A method whose resolved count is 0 (dc-opf always) draws nothing, so
+    no seed changes its dispatch: it is solved once, before the first
+    repetition, and every repetition records it. Failed repetitions are
+    recorded, not raised. Records come back
     method-major. problem, when given, is prepare_experiment(config), so
     a caller that already prepared the case does not prepare it twice.
     With jobs > 1 the repetitions go to min(jobs, reps, usable cores)
@@ -695,8 +696,9 @@ def run_experiment(
         problem = prepare_experiment(config)
     case = problem.case
     resolved = {m: resolve_scenario_count(config, case, m, problem) for m in config.methods}
-    nominal = _solve(problem, "sa", 0, config.seed) if "dc-opf" in config.methods else None
-    experiment = _Experiment(config, problem, resolved, nominal)
+    # a dispatch from no draws is the same under every seed: solve it once
+    fixed = {m: _solve(problem, m, 0, config.seed) for m, n in resolved.items() if n == 0}
+    experiment = _Experiment(config, problem, resolved, fixed)
     _one_blas_thread()
     _steady_heap()
     workers = min(config.jobs, config.reps, _usable_cores())
@@ -711,10 +713,4 @@ def run_experiment(
     records = tuple(
         by_rep[rep][i] for i in range(len(config.methods)) for rep in range(config.reps)
     )
-
-    return ExperimentReport(
-        config=config,
-        case_name=case.name,
-        resolved=resolved,
-        records=records,
-    )
+    return ExperimentReport(config=config, case_name=case.name, resolved=resolved, records=records)

@@ -445,14 +445,14 @@ def test_sweep_to_stdout(capsys):
     lines = out.splitlines()
     assert lines[0] == "hard_offset,feasibility_rate,n_scenarios"
     assert len(lines) == 6
-    assert [int(line.split(",")[2]) for line in lines[1:]] == [13, 29, 58, 101, 155]
+    assert [int(line.split(",")[2]) for line in lines[1:]] == [1, 8, 17, 29, 44]
 
 
 def test_sweep_at_tiny_eta(capsys):
     code, out, err = run_cli(["sweep1d", "--eta", "1e-17", "--grid", "2", "--reps", "1"], capsys)
     assert code == 0
     assert "covered mass pi" not in err
-    assert out.splitlines()[-1] == "0.0,1.0,4374911676688686592"
+    assert out.splitlines()[-1] == "0.0,1.0,230258509299404561"
 
 
 def test_sweep_to_file(tmp_path, capsys):

@@ -27,6 +27,7 @@ from ccopf import (
     build_mixture,
     build_polytope,
     build_uncertainty,
+    certified_count,
     compute_margins,
     contains_inner,
     draw_gaussian_scenarios,
@@ -158,6 +159,31 @@ def test_exact_size_at_unit_level_is_the_dimension():
     # one stochastic row at S = eta: every draw lands in its tail
     for d in (1, 5, 40):
         assert sample_size_exact(1.0, 0.01, d) == d
+
+
+@pytest.mark.parametrize("eta, delta, d", [(0.05, 0.01, 5), (1e-3, 0.01, 6), (1e-6, 1e-3, 1)])
+def test_certified_count_is_zero_up_to_eta_and_exact_above(eta, delta, d):
+    # P(V) <= S Q(V) <= S, so a mass at or below eta needs no draw, where
+    # the exact count at level eta / S = 1 would still ask for d
+    for mass in (0.0, eta / 7, eta):
+        assert certified_count(eta, delta, d, mass) == 0
+    assert sample_size_exact(eta / eta, delta, d) == d
+    for mass in (math.nextafter(eta, 1.0), 1.5 * eta, 14 * eta, 92 * eta, 0.5, 1.0):
+        assert certified_count(eta, delta, d, mass) == sample_size_exact(eta / mass, delta, d)
+
+
+@pytest.mark.parametrize("args", [
+    (0.05, 0.01, 2, -0.1),
+    (0.05, 0.01, 2, math.inf),
+    (0.05, 0.01, 2, math.nan),
+    (0.0, 0.01, 2, 0.0),  # refused even where no draw is needed
+    (0.05, 1.0, 2, 0.0),
+    (0.05, 0.01, 0, 0.0),
+    (1e-320, 0.01, 2, 1.0),  # the closed form overflows
+])
+def test_certified_count_argument_validation(args):
+    with pytest.raises(ValueError):
+        certified_count(*args)
 
 
 @given(
@@ -862,6 +888,26 @@ def _prepared(case):
 
 def _offsets(prep, method, n, seed):
     return scenario_offsets(prep.poly, prep.margins, prep.mixture, method, n, seed)
+
+
+def test_every_method_is_one_draw_law(case57):
+    # the table alone tells the methods apart: dc-opf draws nothing at any
+    # count, sa is the Gaussian through draw_factor, and sa-is the mixture
+    # through row_factor, capped at the tightened offsets
+    prep = _prepared(case57)
+    assert set(scenario.METHODS) == {"dc-opf", "sa", "sa-is"}
+    for n in (0, 600):
+        assert _offsets(prep, "dc-opf", n, 3) is prep.poly.offsets
+    dc, sa_nominal = solve_prepared(prep, "dc-opf", 600, 3), solve_prepared(prep, "sa", 0, 3)
+    assert dc.objective == sa_nominal.objective
+    np.testing.assert_array_equal(dc.x_g, sa_nominal.x_g)
+    tight = prep.poly.offsets - prep.margins.delta
+    np.testing.assert_array_equal(_offsets(prep, "sa-is", 0, 3), np.minimum(prep.poly.offsets, tight))
+    z = np.concatenate(list(_support_draws(600, 3, prep.margins.draw_factor.shape[1])))
+    want = prep.poly.offsets - (prep.margins.draw_factor @ z.T).max(axis=1)
+    np.testing.assert_array_equal(_offsets(prep, "sa", 600, 3), want)
+    with pytest.raises(ValueError, match="unknown method 'bootstrap'; use one of dc-opf, sa, sa-is"):
+        _offsets(prep, "bootstrap", 10, 3)
 
 
 def test_empty_draws_rejected():

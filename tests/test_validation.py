@@ -362,14 +362,14 @@ def test_eta_half_zero_scenarios():
 
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
-        solve_1d_synthetic(0.0, 0.05, "dc-opf", 10, seed=0)
+        solve_1d_synthetic(0.0, 0.05, "bootstrap", 10, seed=0)
     with pytest.raises(ValueError, match="non-negative"):
         solve_1d_synthetic(0.0, 0.05, "sa", -2, seed=0)
 
 
 def test_sweep_matches_frozen_run():
     rows = sweep_1d(2.0, 0.05, 0.01, 5, 10, 123)
-    assert [n for _, _, n in rows] == [13, 29, 58, 101, 155]
+    assert [n for _, _, n in rows] == [1, 8, 17, 29, 44]
     assert [rate for _, rate, _ in rows] == [1.0] * 5
     b = [row[0] for row in rows]
     assert b[0] == pytest.approx(2.0 - Z_95, rel=1e-12)
@@ -379,24 +379,47 @@ def test_sweep_matches_frozen_run():
 
 def test_sweep_draws_stream_in_bounded_memory():
     # a repetition draws only its worst tail deviation, in closed form, so
-    # memory does not grow with the count; the 18.4M explicit uniforms and
-    # tail deviations of the last point would hold about 442 MB at once
+    # memory does not grow with the count; the 2.3M explicit uniforms and
+    # tail deviations of the last point would hold about 55 MB at once
     tracemalloc.start()
     try:
         rows = sweep_1d(0.0, 1e-6, 0.01, 2, 1, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows == [(-4.753424308822899, 1.0, 13), (0.0, 1.0, 18_420_683)]
+    assert rows == [(-4.753424308822899, 1.0, 1), (0.0, 1.0, 2_302_583)]
     assert peak < 4e6
 
 
 def test_sweep_finishes_at_tiny_eta():
-    # the last count is beyond any per-draw loop, and 1 - norm_cdf(margin)
-    # would round the first point's tail mass to 0
+    # the last count is beyond any per-draw loop; at the first point the
+    # tail mass norm_sf(norm_isf(eta)) rounds to just below eta, which
+    # certifies with no draw (1 - norm_cdf(margin) would round it to 0)
     rows = sweep_1d(0.0, 1e-17, 0.01, 2, 1, 0)
-    assert [n for _, _, n in rows] == [13, 4374911676688686592]
+    assert [n for _, _, n in rows] == [0, 230258509299404561]
     assert [rate for _, rate, _ in rows] == [1.0, 1.0]
+
+
+def _improbable_points(rows, reps, delta):
+    # grid points whose failing repetitions are improbable (p < 1e-3) under
+    # Binomial(reps, delta), the most failures the certificate allows
+    broken = [reps - round(rate * reps) for _, rate, _ in rows]
+    return [k for k in broken if k > 0 and 1.0 - binom_cdf(k - 1, reps, delta) < 1e-3]
+
+
+@pytest.mark.parametrize("eta", [0.05, 1e-4, 1e-6])
+def test_sweep_count_meets_the_guarantee_with_power(monkeypatch, eta):
+    # on the 1-D problem P(V) = S u_min, so a repetition breaks the chance
+    # constraint with probability (1 - eta / S)**n, just under delta at the
+    # exact count: about 200 of 20,000 repetitions fail at each point
+    reps, delta = 20_000, 0.01
+    rows = sweep_1d(0.0, eta, delta, 9, reps, 4)
+    assert _improbable_points(rows, reps, delta) == []
+    assert max(reps - round(rate * reps) for _, rate, _ in rows) > 0.5 * delta * reps
+    # a count 10% short (about 300 failures) does not pass
+    exact = validation.certified_count
+    monkeypatch.setattr(validation, "certified_count", lambda *args: int(0.9 * exact(*args)))
+    assert _improbable_points(sweep_1d(0.0, eta, delta, 9, reps, 4), reps, delta)
 
 
 @pytest.mark.parametrize("n", [1, 50, 500])
@@ -1335,6 +1358,26 @@ def test_pool_workers_never_start_blas_threads(monkeypatch, tmp_path):
         assert report["pid"] != os.getpid()
         assert report["blas"] == [1] * len(_worker_blas_threads())
         assert report["os_threads"] == 1
+
+
+def test_runs_solve_a_dispatch_from_no_draws_once(monkeypatch):
+    # at --scenarios 0 no method draws, so each is solved once per run, not
+    # once per repetition, and records what per-repetition solves give
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    config = ExperimentConfig(case="case57", methods=("dc-opf", "sa", "sa-is"), scenarios=0,
+                              reps=4, n_test=2000, seed=9)
+    problem = validation.prepare_experiment(config)
+    solves = []
+    solve = scenario.solve
+    monkeypatch.setattr(scenario, "solve", lambda lp: solves.append(lp) or solve(lp))
+    report = run_experiment(config, problem)
+    assert len(solves) == 3
+    per_rep = validation._Experiment(config, problem, report.resolved, fixed={})
+    by_rep = [validation._run_rep(per_rep, rep) for rep in range(config.reps)]
+    assert len(solves) == 3 + 3 * config.reps
+    assert report.records == tuple(by_rep[rep][i] for i in range(3) for rep in range(config.reps))
+    assert {r.status for r in report.records} == {"optimal"}
+    assert run_experiment(replace(config, jobs=2), problem).records == report.records
 
 
 def test_experiment_records_infeasible_runs(tmp_path):
