@@ -213,8 +213,8 @@ def _cmd_run(args) -> int:
         elif not law.mixture:
             origin = "closed-form bound"
         else:
-            k, s = (0, 0.0) if mix is None else (mix.n_components, mix.tail_mass)
-            origin = f"exact binomial bound at eta/S; K={k} stochastic rows, tail mass S={s:.3g}"
+            origin = (f"exact binomial bound at eta/S; K={mix.n_components} stochastic rows, "
+                      f"tail mass S={mix.tail_mass:.3g}")
         print(f"{method}: {n} scenarios ({origin})")
 
     report = run_experiment(config, problem)

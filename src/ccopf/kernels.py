@@ -1,8 +1,9 @@
 """Elementwise standard-normal and binomial kernels on NumPy and math.
 
 Every normal-law number in the package comes from here: erfc, the normal
-CDF/survival pair, the quantile pair, and the truncated-tail inverse
-transform of the tail mixture. So does the binomial CDF behind the
+CDF/survival pair, the quantile pair, the truncated-tail inverse
+transform of the tail mixture, and the standard normal density that the
+mixture density scales. So does the binomial CDF behind the
 exact sa-is scenario count (scenario.sample_size_exact). Scalars map to
 NumPy float64 scalars and arrays to float64 arrays of the same shape.
 BACKEND names the source. The sources:
@@ -14,6 +15,8 @@ BACKEND names the source. The sources:
   approximations (1988, Applied Statistics algorithm AS241, PPND16),
   the algorithm of statistics.NormalDist.inv_cdf, over whole arrays:
   tail_quantile runs on every mixture draw.
+- normal_density evaluates the k-variate standard normal density of
+  each row with NumPy's exp.
 - binom_cdf sums the binomial terms by their ratio recurrence with
   math.fsum.
 
@@ -41,6 +44,7 @@ __all__ = [
     "norm_sf",
     "norm_ppf",
     "norm_isf",
+    "normal_density",
     "tail_quantile",
 ]
 
@@ -146,6 +150,12 @@ def tail_quantile(beta, p_tail, u):
     round-off at u = 1.
     """
     return np.maximum(norm_isf(np.multiply(p_tail, u)), beta)
+
+
+def normal_density(w: np.ndarray) -> np.ndarray:
+    """Standard normal density of each row of w (n x k, reduced coordinates)."""
+    k = w.shape[1]
+    return (2.0 * np.pi) ** (-0.5 * k) * np.exp(-0.5 * np.einsum("ij,ij->i", w, w))
 
 
 def _binom_cdf(k, n, p) -> float:

@@ -251,16 +251,19 @@ def estimate_pi(
 
     'union-bound' returns the closed-form lower bound
     1 - sum_i Phi(-beta_i), clipped at zero; it is conservative and
-    needs no sampling. 'monte-carlo' draws deviations from the model,
-    projects them onto the rows through m.row_factor and counts the
-    fraction inside, reporting a binomial standard error.
+    needs no sampling. 'monte-carlo' draws the rows' Gaussian law as the
+    out-of-sample check does: the scenario._support_draws blocks, rank R
+    normals each, projected through m.draw_factor, so memory stays
+    bounded for any n_samples. It counts the fraction inside and reports
+    a binomial standard error.
 
     Parameters
     ----------
     m : MarginSet
         Margins defining the inner set.
     g : GaussianSpec
-        Deviation model used for sampling (monte-carlo mode).
+        Deviation model the margins were computed under. m carries its
+        law on the rows (row_factor, draw_factor), so neither mode reads it.
     mode : str
         'union-bound' or 'monte-carlo'.
     n_samples : int
@@ -272,12 +275,16 @@ def estimate_pi(
         value = max(0.0, 1.0 - float(np.sum(m.tail_probs)))
         return PiEstimate(value=value, mode=mode, is_lower_bound=True)
     if mode == "monte-carlo":
+        from .scenario import _support_draws  # scenario imports this module
+
         if n_samples <= 0:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
-        rng = np.random.default_rng(seed)
-        proj = rng.standard_normal((n_samples, g.reduced_dim)) @ m.row_factor.T
-        inside = np.all(proj <= m.delta + _CONTAINS_TOL, axis=1)
-        value = float(np.mean(inside))
+        bound = (m.delta + _CONTAINS_TOL)[:, None]
+        inside = sum(
+            np.count_nonzero(np.all(m.draw_factor @ z.T <= bound, axis=0))
+            for z in _support_draws(n_samples, seed, m.draw_factor.shape[1])
+        )
+        value = float(inside / n_samples)
         stderr = float(np.sqrt(value * (1.0 - value) / n_samples))
         return PiEstimate(value=value, mode=mode, is_lower_bound=False, stderr=stderr)
     raise ValueError(f"unknown mode {mode!r}; use 'union-bound' or 'monte-carlo'")

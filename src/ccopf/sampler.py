@@ -27,7 +27,7 @@ import numpy as np
 
 from .grid import FeasibilityPolytope
 from .kernels import norm_isf  # noqa: F401  (perfbench/test_perfbench.py reads it)
-from .kernels import tail_quantile
+from .kernels import normal_density, tail_quantile
 from .margins import GaussianSpec, MarginSet
 
 _UNIT_TOL = 1e-9
@@ -47,7 +47,9 @@ class MixtureSampler:
     on the likelihood ratio against the nominal law conditioned on the
     outside of the inner set. The mixture density is q = phi |A| / S, so
     the unconditioned ratio S / |A| is at most S on every mixture draw
-    (see importance_ratio).
+    (see importance_ratio). With no stochastic row the mixture is empty:
+    K = 0 components and S = 0, which certify without a draw, and which
+    no draw can come from (sample_mixture_batch refuses it).
     """
 
     reduced_directions: np.ndarray
@@ -58,8 +60,6 @@ class MixtureSampler:
 
     def __post_init__(self):
         n_comp = self.reduced_directions.shape[0]
-        if n_comp == 0:
-            raise ValueError("mixture needs at least one component")
         shapes = {
             "thresholds": self.thresholds.shape[0],
             "tail_probs": self.tail_probs.shape[0],
@@ -108,23 +108,12 @@ def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> M
     Component i's axis is the margins' row factor R_i over sigma_i.
     Weights are proportional to the per-row tail probabilities, the
     choice that minimises the largest likelihood ratio outside the inner
-    set.
-
-    Raises
-    ------
-    ValueError
-        No stochastic rows: every row is deterministic under g, so there
-        is no tail to sample.
+    set. Where every row is deterministic under g the mixture is empty
+    (K = 0 components, tail mass S = 0).
     """
     if m.delta.shape[0] != poly.n_rows:
         raise ValueError("margin set does not match the polytope")
-    stochastic = m.stochastic
-    if not bool(np.any(stochastic)):
-        raise ValueError(
-            "all rows are deterministic under the uncertainty; "
-            "the tail mixture is undefined"
-        )
-    rows = np.nonzero(stochastic)[0]
+    rows = np.nonzero(m.stochastic)[0]
     return MixtureSampler(
         reduced_directions=m.row_factor[rows] / m.sigma[rows][:, None],
         thresholds=m.beta[rows],
@@ -146,9 +135,13 @@ def sample_mixture_batch(
     threshold, so every row lands in its component's half-space.
     The draw order is fixed (components, then normals, then tail
     uniforms) so results are reproducible for a given generator state.
+    An empty mixture (no stochastic row) has nothing to draw from and is
+    refused; this is the one place that needs a component.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
+    if ms.n_components == 0:
+        raise ValueError("the mixture is empty: no component to draw from")
     comps = rng.choice(ms.n_components, size=n, p=ms.weights)
     z = rng.standard_normal((n, ms.reduced_dim))
     u = 1.0 - rng.random(n)
@@ -168,7 +161,7 @@ def mixture_pdf(ms: MixtureSampler, w: np.ndarray) -> float | np.ndarray:
     has the same width and is silently read as support coordinates.
     """
     rows, count = _coverage(ms, w)
-    values = _standard_density(rows) * count / ms.tail_mass
+    values = normal_density(rows) * count / ms.tail_mass
     return values if np.ndim(w) > 1 else float(values[0])
 
 
@@ -196,9 +189,3 @@ def _coverage(ms: MixtureSampler, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
             f"expected rows of {ms.reduced_dim} support coordinates, got shape {np.shape(w)}"
         )
     return rows, np.count_nonzero(rows @ ms.reduced_directions.T > ms.thresholds, axis=1)
-
-
-def _standard_density(w: np.ndarray) -> np.ndarray:
-    """Standard normal density rows of w (reduced coordinates)."""
-    k = w.shape[1]
-    return (2.0 * np.pi) ** (-0.5 * k) * np.exp(-0.5 * np.einsum("ij,ij->i", w, w))

@@ -306,16 +306,17 @@ def chunk_sizes(n: int) -> Iterator[int]:
 
 
 def _support_draws(n: int, seed: int | None, width: int,
-                   mixture: MixtureSampler | None = None) -> Iterator[np.ndarray]:
+                   sampler: MixtureSampler | None = None) -> Iterator[np.ndarray]:
     """The one draw stream: chunk_sizes(n) blocks from default_rng(seed).
 
     Each block is standard_normal((size, width)), which concatenate to
-    the one-shot draw, or sample_mixture_batch(mixture, size, rng)[0].
+    the one-shot draw, or, given a sampler, the tail mixture's
+    sample_mixture_batch(sampler, size, rng)[0].
     """
     rng = np.random.default_rng(seed)
     for size in chunk_sizes(n):
-        yield (rng.standard_normal((size, width)) if mixture is None
-               else sample_mixture_batch(mixture, size, rng)[0])
+        yield (rng.standard_normal((size, width)) if sampler is None
+               else sample_mixture_batch(sampler, size, rng)[0])
 
 
 def draw_mixture_scenarios(ms: MixtureSampler, n: int, seed: int | None) -> ScenarioSet:
@@ -397,9 +398,11 @@ class DispatchSolution:
     """Solved dispatch: outputs in MW, objective in $/h.
 
     x_g lists every generator in case order, the residual included.
-    status is 'optimal', 'infeasible' or 'unbounded'; non-optimal
-    solutions carry nan objective and no dispatch. active_rows indexes
-    LP rows with slack at most ACTIVE_TOL.
+    status is 'optimal', 'infeasible' or 'unbounded' from solve, or
+    'solver-error', the status run_experiment records for a solve that
+    raised SolverError. Non-optimal solutions (unsolved) carry nan
+    objective and no dispatch. active_rows indexes LP rows with slack at
+    most ACTIVE_TOL.
     """
 
     x_g: np.ndarray | None
@@ -413,6 +416,11 @@ class DispatchSolution:
             self.x_g.setflags(write=False)
         if self.injection_pu is not None:
             self.injection_pu.setflags(write=False)
+
+    @classmethod
+    def unsolved(cls, status: str) -> DispatchSolution:
+        """No dispatch under a non-optimal status: nan objective, no active row."""
+        return cls(x_g=None, objective=math.nan, status=status, active_rows=())
 
 
 def _dispatch_structure(case: GridCase):
@@ -560,9 +568,7 @@ def solve(lp: LinearProgram) -> DispatchSolution:
         # a direct check of the constant rows
         feasible = bool(np.all(lp.b_ub >= -ACTIVE_TOL))
         if not feasible:
-            return DispatchSolution(
-                x_g=None, objective=math.nan, status="infeasible", active_rows=()
-            )
+            return DispatchSolution.unsolved("infeasible")
         return _package_solution(lp, np.zeros(0), lp.b_ub)
 
     m = lp.b_ub.shape[0]
@@ -582,13 +588,9 @@ def solve(lp: LinearProgram) -> DispatchSolution:
         raise SolverError(f"HiGHS failed: {solver.modelStatusToString(solver.getModelStatus())}")
     status = solver.getModelStatus()
     if status == highs.HighsModelStatus.kInfeasible:
-        return DispatchSolution(
-            x_g=None, objective=math.nan, status="infeasible", active_rows=()
-        )
+        return DispatchSolution.unsolved("infeasible")
     if status == highs.HighsModelStatus.kUnbounded:
-        return DispatchSolution(
-            x_g=None, objective=math.nan, status="unbounded", active_rows=()
-        )
+        return DispatchSolution.unsolved("unbounded")
     if status != highs.HighsModelStatus.kOptimal:
         raise SolverError(f"LP solver failed: {solver.modelStatusToString(status)}")
     solution = solver.getSolution()
@@ -728,17 +730,18 @@ class PreparedProblem:
     seed: the polytope, the margins (with the row factor R that mixture
     draws project through, the draw factor B that Gaussian draws project
     through, and the shrink delta that tightens the rows), the
-    tail mixture (None when no row is stochastic), and the dispatch LP at
-    the polytope's own offsets. A solve only moves the polytope rows of
-    that LP (see LinearProgram.row_shift). The mixture is also the one
-    source of the sa-is count's K and S (n_components and tail_mass).
+    tail mixture (empty, K = 0 and S = 0, when no row is stochastic), and
+    the dispatch LP at the polytope's own offsets. A solve only moves the
+    polytope rows of that LP (see LinearProgram.row_shift). The mixture
+    is also the one source of the sa-is count's K and S (n_components and
+    tail_mass).
     """
 
     case: GridCase
     g: GaussianSpec
     poly: FeasibilityPolytope
     margins: MarginSet
-    mixture: MixtureSampler | None
+    mixture: MixtureSampler
     lp: LinearProgram
 
 
@@ -746,19 +749,18 @@ def prepare_problem(case: GridCase, g: GaussianSpec, eta: float) -> PreparedProb
     """Build the seed-independent part of run_sa and run_sa_is once."""
     poly = build_polytope(case, build_matrices(case))
     m = compute_margins(poly, g, eta)
-    mixture = build_mixture(poly, m, g) if bool(np.any(m.stochastic)) else None
     return PreparedProblem(
         case=case,
         g=g,
         poly=poly,
         margins=m,
-        mixture=mixture,
+        mixture=build_mixture(poly, m, g),
         lp=_skeleton(case, poly),
     )
 
 
 def scenario_offsets(
-    poly: FeasibilityPolytope, margins: MarginSet, mixture: MixtureSampler | None,
+    poly: FeasibilityPolytope, margins: MarginSet, mixture: MixtureSampler,
     method: str, n_scenarios: int, seed: int | None,
 ) -> np.ndarray:
     """Row offsets of one scenario solve, before any LP is built.
@@ -772,8 +774,8 @@ def scenario_offsets(
     poly.offsets - margins.delta (what tightened_polytope holds). Blocks
     project rows by draws, so a row's maximum runs along the contiguous
     axis. With n_scenarios = 0, for a law that draws nothing (dc-opf), or
-    for the mixture law with no mixture (no stochastic row), nothing is
-    drawn.
+    for the mixture law with an empty mixture (no stochastic row), nothing
+    is drawn. mixture is read only by the mixture law.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
@@ -781,7 +783,7 @@ def scenario_offsets(
         raise ValueError(f"scenario count must be non-negative, got {n_scenarios}")
     law, offsets = METHODS[method], poly.offsets
     sampler = mixture if law.mixture else None
-    if n_scenarios > 0 and law.factor is not None and (sampler is not None or not law.mixture):
+    if n_scenarios > 0 and law.factor is not None and (sampler is None or sampler.n_components):
         factor = getattr(margins, law.factor)
         worst = np.full(poly.n_rows, -np.inf)
         for z in _support_draws(n_scenarios, seed, factor.shape[1], sampler):

@@ -397,7 +397,7 @@ def resolve_scenario_count(
     draws nothing (dc-opf) uses none, and fixed counts pass through for
     the others. 'auto' certifies the mixture law (sa-is) by the one
     count rule, certified_count(eta, delta, d, S), S being the total
-    tail mass of the prepared problem's mixture, and 0 when it has none
+    tail mass of the prepared problem's mixture: 0 for the empty mixture
     (no stochastic row), which certifies without a draw. No covered mass
     is estimated, and since S = K eta for K stochastic rows, the sa-is
     count does not depend on eta. problem, when given, is this config's
@@ -417,7 +417,7 @@ def resolve_scenario_count(
         n = sample_size_cc(config.eta, config.delta, d)
     else:
         mix = (problem if problem is not None else _prepare(config, case)).mixture
-        n = certified_count(config.eta, config.delta, d, 0.0 if mix is None else mix.tail_mass)
+        n = certified_count(config.eta, config.delta, d, mix.tail_mass)
     if n > MAX_ROWS:
         raise ValueError(f"{method}: scenario count exceeds the index range ({MAX_ROWS})")
     return n
@@ -437,24 +437,25 @@ class _Experiment:
     """What every repetition of one run shares; a pool chunk carries it once.
 
     fixed holds, for every method whose resolved count is 0, its one
-    dispatch, which no seed changes: None when the solver broke down.
+    dispatch, which no seed changes.
     """
 
     config: ExperimentConfig
     problem: PreparedProblem
     resolved: dict[str, int]
-    fixed: dict[str, DispatchSolution | None]
+    fixed: dict[str, DispatchSolution]
 
 
-def _solve(problem: PreparedProblem, method: str, n_scenarios: int, seed: int):
+def _solve(problem: PreparedProblem, method: str, n_scenarios: int, seed: int) -> DispatchSolution:
+    """solve_prepared, with a solver breakdown as a 'solver-error' dispatch."""
     try:
         return solve_prepared(problem, method, n_scenarios, seed)
     except SolverError:
-        return None
+        return DispatchSolution.unsolved("solver-error")
 
 
-def _run_one(experiment: _Experiment, method: str, rep: int) -> DispatchSolution | None:
-    """One method's solution under one repetition seed; None on a solver error.
+def _run_one(experiment: _Experiment, method: str, rep: int) -> DispatchSolution:
+    """One method's solution under one repetition seed.
 
     A method whose resolved count is 0 gets its fixed dispatch, solved once.
     """
@@ -474,7 +475,7 @@ def _run_rep(experiment: _Experiment, rep: int) -> list[RepetitionRecord]:
     """
     config, problem = experiment.config, experiment.problem
     sols = [_run_one(experiment, m, rep) for m in config.methods]
-    optimal = [i for i, sol in enumerate(sols) if sol is not None and sol.status == "optimal"]
+    optimal = [i for i, sol in enumerate(sols) if sol.status == "optimal"]
     confidence, stderr = np.full((2, len(sols)), math.nan)
     if optimal:
         confidence[optimal], stderr[optimal] = out_of_sample_confidence(
@@ -487,8 +488,8 @@ def _run_rep(experiment: _Experiment, rep: int) -> list[RepetitionRecord]:
             rep=rep,
             seed=config.seed + rep,
             n_scenarios=experiment.resolved[method],
-            status="solver-error" if sol is None else sol.status,
-            objective=sol.objective if i in optimal else math.nan,
+            status=sol.status,
+            objective=sol.objective,
             confidence=float(confidence[i]),
             conf_stderr=float(stderr[i]),
         )

@@ -1,6 +1,8 @@
 """Per-row margins, the tightened polytope, and the inner-set probability."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 from ccopf import (
     FeasibilityPolytope,
     GaussianSpec,
+    build_uncertainty,
     compute_margins,
     contains_inner,
     estimate_pi,
+    prepare_problem,
     tightened_polytope,
 )
 from ccopf.kernels import norm_isf, norm_sf
@@ -230,6 +234,21 @@ def test_monte_carlo_beats_union_bound_when_rows_overlap():
     assert union.value == pytest.approx(0.8, rel=1e-9)
     assert abs(mc.value - 0.9) < 4 * mc.stderr
     assert mc.value > union.value
+
+
+def test_monte_carlo_streams_in_bounded_memory(case30):
+    # 200,000 draws at once, with their projection onto case30's 94 rows,
+    # peaked at 188 MB; blocks of scenario.CHUNK draws stay near 2 MB
+    prep = prepare_problem(case30, build_uncertainty(case30, 0.07), 0.05)
+    tracemalloc.start()
+    try:
+        est = estimate_pi(prep.margins, prep.g, mode="monte-carlo", n_samples=200_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    # the union bound 1 - 92 * 0.05 clips at 0; the draws see the rows overlap
+    assert 0.0 < est.value < 1.0
 
 
 def test_estimate_pi_argument_validation():

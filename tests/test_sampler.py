@@ -100,11 +100,16 @@ def test_deterministic_rows_get_no_component():
 
 
 def test_all_deterministic_rejected():
+    # no stochastic row: the mixture is empty (K = 0, S = 0), which
+    # certifies without a draw, and drawing from it is refused
     poly = box_polytope(2, 1.0)
     g = GaussianSpec.from_covariance(np.zeros((2, 2)))
     m = compute_margins(poly, g, 0.05)
-    with pytest.raises(ValueError, match="tail mixture is undefined"):
-        build_mixture(poly, m, g)
+    ms = build_mixture(poly, m, g)
+    assert ms.n_components == 0
+    assert ms.tail_mass == 0.0
+    with pytest.raises(ValueError, match="no component to draw from"):
+        sample_mixture_batch(ms, 1, np.random.default_rng(0))
 
 
 def test_row_count_mismatch_rejected():

@@ -648,12 +648,14 @@ def test_resolve_scenario_counts(tmp_path, case30, case57):
 def test_tail_probabilities_have_one_source(request, name):
     # the mixture's tail probabilities are the margins' own, bit for bit,
     # and the sa-is count's S is the prepared mixture's tail mass, whether
-    # the count prepares the case itself or is handed the prepared problem
+    # the count prepares the case itself or is handed the prepared problem;
+    # at rare eta too, where every component's tail probability is eta
     case = request.getfixturevalue(name)
-    for eta in (0.05, 1e-3):
+    for eta in (0.05, 1e-3, 1e-4, 1e-5, 1e-6):
         prep = prepare_problem(case, build_uncertainty(case, 0.07), eta)
         m = prep.margins
         assert prep.mixture.tail_probs.tobytes() == m.tail_probs[m.stochastic].tobytes()
+        np.testing.assert_allclose(prep.mixture.tail_probs, eta, rtol=1e-10, atol=0)
         config = ExperimentConfig(case=name, eta=eta)
         want = sample_size_exact(eta / prep.mixture.tail_mass, config.delta,
                                  len(case.generators) - 1)
@@ -680,6 +682,30 @@ def test_sa_is_auto_count_meets_the_guarantee(name):
     broken = sum(1.0 - r.confidence > config.eta for r in good)
     p_value = 1.0 if broken == 0 else 1.0 - binom_cdf(broken - 1, len(good), config.delta)
     assert p_value >= 1e-3, f"{broken} of {len(good)} seeds above eta"
+
+
+@pytest.mark.parametrize("name", ["case30", "case57"])
+@pytest.mark.parametrize("eta", [0.05, 1e-3, 1e-4])
+def test_sa_is_auto_count_meets_the_guarantee_by_the_union_bound(name, eta):
+    # at rare eta an out-of-sample estimate of P(V) needs millions of draws,
+    # but a dispatch's union-bound sum S_x = sum_i P(row i fails) >= P(V)
+    # needs none. As above, the number of seeds whose S_x exceeds eta must
+    # not be improbable under Binomial(optimal seeds, delta)
+    config = ExperimentConfig(case=name, methods=("sa-is",), eta=eta)
+    prep = validation.prepare_experiment(config)
+    n = resolve_scenario_count(config, prep.case, "sa-is", prep)
+    rows, sigma = prep.margins.stochastic, prep.margins.sigma
+    sols = [solve_prepared(prep, "sa-is", n, seed) for seed in range(100)]
+    good = [sol for sol in sols if sol.status == "optimal"]
+    headroom = [prep.poly.offsets - prep.poly.normals @ sol.injection_pu for sol in good]
+    s_x = [float(np.sum(norm_sf(h[rows] / sigma[rows]))) for h in headroom]
+    broken = sum(s > eta for s in s_x)
+    p_value = 1.0 if broken == 0 else 1.0 - binom_cdf(broken - 1, len(good), config.delta)
+    # case30 at 1e-4 leaves 6 seeds infeasible (ROADMAP item 11)
+    message = (f"{broken} of {len(good)} optimal seeds above eta "
+               f"({len(sols) - len(good)} of {len(sols)} not optimal)")
+    assert len(good) >= 90, message
+    assert p_value >= 1e-3, message
 
 
 def test_run_experiment_smoke(tmp_path):
@@ -1398,10 +1424,14 @@ def test_experiment_records_solver_errors_and_completes(monkeypatch):
     scenario._load_highs()  # HIGHS_OPTIONS exists once the binding is loaded
     monkeypatch.setattr(scenario.HIGHS_OPTIONS, "presolve", "off")
     monkeypatch.setattr(scenario.HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
     config = ExperimentConfig(
         case="case30", methods=("dc-opf", "sa", "sa-is"), reps=2, scenarios=50, n_test=100
     )
     report = run_experiment(config)
+    # the solver-error dispatches, dc-opf's solved-once one among them,
+    # cross the pool as values and give the serial records
+    assert run_experiment(replace(config, jobs=2)).to_dict() == report.to_dict()
     assert [(r.method, r.rep) for r in report.records] == [
         (m, k) for m in config.methods for k in range(2)
     ]
