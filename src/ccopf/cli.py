@@ -208,7 +208,7 @@ def _cmd_run(args) -> int:
     counts = {m: resolve_scenario_count(config, problem.case, m, problem) for m in config.methods}
     for method, n in counts.items():
         law = METHODS[method]
-        if config.scenarios != "auto" or law.factor is None:
+        if config.scenarios != "auto" or not law.draws:
             origin = "fixed"
         elif not law.mixture:
             origin = "closed-form bound"

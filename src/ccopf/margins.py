@@ -4,7 +4,8 @@ Fluctuations enter as a zero-mean Gaussian deviation xi of the injection
 vector. Each polytope row picks up a margin delta_i so that a dispatch
 satisfying the tightened system keeps the row's violation probability at
 eta; they also hold R = W U, the one view of xi that every row reads,
-and B = rank_factor(R), the rows' Gaussian law in rank R normals.
+and B = R V_k from rank_factor(R), the rows' law in rank R
+coordinates, where the Gaussian draws and the tail mixture both live.
 Rows invisible to the uncertainty (zero variance along the normal)
 stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
 is what the margins cover. Its probability pi (estimate_pi, which no
@@ -100,23 +101,25 @@ def _support(eigval: np.ndarray) -> np.ndarray:
     return eigval > 1e-12 * max(top, 1e-300)
 
 
-def rank_factor(row_factor: np.ndarray) -> np.ndarray:
-    """Factor B (n_rows x k, k = rank R) with B @ B.T == R @ R.T, R = row_factor.
+def rank_factor(row_factor: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Factor B (n_rows x k, k = rank R) with B @ B.T == R @ R.T, and its basis.
 
-    R z, z standard normal, depends only on z's component in R's row
-    space, so B z' with k standard normals z' has the same law: a Gaussian
-    draw of the rows' projections needs k normals, not R.shape[1].
-    B = R V_k, where V_k holds the eigenvectors of R.T @ R whose
-    eigenvalues pass the support cutoff of GaussianSpec.reduced_factor,
-    so rows that are exact negatives of each other stay so. At full
-    column rank B is R itself, the same array, and draws through it are
+    R = row_factor. R z, z standard normal, depends only on z's component
+    in R's row space, so B z' with k standard normals z' has the same
+    law: a Gaussian draw of the rows' projections needs k normals, not
+    R.shape[1]. B = R V_k, where V_k holds the eigenvectors of R.T @ R
+    whose eigenvalues pass the support cutoff of
+    GaussianSpec.reduced_factor, so rows that are exact negatives of
+    each other stay so. Returns (B, V_k). At full column rank B is R
+    itself, the same array, and V_k is None: draws through B are then
     the draws through R.
     """
     eigval, eigvec = np.linalg.eigh(row_factor.T @ row_factor)
     keep = _support(eigval)
     if np.all(keep):
-        return row_factor
-    return row_factor @ eigvec[:, keep]
+        return row_factor, None
+    basis = eigvec[:, keep]
+    return row_factor @ basis, basis
 
 
 @dataclass(frozen=True)
@@ -126,12 +129,13 @@ class MarginSet:
     delta is the offset shrink in p.u.; beta = delta / sigma is the same
     margin in standard deviations of the row projection (inf on
     deterministic rows, where delta is 0). row_factor is R = W U
-    (n_rows x reduced_dim): row i sees support coordinates w as R_i w.
-    sigma holds its row norms, the mixture axes are R_i / sigma_i and
-    every mixture projection is w @ row_factor.T. draw_factor is
-    rank_factor(R) (n_rows x rank R), built with the set: the Gaussian
-    draws of the solves and checks go through it, rank R normals per
-    draw, and it is row_factor itself at full column rank.
+    (n_rows x reduced_dim): row i sees support coordinates w as R_i w,
+    and sigma holds its row norms. draw_factor B = R V_k (n_rows x
+    rank R) and rank_basis V_k are rank_factor(R), built with the set.
+    Every draw of the solves and checks, Gaussian or tail mixture, holds
+    rank R coordinates w' and reaches the rows as B w' = R (V_k w'); the
+    mixture axes are B_i / sigma_i, unit vectors since B B' = R R'. At
+    full column rank B is row_factor itself and rank_basis is None.
     """
 
     delta: np.ndarray
@@ -140,6 +144,7 @@ class MarginSet:
     row_factor: np.ndarray
     sigma: np.ndarray
     draw_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    rank_basis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_rows = self.delta.shape[0]
@@ -148,9 +153,13 @@ class MarginSet:
                 raise ValueError(f"{name} must have shape ({n_rows},)")
         if self.row_factor.ndim != 2 or self.row_factor.shape[0] != n_rows:
             raise ValueError("row_factor needs one row per margin row")
-        object.__setattr__(self, "draw_factor", rank_factor(self.row_factor))
-        for arr in (self.delta, self.beta, self.row_factor, self.sigma, self.draw_factor):
-            arr.setflags(write=False)
+        draw_factor, rank_basis = rank_factor(self.row_factor)
+        object.__setattr__(self, "draw_factor", draw_factor)
+        object.__setattr__(self, "rank_basis", rank_basis)
+        for arr in (self.delta, self.beta, self.row_factor, self.sigma, self.draw_factor,
+                    self.rank_basis):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def stochastic(self) -> np.ndarray:

@@ -3,9 +3,9 @@
 A scenario set turns the chance constraint into finitely many shifted
 copies of the polytope rows, which collapse to one offset per row. Solves
 project the blocks of the one draw stream (_support_draws) straight
-onto the rows (scenario_offsets, rows by draws): Gaussian draws through
-the margins' draw_factor, rank R normals each, and mixture draws in
-support coordinates through the row factor R. The out-of-sample check
+onto the rows (scenario_offsets, rows by draws) through the margins'
+draw_factor B: Gaussian draws of rank R normals each, and tail-mixture
+draws in the same rank R coordinates (sampler). The out-of-sample check
 draws the same Gaussian blocks and projects only the rows each block
 can reach. The bus-space reference sets map the same blocks. The
 dispatch LP optimises generator outputs against those offsets,
@@ -22,14 +22,12 @@ counts iterations through, imports scipy.optimize.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 import os
 import sys
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
@@ -320,9 +318,14 @@ def _support_draws(n: int, seed: int | None, width: int,
 
 
 def draw_mixture_scenarios(ms: MixtureSampler, n: int, seed: int | None) -> ScenarioSet:
-    """n deviations from the tail mixture (the _support_draws stream), mapped to the buses."""
+    """n deviations from the tail mixture (the _support_draws stream), mapped to the buses.
+
+    ms.to_buses maps the very draws the 'sa-is' solves project: on the
+    rows their law is the mixture's, and in bus directions no row sees
+    (outside the span of U V_k) they do not vary.
+    """
     w = np.concatenate(list(_support_draws(n, seed, ms.reduced_dim, ms)))
-    return ScenarioSet(scenarios=ms.gaussian.from_reduced(w), origin="mixture", seed=seed)
+    return ScenarioSet(scenarios=ms.to_buses(w), origin="mixture", seed=seed)
 
 
 def reduce_scenarios(poly: FeasibilityPolytope, scen: ScenarioSet) -> np.ndarray:
@@ -358,6 +361,10 @@ class LinearProgram:
     offsets shares them. The first row_shift.size rows are the polytope
     rows: their b_ub entries are the polytope offsets minus row_shift,
     the rows' value at the fixed injections (see _with_offsets).
+    solution_window holds the bounds solve checks an optimum against,
+    (lower, upper) less and plus FEASIBILITY_TOL, then each row's slack
+    from -FEASIBILITY_TOL up: built with the skeleton, shared by every
+    LP with moved offsets.
     """
 
     cost: np.ndarray
@@ -378,18 +385,22 @@ class LinearProgram:
     residual_gen: int
     residual_at_zero: float
     n_gens: int
+    solution_window: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.cost.shape[0]
-        if self.a_ub.shape != (self.b_ub.shape[0], d):
+        d, m = self.cost.shape[0], self.b_ub.shape[0]
+        if self.a_ub.shape != (m, d):
             raise ValueError("constraint matrix shape mismatch")
         if self.lower.shape != (d,) or self.upper.shape != (d,):
             raise ValueError("bounds must match the decision count")
-        if len(self.labels) != self.b_ub.shape[0]:
+        if len(self.labels) != m:
             raise ValueError("one label per constraint row required")
+        window = (np.concatenate([self.lower - FEASIBILITY_TOL, np.full(m, -FEASIBILITY_TOL)]),
+                  np.concatenate([self.upper + FEASIBILITY_TOL, np.full(m, np.inf)]))
+        object.__setattr__(self, "solution_window", window)
         for arr in (self.cost, self.a_ub, self.a_start, self.a_index, self.a_value,
                     self.b_ub, self.lower, self.upper, self.injection_map,
-                    self.injection_fixed, self.row_shift):
+                    self.injection_fixed, self.row_shift, *window):
             arr.setflags(write=False)
 
 
@@ -542,9 +553,18 @@ def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _with_offsets(lp: LinearProgram, offsets: np.ndarray) -> LinearProgram:
-    """The skeleton lp with its polytope rows moved to the given offsets."""
+    """The skeleton lp with its polytope rows moved to the given offsets.
+
+    A shallow copy with a new b_ub of lp's shape: every other array is
+    lp's own, checked and read-only, so the copy runs no __post_init__.
+    """
+    if offsets.shape != lp.row_shift.shape:
+        raise ValueError(f"{lp.row_shift.shape[0]} row offsets needed, got {offsets.shape}")
     b_ub = np.concatenate([offsets - lp.row_shift, lp.b_ub[lp.row_shift.shape[0]:]])
-    return replace(lp, b_ub=b_ub)
+    b_ub.setflags(write=False)
+    moved = object.__new__(LinearProgram)
+    moved.__dict__.update(lp.__dict__, b_ub=b_ub)
+    return moved
 
 
 def solve(lp: LinearProgram) -> DispatchSolution:
@@ -559,8 +579,10 @@ def solve(lp: LinearProgram) -> DispatchSolution:
     'optimal', 'infeasible' or 'unbounded'. Solver breakdowns (any other
     model status, including unbounded-or-infeasible and iteration or time
     limits, or a solution off its constraints) raise SolverError instead
-    of masquerading as infeasibility. The row slack that check reads,
-    b_ub less HiGHS's row activity, also gives active_rows.
+    of masquerading as infeasibility. That check is one pass over x and
+    the row slack, b_ub less HiGHS's row activity, against
+    lp.solution_window, which no NaN passes; the slack also gives
+    active_rows.
     """
     d = lp.cost.shape[0]
     if d == 0:
@@ -594,15 +616,13 @@ def solve(lp: LinearProgram) -> DispatchSolution:
     if status != highs.HighsModelStatus.kOptimal:
         raise SolverError(f"LP solver failed: {solver.modelStatusToString(status)}")
     solution = solver.getSolution()
-    x = np.array(solution.col_value)
-    slack = lp.b_ub - np.array(solution.row_value)
-    in_bounds = (x >= lp.lower - FEASIBILITY_TOL) & (x <= lp.upper + FEASIBILITY_TOL)
-    if (np.isnan(x).any() or math.isnan(solver.getObjectiveValue()) or np.isnan(slack).any()
-            or not in_bounds.all() or (slack < -FEASIBILITY_TOL).any()):
+    values = np.concatenate([solution.col_value, lp.b_ub - np.array(solution.row_value)])
+    low, high = lp.solution_window
+    if math.isnan(solver.getObjectiveValue()) or not ((low <= values) & (values <= high)).all():
         raise SolverError(
             f"LP solution violates its constraints by more than {FEASIBILITY_TOL:.2e}"
         )
-    return _package_solution(lp, x, slack)
+    return _package_solution(lp, values[:d], values[d:])
 
 
 def _highs() -> highs._Highs:
@@ -660,6 +680,9 @@ def _load_highs() -> None:
 
 def _load_binding_file():
     """Load scipy.optimize._highspy._core from its file, under that name."""
+    import importlib.machinery
+    import importlib.util
+
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:
         raise ImportError("SciPy, which ships the HiGHS binding, is not installed")
@@ -705,21 +728,22 @@ def _package_solution(
 
 @dataclass(frozen=True)
 class DrawLaw:
-    """Where a method draws its scenarios, and what caps its rows.
+    """What a method draws its scenarios from, and what caps its rows.
 
-    factor names the MarginSet factor its draws project through, None for
-    a method that draws nothing. mixture draws the tail mixture rather
-    than the Gaussian, and caps every row at the margin-tightened offsets.
+    draws is False for a method that draws nothing. mixture draws the
+    tail mixture rather than the Gaussian, and caps every row at the
+    margin-tightened offsets. Both laws draw in the rows' rank
+    coordinates and project through the margins' draw_factor.
     """
 
-    factor: str | None
+    draws: bool
     mixture: bool = False
 
 
-# Every method, as its draw law: dc-opf draws nothing, sa the Gaussian
-# through draw_factor, sa-is the tail mixture through row_factor.
-METHODS = {"dc-opf": DrawLaw(None), "sa": DrawLaw("draw_factor"),
-           "sa-is": DrawLaw("row_factor", mixture=True)}
+# Every method, as its draw law: dc-opf draws nothing, sa the Gaussian,
+# sa-is the tail mixture.
+METHODS = {"dc-opf": DrawLaw(draws=False), "sa": DrawLaw(draws=True),
+           "sa-is": DrawLaw(draws=True, mixture=True)}
 
 
 @dataclass(frozen=True)
@@ -727,10 +751,10 @@ class PreparedProblem:
     """A case and deviation model prepared once for any number of solves.
 
     Holds everything a scenario solve at one eta shares, whatever its
-    seed: the polytope, the margins (with the row factor R that mixture
-    draws project through, the draw factor B that Gaussian draws project
-    through, and the shrink delta that tightens the rows), the
-    tail mixture (empty, K = 0 and S = 0, when no row is stochastic), and
+    seed: the polytope, the margins (with the draw factor B that every
+    draw projects through, and the shrink delta that tightens the rows),
+    the tail mixture, built on B (empty, K = 0 and S = 0, when no row is
+    stochastic), and
     the dispatch LP at the polytope's own offsets. A solve only moves the
     polytope rows of that LP (see LinearProgram.row_shift). The mixture
     is also the one source of the sa-is count's K and S (n_components and
@@ -766,10 +790,10 @@ def scenario_offsets(
     """Row offsets of one scenario solve, before any LP is built.
 
     The method's draw law (METHODS) says what is drawn: each row's offset
-    less its largest projection F z' over the _support_draws blocks z of
-    n_scenarios draws: Gaussian draws of F's width with F =
-    margins.draw_factor, so F z' is N(0, F F'), or tail-mixture draws
-    (draw_mixture_scenarios' stream) with F = margins.row_factor, after
+    less its largest projection B z' over the _support_draws blocks z of
+    n_scenarios draws in B's rank coordinates, B = margins.draw_factor:
+    Gaussian draws, so B z' is N(0, B B'), or tail-mixture draws
+    (draw_mixture_scenarios' stream, the mixture built on B), after
     which it takes the elementwise minimum with the tightened offsets
     poly.offsets - margins.delta (what tightened_polytope holds). Blocks
     project rows by draws, so a row's maximum runs along the contiguous
@@ -783,8 +807,8 @@ def scenario_offsets(
         raise ValueError(f"scenario count must be non-negative, got {n_scenarios}")
     law, offsets = METHODS[method], poly.offsets
     sampler = mixture if law.mixture else None
-    if n_scenarios > 0 and law.factor is not None and (sampler is None or sampler.n_components):
-        factor = getattr(margins, law.factor)
+    if n_scenarios > 0 and law.draws and (sampler is None or sampler.n_components):
+        factor = margins.draw_factor
         worst = np.full(poly.n_rows, -np.inf)
         for z in _support_draws(n_scenarios, seed, factor.shape[1], sampler):
             worst = np.maximum(worst, (factor @ z.T).max(axis=1))

@@ -15,9 +15,9 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from .scenario import (
     solve_prepared,
 )
 from .uncertainty import build_uncertainty
+
+if TYPE_CHECKING:
+    from concurrent.futures.process import ProcessPoolExecutor
 
 # Feasibility slack when counting out-of-sample violations; absorbs LP
 # solver tolerance at active rows.
@@ -127,7 +130,7 @@ def out_of_sample_confidence(
     headrooms = [poly.offsets - poly.normals @ xj + _OOS_TOL for xj in stack]
     inside = np.zeros(len(headrooms), dtype=np.int64)
     if factor is None:
-        factor = rank_factor(poly.normals @ g.reduced_factor)
+        factor, _ = rank_factor(poly.normals @ g.reduced_factor)
     sigma = np.sqrt(np.einsum("ij,ij->i", factor, factor))
     for z in scenario._support_draws(n_test, seed, factor.shape[1]):
         radius = math.sqrt(np.max(np.einsum("ij,ij->i", z, z)))
@@ -405,7 +408,7 @@ def resolve_scenario_count(
     draw can hold (above scenario.MAX_ROWS) is refused.
     """
     law = METHODS[method]
-    if law.factor is None:
+    if not law.draws:
         return 0
     d = max(1, len(case.generators) - 1)
     if config.scenarios != "auto":
@@ -609,7 +612,7 @@ def _shutdown_pool() -> None:
     """Shut the process's pool down; the next pooled run starts a new one.
 
     It waits for a pooled run in progress. It also runs at interpreter
-    exit, before concurrent.futures' own exit hook.
+    exit, before concurrent.futures' own exit hook (_executor).
     """
     # no run uses the pool while the lock is held, so its workers are
     # terminated rather than asked to stop: one that died may have held
@@ -628,10 +631,34 @@ def _shutdown_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-# threading's exit hooks run last-registered first, and before the
-# interpreter joins its threads: this one runs before the hook that
-# concurrent.futures.process registered on import
-threading._register_atexit(_shutdown_pool)
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor, bound on first access (see _executor)."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _executor()
+
+
+def _executor() -> type[ProcessPoolExecutor]:
+    """The pool class, imported with concurrent.futures.process on the first call.
+
+    Only a pooled run needs that module, so a serial run or a light
+    command never imports it, nor multiprocessing with it. Right after
+    the import, and only then, _shutdown_pool is registered as an exit
+    hook: threading's exit hooks run last-registered first, and before
+    the interpreter joins its threads, so it runs before the hook that
+    concurrent.futures.process registered on import. The class is bound
+    as the module's ProcessPoolExecutor, which is read on every call, so
+    a stand-in bound there is used.
+    """
+    with _POOL_LOCK:
+        if "ProcessPoolExecutor" not in globals():
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            threading._register_atexit(_shutdown_pool)
+            globals()["ProcessPoolExecutor"] = ProcessPoolExecutor
+        return globals()["ProcessPoolExecutor"]
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -652,7 +679,7 @@ def _pool(workers: int) -> ProcessPoolExecutor:
         # the fork, so the workers inherit it rather than each import it
         import numpy.random  # noqa: F401
 
-        _POOL = workers, ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
+        _POOL = workers, _executor()(max_workers=workers, initializer=_start_worker)
     return _POOL[1]
 
 

@@ -31,9 +31,9 @@ def simple_mixture(n: int = 3, eta: float = 0.05, sigma: float = 0.5):
 
 
 def bus_draws(ms, n, seed):
-    """n mixture draws mapped from the support to the buses, and their components."""
+    """n mixture draws mapped to the buses by the mixture's own map, and their components."""
     w, comps = sample_mixture_batch(ms, n, np.random.default_rng(seed))
-    return ms.gaussian.from_reduced(w), comps
+    return ms.to_buses(w), comps
 
 
 def two_threshold_mixture():
@@ -112,6 +112,20 @@ def test_all_deterministic_rejected():
         sample_mixture_batch(ms, 1, np.random.default_rng(0))
 
 
+def test_empty_mixture_answers_by_name(case30):
+    # at sigma 0 no row is stochastic: the mixture has no component, so
+    # no bound M, density or component CDF, and each refuses it by name
+    # rather than with NumPy's reduction error or a nan and its warning
+    ms = prepare_problem(case30, build_uncertainty(case30, 0.0), 0.05).mixture
+    assert (ms.n_components, ms.tail_mass, ms.reduced_dim) == (0, 0.0, 0)
+    for read in (lambda: ms.M, lambda: ms.cdf, lambda: mixture_pdf(ms, np.zeros((3, 0))),
+                 lambda: mixture_pdf(ms, np.zeros(0))):
+        with pytest.raises(ValueError, match="the mixture is empty"):
+            read()
+    with pytest.raises(ValueError, match="the mixture is empty: no component to draw from"):
+        sample_mixture_batch(ms, 5, np.random.default_rng(0))
+
+
 def test_row_count_mismatch_rejected():
     ms, poly, m, g = simple_mixture()
     with pytest.raises(ValueError, match="does not match"):
@@ -170,13 +184,15 @@ def test_tail_projection_is_half_normal_at_zero_threshold():
     g = iid_gaussian(2)
     m = compute_margins(poly, g, 0.5)
     ms = build_mixture(poly, m, g)
+    # the one row sees one of the two support directions: the mixture
+    # draws in that rank-1 coordinate alone
+    assert ms.reduced_dim == 1
     xi, _ = bus_draws(ms, 20_000, 3)
     proj = xi[:, 0]
     assert np.all(proj >= -1e-12)
     assert np.mean(proj) == pytest.approx(np.sqrt(2 / np.pi), abs=0.02)
-    # the orthogonal coordinate stays standard normal
-    assert np.mean(xi[:, 1]) == pytest.approx(0.0, abs=0.03)
-    assert np.std(xi[:, 1]) == pytest.approx(1.0, abs=0.03)
+    # the coordinate no row sees is not drawn
+    assert np.all(xi[:, 1] == 0.0)
 
 
 def test_sample_mixture_component_frequencies():
@@ -203,6 +219,27 @@ def test_batch_matches_component_half_spaces():
     assert np.all(axis_proj >= ms.thresholds[comps] - 1e-9)
     proj = np.einsum("ij,ij->i", poly.normals[list(comps)], g.from_reduced(w))
     assert np.all(proj >= m.delta[list(comps)] - 1e-9)
+
+
+@pytest.mark.parametrize("name", ["two-threshold", "random", "case30", "case57"])
+def test_components_are_generator_choice_bit_for_bit(name, request):
+    # the stored CDF picks each draw's component from the generator's
+    # uniforms as Generator.choice(K, n, p=weights) does, index for index:
+    # choice forms the same CDF on every call. A NumPy that changed
+    # choice would fail here
+    if name == "two-threshold":
+        ms = two_threshold_mixture()[0]
+    elif name == "random":
+        ms = random_polytope_mixture()
+    else:
+        ms = prepared_mixture(request.getfixturevalue(name))
+    assert not ms.cdf.flags.writeable
+    for seed in range(200):
+        for n in (1, 2, 7, 600, 2048):
+            _, comps = sample_mixture_batch(ms, n, np.random.default_rng(seed))
+            want = np.random.default_rng(seed).choice(ms.n_components, size=n, p=ms.weights)
+            assert comps.dtype == want.dtype
+            assert comps.tobytes() == want.tobytes()
 
 
 def test_batch_is_reproducible():
@@ -353,10 +390,13 @@ def test_mixture_pdf_against_gaussian_oracle():
     g = iid_gaussian(2)
     m = compute_margins(poly, g, 0.05)
     ms = build_mixture(poly, m, g)
-    # the identity covariance's factor is orthogonal, so the support
-    # density at w is the bus-space density at its image
-    w = np.array([2.5, -0.7])
-    point = g.from_reduced(w)
+    # the row sees one support direction, so the mixture lives on that
+    # one rank coordinate, whose unit axis the bus map takes to the row's
+    # normal: the density at w is the 1-D normal density at w
+    assert ms.reduced_dim == 1
+    w = 2.5 * ms.reduced_directions[0]
+    point = ms.to_buses(w)
     assert np.all(poly.normals @ point > m.delta)
-    want = multivariate_normal(mean=np.zeros(2), cov=np.eye(2)).pdf(point) / ms.tail_probs[0]
+    np.testing.assert_allclose(point, [2.5, 0.0], rtol=0, atol=1e-15)
+    want = multivariate_normal(mean=np.zeros(1), cov=np.eye(1)).pdf(w) / ms.tail_probs[0]
     assert mixture_pdf(ms, w) == pytest.approx(float(want), rel=1e-10)

@@ -21,6 +21,7 @@ from ccopf import cli, kernels
 from ccopf import (
     ExperimentConfig,
     GaussianSpec,
+    MixtureSampler,
     ScenarioSet,
     assemble,
     build_matrices,
@@ -329,8 +330,10 @@ def test_correlated_covariance_prepares_and_solves(request, case_name, rho):
 @pytest.mark.parametrize("rho", [None, 0.5, 0.9])
 @pytest.mark.parametrize("case_name", ["case30", "case57"])
 def test_row_geometry_has_one_source(request, case_name, rho):
-    # row sigmas and mixture axes come from the margins' R = W U, and
-    # equal, bit for bit, what separate products of W and U gave
+    # row sigmas come from the margins' R = W U and the mixture axes from
+    # its rank factor B = R V_k, and equal, bit for bit, what separate
+    # products of W, U and V_k gave; case30's R has full column rank, so
+    # there B is R, and case57's 14 rows see 7 of 41 support directions
     case = request.getfixturevalue(case_name)
     g = build_uncertainty(case, 0.07)
     if rho is not None:
@@ -340,10 +343,14 @@ def test_row_geometry_has_one_source(request, case_name, rho):
     m, poly = prep.margins, prep.poly
     np.testing.assert_array_equal(m.row_factor, poly.normals @ g.reduced_factor)
     np.testing.assert_array_equal(m.sigma, np.linalg.norm(m.row_factor, axis=1))
+    assert (m.rank_basis is None) == (case_name == "case30")
+    b = poly.normals @ g.reduced_factor
+    if m.rank_basis is not None:
+        assert m.rank_basis.shape == (41, 7)
+        b = b @ m.rank_basis
     rows = np.array(prep.mixture.row_indices)
     np.testing.assert_array_equal(
-        prep.mixture.reduced_directions,
-        (poly.normals[rows] @ g.reduced_factor) / m.sigma[rows][:, None],
+        prep.mixture.reduced_directions, b[rows] / m.sigma[rows][:, None]
     )
     assert "tightened" not in {f.name for f in fields(prep)}
 
@@ -673,6 +680,25 @@ def test_solution_off_its_rows_is_a_solver_error(monkeypatch, case30):
         solve_prepared(prep, "sa-is", 600, 0)
     monkeypatch.undo()
     assert solve_prepared(prep, "sa-is", 600, 0).status == "optimal"
+
+
+def test_moved_offsets_copy_the_skeleton_without_checking_it_again(monkeypatch, case30):
+    # a solve's LP is the skeleton with a new, read-only b_ub: every other
+    # field, the solve's check window among them, is the skeleton's own,
+    # and LinearProgram.__post_init__ does not run again
+    prep = prepared(case30, 0.05)
+    offsets = _offsets(prep, "sa-is", 600, 0)
+    monkeypatch.setattr(scenario.LinearProgram, "__post_init__",
+                        lambda self: pytest.fail("the skeleton was checked again"))
+    lp = scenario._with_offsets(prep.lp, offsets)
+    assert all(getattr(lp, f.name) is getattr(prep.lp, f.name)
+               for f in fields(lp) if f.name != "b_ub")
+    assert not lp.b_ub.flags.writeable
+    n = prep.poly.n_rows
+    assert lp.b_ub[:n].tobytes() == (offsets - prep.lp.row_shift).tobytes()
+    assert lp.b_ub[n:].tobytes() == prep.lp.b_ub[n:].tobytes()
+    with pytest.raises(ValueError, match=f"{n} row offsets needed"):
+        scenario._with_offsets(prep.lp, offsets[:-1])
 
 
 def test_solves_share_the_skeleton_columns(monkeypatch, case30):
@@ -1010,6 +1036,48 @@ def test_projected_offsets_match_the_bus_space_reference(request, case_name):
         prep.poly.offsets - prep.margins.delta,
     )
     np.testing.assert_allclose(_offsets(prep, "sa-is", n, seed), sa_is, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rho", [None, 0.5])
+def test_rank_coordinate_mixture_has_the_support_construction_row_law(case57, rho):
+    # the mixture built on B = R V_k (7 coordinates) gives the rows the
+    # law of the one built on R (41 support coordinates): R w = B V_k' w.
+    # Per-row KS tests on the rows' values of 1e5 draws each; a factor
+    # that drops any one of B's columns, with that coordinate of each
+    # draw, fails the same test
+    g = build_uncertainty(case57, 0.07)
+    if rho is not None:
+        g = _one_factor(g, rho)
+    prep = prepare_problem(case57, g, 0.05)
+    m, ms = prep.margins, prep.mixture
+    rows = np.array(ms.row_indices)
+    support = MixtureSampler(
+        reduced_directions=m.row_factor[rows] / m.sigma[rows][:, None],
+        thresholds=ms.thresholds, tail_probs=ms.tail_probs, gaussian=g,
+        row_indices=ms.row_indices,
+    )
+    assert (support.reduced_dim, ms.reduced_dim) == (41, 7)
+    n = 100_000
+    ref = np.concatenate(_projected(m.row_factor, n, 1, support), axis=1).T
+    w = np.concatenate(list(_support_draws(n, 2, ms.reduced_dim, ms)))
+    b = m.draw_factor
+    assert _same_row_law(w @ b.T, ref)
+    for j in range(b.shape[1]):
+        assert not _same_row_law(np.delete(w, j, axis=1) @ np.delete(b, j, axis=1).T, ref)
+
+
+def test_case30_mixture_is_built_on_the_row_factor_itself(case30):
+    # case30's R has full column rank: B is R, the mixture axes are R's
+    # rows over sigma and the bus map is U, bit for bit, so its sa-is
+    # stream is the support-coordinate one
+    prep = _prepared(case30)
+    m, ms = prep.margins, prep.mixture
+    assert m.draw_factor is m.row_factor
+    assert m.rank_basis is None
+    assert ms.bus_map is prep.g.reduced_factor
+    rows = np.array(ms.row_indices)
+    want = m.row_factor[rows] / m.sigma[rows][:, None]
+    assert ms.reduced_directions.tobytes() == want.tobytes()
 
 
 def test_mixture_scenarios_map_the_support_draws(case30):

@@ -134,3 +134,44 @@ def test_threads_whose_first_action_is_a_solve_load_the_binding_once():
         print("loads:", len(loads), statuses)
     """)
     assert out.splitlines()[-1] == "loads: 1 ['optimal', 'optimal']"
+
+
+def test_cli_and_serial_runs_leave_the_process_pool_module_out():
+    # only a pooled run needs concurrent.futures.process (and the
+    # multiprocessing it loads); an import or a one-job run never loads it
+    out = run_script("""
+        import ccopf.cli
+        print("import:", "concurrent.futures.process" in sys.modules)
+        assert ccopf.cli.main(["run", "--case", "case30", "--method", "sa", "--scenarios", "20",
+                               "--reps", "2", "--ntest", "100"]) == 0
+        print("serial run:", "concurrent.futures.process" in sys.modules)
+    """)
+    lines = out.splitlines()
+    assert lines[0] == "import: False"
+    assert lines[-1] == "serial run: False"
+
+
+def test_pool_exit_hook_is_registered_once_after_concurrent_futures_own():
+    # threading runs its exit hooks last-registered first: ccopf's, which
+    # terminates the warm pool's workers, must come after the hook that
+    # concurrent.futures.process registers on import, and only once
+    out = run_script("""
+        import threading
+        import ccopf.validation as validation
+        from ccopf import ExperimentConfig, run_experiment
+
+        def hooks():
+            return [getattr(hook, "func", hook) for hook in threading._threading_atexits]
+
+        print("before:", hooks().count(validation._shutdown_pool))
+        validation._usable_cores = lambda: 2
+        for _ in range(2):
+            run_experiment(ExperimentConfig(case="case30", methods=("sa",), scenarios=20,
+                                            reps=2, n_test=100, jobs=2))
+            validation._shutdown_pool()  # the next run starts a new pool
+        import concurrent.futures.process as process
+        order = hooks()
+        print("after:", order.count(validation._shutdown_pool),
+              order.index(process._python_exit) < order.index(validation._shutdown_pool))
+    """)
+    assert out.splitlines()[-2:] == ["before: 0", "after: 1 True"]
