@@ -6,8 +6,8 @@ weighted proportionally to their tail probabilities p_i, so the mixture
 density is q = phi |A| / S, with S = sum(p) the total tail mass and A the
 set of half-spaces containing the point. The likelihood ratio phi / q =
 S / |A| is therefore at most S outside the inner set, which certifies
-the sa-is scenario count (scenario.certified_count, the exact binomial
-count at eta / S; scenario.sample_size_mixture is its closed form).
+the sa-is scenario count (scenario.certified_count derives it: the exact
+binomial count at eta / S).
 Against the plain Gaussian conditioned on the outside of the inner set,
 the ratio is at most the looser M = S / max(p).
 
@@ -49,8 +49,8 @@ class MixtureSampler:
     margins in standard deviations, tail_probs the per-component
     half-space probabilities p_i, and row_indices maps components back
     to polytope rows. bus_map (n_buses x reduced_dim) takes those
-    coordinates to the buses (to_buses); left out, it is the support
-    factor gaussian.reduced_factor. The tail probabilities define the
+    coordinates to the buses (to_buses): U V_k from build_mixture, or
+    U alone at full column rank. The tail probabilities define the
     rest: the total tail mass S = sum(p), the mixture weights p / S,
     their cumulative sums cdf, which pick each draw's component, and the
     bound M = S / max(p) on the likelihood ratio against the nominal law
@@ -65,9 +65,8 @@ class MixtureSampler:
     reduced_directions: np.ndarray
     thresholds: np.ndarray
     tail_probs: np.ndarray
-    gaussian: GaussianSpec
     row_indices: tuple[int, ...]
-    bus_map: np.ndarray | None = None
+    bus_map: np.ndarray
 
     def __post_init__(self):
         n_comp = self.reduced_directions.shape[0]
@@ -84,12 +83,9 @@ class MixtureSampler:
         norms = np.linalg.norm(self.reduced_directions, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise ValueError("reduced directions must be unit vectors")
-        if self.bus_map is None:
-            object.__setattr__(self, "bus_map", self.gaussian.reduced_factor)
-        if self.bus_map.shape != (self.gaussian.n, self.reduced_dim):
+        if self.bus_map.ndim != 2 or self.bus_map.shape[1] != self.reduced_dim:
             raise ValueError(
-                f"bus_map must have shape ({self.gaussian.n}, {self.reduced_dim}), "
-                f"got {self.bus_map.shape}"
+                f"bus_map must have {self.reduced_dim} columns, got shape {self.bus_map.shape}"
             )
         for arr in (self.reduced_directions, self.thresholds, self.tail_probs, self.bus_map):
             arr.setflags(write=False)
@@ -163,7 +159,6 @@ def build_mixture(poly: FeasibilityPolytope, m: MarginSet, g: GaussianSpec) -> M
         reduced_directions=m.draw_factor[rows] / m.sigma[rows][:, None],
         thresholds=m.beta[rows],
         tail_probs=m.tail_probs[rows],
-        gaussian=g,
         row_indices=tuple(int(r) for r in rows),
         bus_map=u if m.rank_basis is None else u @ m.rank_basis,
     )
@@ -183,12 +178,10 @@ def sample_mixture_batch(
     lands in its component's half-space. The draw order is fixed
     (components, then normals, then tail uniforms) so results are
     reproducible for a given generator state. An empty mixture (no
-    stochastic row) has nothing to draw from and is refused.
+    stochastic row) has no cdf to draw from and is refused.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if ms.n_components == 0:
-        raise ValueError("the mixture is empty: no component to draw from")
     comps = ms.cdf.searchsorted(rng.random(n), side="right")
     z = rng.standard_normal((n, ms.reduced_dim))
     u = 1.0 - rng.random(n)
@@ -208,7 +201,6 @@ def mixture_pdf(ms: MixtureSampler, w: np.ndarray) -> float | np.ndarray:
     is silently read as such coordinates. The empty mixture has no
     density and is refused.
     """
-    _require_components(ms)
     rows, count = _coverage(ms, w)
     values = normal_density(rows) * count / ms.tail_mass
     return values if np.ndim(w) > 1 else float(values[0])
@@ -224,7 +216,8 @@ def importance_ratio(ms: MixtureSampler, w: np.ndarray) -> float | np.ndarray:
     divides this by the outside probability; the bound ms.M applies to
     that conditioned ratio. w holds the mixture's coordinates, as for
     mixture_pdf, which a deviation on the buses of the same width is
-    silently misread as.
+    silently misread as. The empty mixture has no density to divide by
+    and is refused.
     """
     _, count = _coverage(ms, w)
     values = np.where(count > 0, ms.tail_mass / np.maximum(count, 1), np.inf)
@@ -233,10 +226,10 @@ def importance_ratio(ms: MixtureSampler, w: np.ndarray) -> float | np.ndarray:
 
 def _coverage(ms: MixtureSampler, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w as rows of the mixture's coordinates, and the count |A| of half-spaces holding each."""
+    _require_components(ms)
     rows = np.atleast_2d(w)
     if rows.ndim != 2 or rows.shape[1] != ms.reduced_dim:
         raise ValueError(
-            f"expected rows of {ms.reduced_dim} support coordinates (the rows' rank "
-            f"coordinates), got shape {np.shape(w)}"
+            f"expected rows of {ms.reduced_dim} rank coordinates, got shape {np.shape(w)}"
         )
     return rows, np.count_nonzero(rows @ ms.reduced_directions.T > ms.thresholds, axis=1)

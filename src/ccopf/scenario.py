@@ -153,36 +153,6 @@ def sample_size_is(eta: float, delta: float, d: int, pi: float, M: float) -> int
     return _size(eta, delta, d, M * (1.0 - pi))
 
 
-def sample_size_mixture(eta: float, delta: float, d: int, tail_mass: float) -> int:
-    """Scenario count for tail-mixture draws, from the total tail mass S.
-
-    Let phi be the nominal density, H_i the half-space where stochastic
-    row i exceeds its margin, p_i = P(H_i) and S = sum(p_i). Weights
-    p_i / S make the mixture density q(xi) = phi(xi) |A(xi)| / S, with
-    A(xi) the set of half-spaces containing xi. Outside the inner set
-    |A| >= 1, so phi <= S q there. A dispatch meeting the
-    margin-tightened rows stays feasible on the whole inner set, so its
-    violation event V lies outside it and P(V) <= S Q(V). The tightened
-    rows are deterministic constraints of the scenario program, so the
-    classical bound (Campi & Garatti 2008) at level eta / S gives
-    Q(V) <= eta / S, hence P(V) <= eta, with confidence 1 - delta over
-    N draws from q. This is the tight form of the mixture ratio bound
-    (Owen & Zhou 2000); sample_size_is with M (1 - pi) >= S is looser.
-
-    The count is the classical bound with eta / S in place of eta; S < 1
-    gives fewer scenarios than classical sampling. Margins at the upper
-    eta quantile give every row p_i = eta, so S = K eta for K stochastic
-    rows and the count does not depend on eta. The exact binomial count
-    at eta / S (sample_size_exact) gives the same guarantee with fewer
-    draws; certified_count, the rule that experiments and sweep_1d use,
-    takes it.
-    """
-    _check_size_args(eta, delta, d)
-    if not 0.0 < tail_mass < math.inf:
-        raise ValueError(f"total tail mass must be finite and positive, got {tail_mass}")
-    return _size(eta, delta, d, tail_mass)
-
-
 def sample_size_exact(epsilon: float, delta: float, d: int) -> int:
     """Smallest N with P(Binomial(N, epsilon) <= d - 1) <= delta.
 
@@ -192,12 +162,9 @@ def sample_size_exact(epsilon: float, delta: float, d: int) -> int:
     drawn i.i.d. from any law Q, the solution's violation probability
     under Q exceeds epsilon with probability at most
     P(Binomial(N, epsilon) <= d - 1). The law is arbitrary, so Q may be
-    the tail mixture q of sample_size_mixture. That function's argument
-    gives P(V) <= S Q(V) for the violation event V of any dispatch that
-    meets the margin-tightened rows, S being the total tail mass. At
-    epsilon = eta / S, N draws from q therefore give P(V) <= S epsilon
-    = eta with confidence 1 - delta; certified_count applies it so. At
-    epsilon = 1 every N >= d qualifies, so the count is d.
+    the tail mixture q, and certified_count applies it at epsilon = eta / S
+    (its docstring derives why). At epsilon = 1 every N >= d qualifies,
+    so the count is d.
 
     The closed form sample_size_cc(epsilon, delta, d) implies the exact
     condition, so N is never larger: N is bisected between d and that
@@ -218,13 +185,29 @@ def certified_count(eta: float, delta: float, d: int, tail_mass: float) -> int:
     """The one count rule: draws that certify P(V) <= eta with confidence 1 - delta.
 
     tail_mass S ties a dispatch's violation probability to the draws'
-    law Q: P(V) <= S Q(V) (sample_size_mixture's argument; S is the
-    mixture ratio bound of Owen & Zhou 2000). So S <= eta certifies with
-    no draw at all and the count is 0; above eta it is the exact count
-    of Campi & Garatti 2008 at level eta / S, sample_size_exact(eta / S,
-    delta, d). The sa-is 'auto' count takes S as its tail mixture's total
-    tail mass (0 when no row is stochastic), and sweep_1d takes the
-    one-component mixture's. Plain Gaussian draws have S = 1.
+    law Q. Let phi be the nominal density, H_i the half-space where
+    stochastic row i exceeds its margin, p_i = P(H_i) and S = sum(p_i).
+    Weights p_i / S make the tail mixture's density q = phi |A| / S, with
+    A the set of half-spaces containing the point. Outside the inner set
+    |A| >= 1, so phi <= S q there. A dispatch meeting the
+    margin-tightened rows stays feasible on the whole inner set, so its
+    violation event V lies outside it and P(V) <= S Q(V): S is the
+    mixture ratio bound of Owen & Zhou 2000. The tightened rows are
+    deterministic constraints of the scenario program, so any bound of
+    Campi & Garatti 2008 at level eta / S gives Q(V) <= eta / S, hence
+    P(V) <= eta, with confidence 1 - delta over N draws from q.
+
+    So S <= eta certifies with no draw at all and the count is 0; above
+    eta it is the exact binomial count at level eta / S,
+    sample_size_exact(eta / S, delta, d). The classical closed form
+    sample_size_cc(eta / S, delta, d) gives the same guarantee with more
+    draws (sample_size_is with M (1 - pi) >= S is looser still); S < 1
+    gives fewer draws than plain sampling, and margins at the upper eta
+    quantile give every row p_i = eta, so S = K eta for K stochastic rows
+    and the count does not depend on eta. The sa-is 'auto' count takes S
+    as its tail mixture's total tail mass (0 when no row is stochastic),
+    and sweep_1d takes the one-component mixture's. Plain Gaussian draws
+    have S = 1.
     """
     _check_size_args(eta, delta, d)
     if not 0.0 <= tail_mass < math.inf:

@@ -108,22 +108,24 @@ def test_all_deterministic_rejected():
     ms = build_mixture(poly, m, g)
     assert ms.n_components == 0
     assert ms.tail_mass == 0.0
-    with pytest.raises(ValueError, match="no component to draw from"):
+    with pytest.raises(ValueError, match="the mixture is empty: it has no component"):
         sample_mixture_batch(ms, 1, np.random.default_rng(0))
 
 
 def test_empty_mixture_answers_by_name(case30):
     # at sigma 0 no row is stochastic: the mixture has no component, so
-    # no bound M, density or component CDF, and each refuses it by name
-    # rather than with NumPy's reduction error or a nan and its warning
+    # no bound M, density, importance ratio or component CDF, and each
+    # refuses it with the one message rather than with NumPy's reduction
+    # error, a nan and its warning, or a silent inf
     ms = prepare_problem(case30, build_uncertainty(case30, 0.0), 0.05).mixture
     assert (ms.n_components, ms.tail_mass, ms.reduced_dim) == (0, 0.0, 0)
     for read in (lambda: ms.M, lambda: ms.cdf, lambda: mixture_pdf(ms, np.zeros((3, 0))),
-                 lambda: mixture_pdf(ms, np.zeros(0))):
-        with pytest.raises(ValueError, match="the mixture is empty"):
+                 lambda: mixture_pdf(ms, np.zeros(0)),
+                 lambda: importance_ratio(ms, np.zeros((3, 0))),
+                 lambda: importance_ratio(ms, np.zeros(0)),
+                 lambda: sample_mixture_batch(ms, 5, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="the mixture is empty: it has no component"):
             read()
-    with pytest.raises(ValueError, match="the mixture is empty: no component to draw from"):
-        sample_mixture_batch(ms, 5, np.random.default_rng(0))
 
 
 def test_row_count_mismatch_rejected():
@@ -134,14 +136,15 @@ def test_row_count_mismatch_rejected():
 
 def test_sampler_validation():
     ms, _, _, g = simple_mixture()
+    fields = dict(thresholds=ms.thresholds, tail_probs=ms.tail_probs, row_indices=ms.row_indices)
     with pytest.raises(ValueError, match="unit"):
         MixtureSampler(
-            reduced_directions=2.0 * ms.reduced_directions,
-            thresholds=ms.thresholds,
-            tail_probs=ms.tail_probs,
-            gaussian=g,
-            row_indices=ms.row_indices,
+            reduced_directions=2.0 * ms.reduced_directions, bus_map=g.reduced_factor, **fields
         )
+    # bus_map takes the mixture's coordinates to the buses: one column each
+    for bus_map in (g.reduced_factor[:, :2], g.reduced_factor[:, 0]):
+        with pytest.raises(ValueError, match="bus_map must have 3 columns"):
+            MixtureSampler(reduced_directions=ms.reduced_directions, bus_map=bus_map, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +288,16 @@ def test_mixture_pdf_zero_inside_inner_set():
 
 
 def test_scores_refuse_rows_of_the_wrong_width(case30):
-    # case30's mixture lives in its 23 support coordinates; a 30-bus
-    # deviation is refused rather than misread
+    # case30's mixture lives in its rows' 23 rank coordinates (its full
+    # support); a 30-bus deviation is refused rather than misread
     ms = grid_mixture(case30)
     assert ms.reduced_dim == 23
-    xi = ms.gaussian.from_reduced(sample_mixture_batch(ms, 4, np.random.default_rng(14))[0])
+    xi = ms.to_buses(sample_mixture_batch(ms, 4, np.random.default_rng(14))[0])
     assert xi.shape == (4, 30)
     for score in (mixture_pdf, importance_ratio):
-        with pytest.raises(ValueError, match="23 support coordinates"):
+        with pytest.raises(ValueError, match="23 rank coordinates"):
             score(ms, xi)
-        with pytest.raises(ValueError, match="23 support coordinates"):
+        with pytest.raises(ValueError, match="23 rank coordinates"):
             score(ms, xi[0])
 
 

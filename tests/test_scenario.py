@@ -44,7 +44,6 @@ from ccopf import (
     sample_size_exact,
     sample_size_filtered,
     sample_size_is,
-    sample_size_mixture,
     scenario_offsets,
     solve,
     solve_prepared,
@@ -116,11 +115,6 @@ def test_size_monotone_in_dimension_and_pi():
     assert sample_size_filtered(0.05, 0.01, 5, 0.5) > base
     assert sample_size_filtered(0.05, 0.01, 4, 0.6) <= base
     assert sample_size_is(0.05, 0.01, 4, 0.5, 2.0) >= base
-
-
-def test_mixture_size_at_unit_tail_mass_is_classical():
-    for eta, delta, d, want in CC_SIZES:
-        assert sample_size_mixture(eta, delta, d, 1.0) == want
 
 
 @given(
@@ -253,13 +247,9 @@ def test_exact_counts_match_the_scipy_betaincc_count(monkeypatch):
         lambda: sample_size_filtered(0.05, 0.01, 2, -0.1),
         lambda: sample_size_filtered(0.05, 0.01, 2, 1.0),
         lambda: sample_size_is(0.05, 0.01, 2, 0.5, 0.99),
-        lambda: sample_size_mixture(0.05, 0.01, 2, 0.0),
-        lambda: sample_size_mixture(0.0, 0.01, 2, 1.0),
         lambda: sample_size_is(0.05, 0.01, 2, 0.5, math.inf),
         lambda: sample_size_is(0.05, 0.01, 2, 0.5, math.nan),
         lambda: sample_size_is(0.05, 0.01, 2, 0.5, 1e308),  # finite, but the count overflows
-        lambda: sample_size_mixture(0.05, 0.01, 2, math.inf),
-        lambda: sample_size_mixture(0.05, 0.01, 2, math.nan),
         lambda: sample_size_exact(0.0, 0.01, 2),
         lambda: sample_size_exact(1.5, 0.01, 2),
         lambda: sample_size_exact(math.nan, 0.01, 2),
@@ -919,7 +909,7 @@ def _offsets(prep, method, n, seed):
 def test_every_method_is_one_draw_law(case57):
     # the table alone tells the methods apart: dc-opf draws nothing at any
     # count, sa is the Gaussian through draw_factor, and sa-is the mixture
-    # through row_factor, capped at the tightened offsets
+    # through draw_factor too, capped at the tightened offsets
     prep = _prepared(case57)
     assert set(scenario.METHODS) == {"dc-opf", "sa", "sa-is"}
     for n in (0, 600):
@@ -1011,7 +1001,7 @@ def _same_row_law(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("case_name", ["case30", "case57"])
 def test_projected_offsets_match_the_bus_space_reference(request, case_name):
-    # the solves project support-coordinate draws straight onto the rows;
+    # the solves project rank-coordinate draws straight onto the rows;
     # mapping them to the buses first and reducing those (two blocks of
     # Gaussian draws here) differs only in the rounding of the projection.
     # case57's sa draws take rank R = 7 normals, not 41, so there the sa
@@ -1053,8 +1043,8 @@ def test_rank_coordinate_mixture_has_the_support_construction_row_law(case57, rh
     rows = np.array(ms.row_indices)
     support = MixtureSampler(
         reduced_directions=m.row_factor[rows] / m.sigma[rows][:, None],
-        thresholds=ms.thresholds, tail_probs=ms.tail_probs, gaussian=g,
-        row_indices=ms.row_indices,
+        thresholds=ms.thresholds, tail_probs=ms.tail_probs,
+        row_indices=ms.row_indices, bus_map=g.reduced_factor,
     )
     assert (support.reduced_dim, ms.reduced_dim) == (41, 7)
     n = 100_000
@@ -1085,7 +1075,7 @@ def test_mixture_scenarios_map_the_support_draws(case30):
     w, _ = sample_mixture_batch(ms, 500, np.random.default_rng(5))
     assert w.shape == (500, ms.reduced_dim)
     np.testing.assert_array_equal(
-        draw_mixture_scenarios(ms, 500, 5).scenarios, ms.gaussian.from_reduced(w)
+        draw_mixture_scenarios(ms, 500, 5).scenarios, ms.to_buses(w)
     )
 
 

@@ -44,7 +44,7 @@ from ccopf import (
 )
 from ccopf.kernels import binom_cdf, norm_cdf, norm_isf, norm_sf, tail_quantile
 from ccopf.validation import load_case_ref, resolve_scenario_count
-from ccopf.scenario import sample_size_cc, sample_size_exact, sample_size_mixture
+from ccopf.scenario import sample_size_cc, sample_size_exact
 from conftest import TRIANGLE_TEXT, iid_gaussian
 
 Z_95 = 1.6448536269514722
@@ -662,8 +662,8 @@ def test_tail_probabilities_have_one_source(request, name):
         assert resolve_scenario_count(config, case, "sa-is") == want
         assert resolve_scenario_count(config, case, "sa-is", prep) == want
         # the exact count never exceeds the closed form at the same arguments
-        assert want <= sample_size_mixture(eta, config.delta, len(case.generators) - 1,
-                                           prep.mixture.tail_mass)
+        assert want <= sample_size_cc(eta / prep.mixture.tail_mass, config.delta,
+                                      len(case.generators) - 1)
 
 
 @pytest.mark.parametrize("name", ["case30", "case57"])
