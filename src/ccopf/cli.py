@@ -4,7 +4,7 @@ Subcommands: run (experiments on a grid case), nsamples (certified
 scenario counts), sweep1d (hard-offset versus sample-count trade on the
 1-D problem), validate (quick self-checks). Exit codes: 0 success,
 1 usage, failed validation or unwritable output, 2 unreadable or invalid
-input data, 3 solver breakdown.
+input data.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .kernels import BACKEND, norm_isf, norm_sf
 from .scenario import (
     METHODS,
     CountOverflowError,
-    SolverError,
     sample_size_cc,
     sample_size_filtered,
     sample_size_is,
@@ -45,7 +44,6 @@ from .validation import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_SOLVER = 3
 
 
 class _UsageError(Exception):
@@ -56,13 +54,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad arguments; usage errors are 1 here
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(value) -> str:
-    """Shortest round-trip text for floats; stable across runs."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _build_parser() -> _Parser:
@@ -154,9 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         # after FileNotFoundError: an OSError left here is a failed write
         print(f"ccopf: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SolverError as exc:
-        print(f"ccopf: error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +251,15 @@ def _write_report(report: ExperimentReport, out: Path):
 
 
 def _csv_text(header: list[str], rows: Iterable[list]) -> str:
-    """CSV text of a header and rows, every cell through _fmt."""
+    """CSV text of a header and rows.
+
+    csv writes a cell that is not a string as its str(), which for a
+    float is the shortest round-trip text, so reports are stable.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

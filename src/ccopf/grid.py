@@ -146,7 +146,6 @@ class GridCase:
 
     def _check_connected(self):
         # union-find over branches; every bus must join the slack component
-        index = {bus.id: i for i, bus in enumerate(self.buses)}
         parent = list(range(len(self.buses)))
 
         def find(i: int) -> int:
@@ -156,7 +155,7 @@ class GridCase:
             return i
 
         for br in self.branches:
-            ra, rb = find(index[br.from_bus]), find(index[br.to_bus])
+            ra, rb = find(self.index[br.from_bus]), find(self.index[br.to_bus])
             if ra != rb:
                 parent[ra] = rb
         roots = {find(i) for i in range(len(self.buses))}

@@ -140,7 +140,6 @@ class MarginSet:
 
     delta: np.ndarray
     beta: np.ndarray
-    eta: float
     row_factor: np.ndarray
     sigma: np.ndarray
     draw_factor: np.ndarray = field(init=False, repr=False, compare=False)
@@ -219,7 +218,7 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
     z = float(norm_isf(eta)) + 0.0  # +0.0 normalises -0.0 at eta = 0.5
     delta = np.where(stochastic, sigma * z, 0.0)
     beta = np.where(stochastic, z, np.inf)
-    return MarginSet(delta=delta, beta=beta, eta=eta, row_factor=row_factor, sigma=sigma)
+    return MarginSet(delta=delta, beta=beta, row_factor=row_factor, sigma=sigma)
 
 
 def tightened_polytope(poly: FeasibilityPolytope, m: MarginSet) -> FeasibilityPolytope:

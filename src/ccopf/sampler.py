@@ -78,10 +78,13 @@ class MixtureSampler:
         for name, count in shapes.items():
             if count != n_comp:
                 raise ValueError(f"{name} has {count} entries for {n_comp} components")
-        if np.any(self.tail_probs <= 0) or np.any(self.tail_probs > 0.5):
+        # each check reads "not inside", so a NaN is refused
+        if not np.all((self.tail_probs > 0) & (self.tail_probs <= 0.5)):
             raise ValueError("tail probabilities must lie in (0, 0.5]")
+        if not np.all(np.isfinite(self.thresholds)):
+            raise ValueError("thresholds must be finite")
         norms = np.linalg.norm(self.reduced_directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+        if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
             raise ValueError("reduced directions must be unit vectors")
         if self.bus_map.ndim != 2 or self.bus_map.shape[1] != self.reduced_dim:
             raise ValueError(

@@ -32,7 +32,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .grid import CaseValidationError, FeasibilityPolytope, GridCase, GridMatrices
+from .grid import CaseValidationError, FeasibilityPolytope, GridCase
 from .grid import build_matrices, build_polytope
 from .kernels import binom_cdf
 from .margins import GaussianSpec, MarginSet, compute_margins
@@ -121,10 +121,10 @@ def sample_size_cc(epsilon: float, delta: float, d: int) -> int:
 
     Smallest N with (2/eps) ln(1/delta) + 2d + (2d/eps) ln(2/eps) <= N,
     for violation level eps, confidence 1 - delta, and d decision
-    variables.
+    variables: sample_size_is at pi = 0 and M = 1, which checks the
+    arguments for all three closed forms.
     """
-    _check_size_args(epsilon, delta, d)
-    return _size(epsilon, delta, d, 1.0)
+    return sample_size_is(epsilon, delta, d, 0.0, 1.0)
 
 
 def sample_size_filtered(eta: float, delta: float, d: int, pi: float) -> int:
@@ -133,10 +133,7 @@ def sample_size_filtered(eta: float, delta: float, d: int, pi: float) -> int:
     The classical bound at level eta shrinks by 1 - pi on its
     eta-dependent terms; pi = 0 recovers sample_size_cc exactly.
     """
-    _check_size_args(eta, delta, d)
-    if not 0.0 <= pi < 1.0:
-        raise ValueError(f"covered mass pi must lie in [0, 1), got {pi}")
-    return _size(eta, delta, d, 1.0 - pi)
+    return sample_size_is(eta, delta, d, pi, 1.0)
 
 
 def sample_size_is(eta: float, delta: float, d: int, pi: float, M: float) -> int:
@@ -432,7 +429,6 @@ def _dispatch_structure(case: GridCase):
 
 def assemble(
     case: GridCase,
-    mat: GridMatrices,
     poly: FeasibilityPolytope,
     scen: ScenarioSet,
     pm: FeasibilityPolytope | None = None,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import numbers
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -276,10 +277,13 @@ class ExperimentConfig:
             raise ValueError(f"methods {repeated} given more than once")
         if not 0.0 < self.eta <= 0.5:
             raise ValueError(f"eta must lie in (0, 0.5], got {self.eta}")
-        if isinstance(self.scenarios, str):
-            if self.scenarios != "auto":
-                raise ValueError(f"scenarios must be a count or 'auto', got {self.scenarios!r}")
-        elif self.scenarios < 0:
+        if isinstance(self.scenarios, str) and self.scenarios != "auto":
+            raise ValueError(f"scenarios must be a count or 'auto', got {self.scenarios!r}")
+        for name in ("scenarios", "reps", "seed", "n_test", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) and (name, value) != ("scenarios", "auto"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.scenarios != "auto" and self.scenarios < 0:
             raise ValueError(f"scenario count must be non-negative, got {self.scenarios}")
         if self.reps < 1:
             raise ValueError(f"reps must be positive, got {self.reps}")

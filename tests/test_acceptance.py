@@ -313,7 +313,7 @@ def test_criterion_5_scenario_collapse_equivalence():
         g = GaussianSpec.from_covariance(np.diag(sig**2))
         scen = draw_gaussian_scenarios(g, int(rng.integers(1, 51)), int(rng.integers(2**31)))
 
-        lp = assemble(case, mat, poly, scen)
+        lp = assemble(case, poly, scen)
         reduced = solve(lp)
 
         # stacked route: one assembly per scenario, rows concatenated,
@@ -323,7 +323,7 @@ def test_criterion_5_scenario_collapse_equivalence():
             one = ScenarioSet(
                 scenarios=scen.scenarios[t : t + 1], origin="gaussian", seed=None
             )
-            lpt = assemble(case, mat, poly, one)
+            lpt = assemble(case, poly, one)
             rows.append(lpt.a_ub)
             rhs.append(lpt.b_ub)
         res = linprog(

@@ -3,14 +3,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ccopf import ExperimentReport
-from ccopf.cli import main
+from ccopf.cli import _csv_text, main
 from ccopf.scenario import sample_size_cc, sample_size_filtered, sample_size_is
 from conftest import TRIANGLE_TEXT
 
@@ -30,6 +32,13 @@ def run_cli(args, capsys):
 
 # ---------------------------------------------------------------------------
 # usage and exit codes
+
+def test_csv_cells_are_written_as_their_shortest_text():
+    # csv writes str() of a cell, the shortest round-trip text of any float
+    assert _csv_text(["a", "b", "c", "d"], [[np.float64(0.1), 0.1, math.nan, -0.0]]) == (
+        "a,b,c,d\n0.1,0.1,nan,-0.0\n"
+    )
+
 
 def test_no_arguments_is_usage_error(capsys):
     code, _, err = run_cli([], capsys)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ def test_disconnected_grid_rejected():
     text = text.replace("\t3\t1\t80;", "\t3\t1\t80;\n\t4\t1\t5;")
     with pytest.raises(CaseValidationError, match="disconnected"):
         parse_case(text)
+
+
+@pytest.mark.parametrize(
+    "change, fragment",
+    [
+        (lambda c: {"buses": c.buses + (c.buses[2],)}, "duplicate bus ids"),
+        (lambda c: {"branches": (Branch(1, 2, 0.0, math.inf),) + c.branches[1:]}, "reactance 0.0"),
+        (lambda c: {"branches": (Branch(1, 2, math.nan, math.inf),) + c.branches[1:]},
+         "reactance nan"),
+    ],
+    ids=["duplicate-bus-id", "zero-reactance", "nan-reactance"],
+)
+def test_grid_case_refuses_what_the_parser_never_passes_it(change, fragment):
+    # parse_case refuses these first, so only a GridCase built by hand reaches the checks
+    case = unit_triangle()
+    with pytest.raises(CaseValidationError, match=fragment):
+        replace(case, **change(case))
 
 
 def test_bundled_cases_exist():

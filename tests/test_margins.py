@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ccopf import (
     FeasibilityPolytope,
     GaussianSpec,
+    MarginSet,
     build_uncertainty,
     compute_margins,
     contains_inner,
@@ -96,7 +97,6 @@ def test_margin_values_iid_box():
     np.testing.assert_allclose(m.sigma, 0.5)
     np.testing.assert_allclose(m.delta, 0.5 * Z_95, rtol=1e-12)
     np.testing.assert_allclose(m.beta, Z_95, rtol=1e-12)
-    assert m.eta == 0.05
     assert np.all(m.stochastic)
 
 
@@ -121,6 +121,22 @@ def test_eta_half_margins_vanish_exactly():
     assert np.all(m.beta == 0.0)
     pm = tightened_polytope(poly, m)
     np.testing.assert_array_equal(pm.offsets, poly.offsets)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"beta": np.ones(3)}, r"beta must have shape \(2,\)"),
+        ({"sigma": np.ones((2, 1))}, r"sigma must have shape \(2,\)"),
+        ({"row_factor": np.ones(2)}, "row_factor needs one row per margin row"),
+        ({"row_factor": np.eye(3)}, "row_factor needs one row per margin row"),
+    ],
+    ids=["beta-length", "sigma-2d", "row-factor-1d", "row-factor-rows"],
+)
+def test_margin_set_refuses_mismatched_shapes(changes, message):
+    fields = dict(delta=np.ones(2), beta=np.ones(2), row_factor=np.eye(2), sigma=np.ones(2))
+    with pytest.raises(ValueError, match=message):
+        MarginSet(**{**fields, **changes})
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.1, 0.500001, 1.0])

@@ -48,7 +48,6 @@ def two_threshold_mixture():
     m = MarginSet(
         delta=beta * sigma,
         beta=beta,
-        eta=0.05,
         row_factor=np.eye(2),
         sigma=sigma,
     )
@@ -147,6 +146,25 @@ def test_sampler_validation():
             MixtureSampler(reduced_directions=ms.reduced_directions, bus_map=bus_map, **fields)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"reduced_directions": np.array([[np.nan, 0.0]])}, "unit vectors"),
+        ({"thresholds": np.array([np.nan])}, "thresholds must be finite"),
+        ({"thresholds": np.array([np.inf])}, "thresholds must be finite"),
+        ({"tail_probs": np.array([np.nan])}, r"tail probabilities must lie in \(0, 0.5\]"),
+    ],
+    ids=["nan-direction", "nan-threshold", "inf-threshold", "nan-tail-prob"],
+)
+def test_sampler_refuses_non_finite_entries(changes, message):
+    # each check reads "not inside", so a NaN fails it rather than passing
+    fields = dict(reduced_directions=np.array([[1.0, 0.0]]), thresholds=np.array([1.0]),
+                  tail_probs=np.array([norm_sf(1.0)]), row_indices=(0,), bus_map=np.eye(2))
+    MixtureSampler(**fields)
+    with pytest.raises(ValueError, match=message):
+        MixtureSampler(**{**fields, **changes})
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -163,7 +181,6 @@ def test_tail_sample_deep_threshold():
     deep = MarginSet(
         delta=np.array([8.0, 8.0]),
         beta=np.array([8.0, 8.0]),
-        eta=0.05,
         row_factor=np.eye(2),
         sigma=np.ones(2),
     )

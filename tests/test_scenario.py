@@ -443,7 +443,7 @@ def dispatch(case, scen=None, pm=None):
     poly = build_polytope(case, mat)
     if scen is None:
         scen = nominal_scenario_set(case.n)
-    return solve(assemble(case, mat, poly, scen, pm=pm))
+    return solve(assemble(case, poly, scen, pm=pm))
 
 
 def test_hand_dispatch(triangle):
@@ -464,7 +464,7 @@ def test_objective_matches_cost_recomputation(triangle):
 def test_binding_capacity_row_is_active(triangle):
     mat = build_matrices(triangle)
     poly = build_polytope(triangle, mat)
-    lp = assemble(triangle, mat, poly, nominal_scenario_set(3), pm=None)
+    lp = assemble(triangle, poly, nominal_scenario_set(3), pm=None)
     sol = solve(lp)
     active_labels = {lp.labels[i] for i in sol.active_rows}
     assert ("injection-upper", 2) in active_labels
@@ -505,7 +505,7 @@ def test_multiple_slack_generators_add_residual_rows():
     case = parse_case(text)
     mat = build_matrices(case)
     poly = build_polytope(case, mat)
-    lp = assemble(case, mat, poly, nominal_scenario_set(3), pm=None)
+    lp = assemble(case, poly, nominal_scenario_set(3), pm=None)
     kinds = {kind for kind, _ in lp.labels}
     assert "residual-upper" in kinds and "residual-lower" in kinds
     sol = solve(lp)
@@ -540,10 +540,18 @@ def test_margin_polytope_enters_assemble(triangle):
     g = build_triangle_uncertainty(triangle)
     m = compute_margins(poly, g, 0.05)
     pm = tightened_polytope(poly, m)
-    lp = assemble(triangle, mat, poly, nominal_scenario_set(3), pm=pm)
+    lp = assemble(triangle, poly, nominal_scenario_set(3), pm=pm)
     # offsets are the row-wise minimum of reduced and tightened offsets
-    base = assemble(triangle, mat, poly, nominal_scenario_set(3), pm=None)
+    base = assemble(triangle, poly, nominal_scenario_set(3), pm=None)
     assert np.all(lp.b_ub <= base.b_ub + 1e-15)
+
+
+def test_assemble_refuses_a_tightened_polytope_of_other_rows(triangle):
+    poly = build_polytope(triangle, build_matrices(triangle))
+    short = replace(poly, normals=poly.normals[1:], offsets=poly.offsets[1:],
+                    labels=poly.labels[1:])
+    with pytest.raises(ValueError, match="must match the original row for row"):
+        assemble(triangle, poly, nominal_scenario_set(3), pm=short)
 
 
 def build_triangle_uncertainty(case):
@@ -625,7 +633,7 @@ def test_solve_equals_linprog_on_an_unbounded_lp(monkeypatch, triangle):
     # a free decision with a negative cost; HiGHS reads row bounds of
     # 1e30 as infinite
     mat = build_matrices(triangle)
-    lp = assemble(triangle, mat, build_polytope(triangle, mat), nominal_scenario_set(3))
+    lp = assemble(triangle, build_polytope(triangle, mat), nominal_scenario_set(3))
     free = replace(
         lp, b_ub=np.full_like(lp.b_ub, 1e30), lower=np.array([-np.inf]), upper=np.array([np.inf])
     )
@@ -644,7 +652,7 @@ def test_other_model_status_is_a_solver_error(monkeypatch, case30):
 def test_model_rejected_by_highs_is_a_solver_error(triangle):
     # HiGHS refuses a NaN bound and would then solve an empty model
     mat = build_matrices(triangle)
-    lp = assemble(triangle, mat, build_polytope(triangle, mat), nominal_scenario_set(3))
+    lp = assemble(triangle, build_polytope(triangle, mat), nominal_scenario_set(3))
     b_ub = lp.b_ub.copy()
     b_ub[0] = np.nan
     with pytest.raises(SolverError, match="rejected"):

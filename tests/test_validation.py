@@ -535,6 +535,18 @@ def test_counts_past_the_index_range_are_refused_by_name(case30, method, changes
     assert resolve_scenario_count(at_bound, case30, method) == scenario.MAX_ROWS
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("scenarios", 2.5), ("scenarios", 600.0), ("scenarios", math.nan), ("reps", 1.5),
+     ("n_test", 10.5), ("seed", 2.0), ("jobs", 1.5)],
+)
+def test_config_refuses_counts_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        ExperimentConfig(case="case30", **{field: value})
+    # NumPy's integers are counts too
+    assert getattr(ExperimentConfig(case="case30", **{field: np.int64(3)}), field) == 3
+
+
 def test_config_rejects_repeated_methods():
     with pytest.raises(ValueError, match=r"\['sa'\] given more than once"):
         ExperimentConfig(case="case30", methods=("sa", "sa-is", "sa"))
