@@ -17,17 +17,13 @@ the exact binomial count at eta / S.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .grid import FeasibilityPolytope
 from .kernels import norm_isf, norm_sf
-
-# Rows whose projected standard deviation falls below this times the
-# largest one are treated as deterministic.
-DETERMINISTIC_CUTOFF = 1e-12
 
 # Slack when testing xi against the inner deviation set; absorbs rounding
 # on rows orthogonal to the uncertainty.
@@ -96,7 +92,7 @@ class GaussianSpec:
 
 
 def _support(eigval: np.ndarray) -> np.ndarray:
-    """Mask of eigenvalues above 1e-12 times the largest magnitude."""
+    """Mask of variances (eigenvalues) above 1e-12 times the largest magnitude."""
     top = float(np.max(np.abs(eigval))) if eigval.size else 0.0
     return eigval > 1e-12 * max(top, 1e-300)
 
@@ -131,7 +127,9 @@ class MarginSet:
     deterministic rows, where delta is 0). row_factor is R = W U
     (n_rows x reduced_dim): row i sees support coordinates w as R_i w,
     and sigma holds its row norms. draw_factor B = R V_k (n_rows x
-    rank R) and rank_basis V_k are rank_factor(R), built with the set.
+    rank R) and rank_basis V_k are rank_factor(R), built with the set
+    unless passed in as factored (compute_margins reads B first, to find
+    the stochastic rows).
     Every draw of the solves and checks, Gaussian or tail mixture, holds
     rank R coordinates w' and reaches the rows as B w' = R (V_k w'); the
     mixture axes are B_i / sigma_i, unit vectors since B B' = R R'. At
@@ -144,15 +142,16 @@ class MarginSet:
     sigma: np.ndarray
     draw_factor: np.ndarray = field(init=False, repr=False, compare=False)
     rank_basis: np.ndarray | None = field(init=False, repr=False, compare=False)
+    factored: InitVar[tuple[np.ndarray, np.ndarray | None] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, factored):
         n_rows = self.delta.shape[0]
         for name in ("beta", "sigma"):
             if getattr(self, name).shape != (n_rows,):
                 raise ValueError(f"{name} must have shape ({n_rows},)")
         if self.row_factor.ndim != 2 or self.row_factor.shape[0] != n_rows:
             raise ValueError("row_factor needs one row per margin row")
-        draw_factor, rank_basis = rank_factor(self.row_factor)
+        draw_factor, rank_basis = factored or rank_factor(self.row_factor)
         object.__setattr__(self, "draw_factor", draw_factor)
         object.__setattr__(self, "rank_basis", rank_basis)
         for arr in (self.delta, self.beta, self.row_factor, self.sigma, self.draw_factor,
@@ -192,8 +191,11 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
 
     For stochastic row i, delta_i = sigma_i * z with z the upper eta
     quantile of the standard normal and sigma_i the norm of row i of
-    R = poly.normals @ g.reduced_factor, kept as row_factor. eta must lie
-    in (0, 0.5].
+    R = poly.normals @ g.reduced_factor, kept as row_factor. A row is
+    stochastic when the draws move it: its variance as they see it, the
+    squared norm of its row of the draw factor B = rank_factor(R)[0],
+    passes the one support cut of GaussianSpec.reduced_factor (above
+    1e-12 times the largest). eta must lie in (0, 0.5].
 
     Parameters
     ----------
@@ -212,13 +214,16 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
         )
     row_factor = poly.normals @ g.reduced_factor
     sigma = np.linalg.norm(row_factor, axis=1)
-    top = float(np.max(sigma)) if sigma.size else 0.0
-    stochastic = sigma > DETERMINISTIC_CUTOFF * top
+    # the draws reach row i through row i of B, which rank_factor's cut
+    # may zero where sigma_i is far from zero: B alone decides
+    factored = rank_factor(row_factor)
+    stochastic = _support(np.einsum("ij,ij->i", factored[0], factored[0]))
 
     z = float(norm_isf(eta)) + 0.0  # +0.0 normalises -0.0 at eta = 0.5
     delta = np.where(stochastic, sigma * z, 0.0)
     beta = np.where(stochastic, z, np.inf)
-    return MarginSet(delta=delta, beta=beta, row_factor=row_factor, sigma=sigma)
+    return MarginSet(delta=delta, beta=beta, row_factor=row_factor, sigma=sigma,
+                     factored=factored)
 
 
 def tightened_polytope(poly: FeasibilityPolytope, m: MarginSet) -> FeasibilityPolytope:

@@ -797,14 +797,18 @@ def scenario_offsets(
     return offsets
 
 
+def solve_offsets(prep: PreparedProblem, offsets: np.ndarray) -> DispatchSolution:
+    """The prepared problem's LP solved with its polytope rows at offsets."""
+    return solve(_with_offsets(prep.lp, offsets))
+
+
 def solve_prepared(
     prep: PreparedProblem, method: str, n_scenarios: int, seed: int | None
 ) -> DispatchSolution:
     """One scenario solve on a prepared problem: its LP at scenario_offsets."""
-    offsets = scenario_offsets(
+    return solve_offsets(prep, scenario_offsets(
         prep.poly, prep.margins, prep.mixture, method, n_scenarios, seed
-    )
-    return solve(_with_offsets(prep.lp, offsets))
+    ))
 
 
 def run_sa(

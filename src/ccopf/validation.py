@@ -4,9 +4,9 @@ A dispatch is validated by drawing fresh deviations and counting how
 often the perturbed injections stay feasible. The 1-D problem (one
 decision, one row, unit variance) has a closed-form optimum, which makes
 it the reference point for conservatism checks and for the sample-count
-sweep. run_experiment prepares the case once, repeats the draws and
-solves over seeds and methods, and aggregates the outcomes into a
-serialisable report.
+sweep. run_experiment prepares the case once, runs the repetitions in
+blocks (every draw, then every LP, then every check), and aggregates the
+outcomes into a serialisable report.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .scenario import (
     prepare_problem,
     sample_size_cc,
     scenario_offsets,
-    solve_prepared,
+    solve_offsets,
 )
 from .uncertainty import build_uncertainty
 
@@ -51,6 +51,12 @@ _OOS_TOL = 1e-9
 
 # Offset separating the out-of-sample streams from the repetition seeds.
 _TEST_SEED_OFFSET = 2**64
+
+# Most repetitions a run holds drawn offsets and dispatches for at once:
+# _run_reps runs its repetitions in blocks of this many, stage by stage.
+# A block holds 2.4 (case57) to 3.3 KB (case30) per repetition, so at
+# most about 210 KB whatever the repetition count.
+_REP_BLOCK = 64
 
 # Relative widening of the reach bound sigma_i * r: it absorbs the rounding
 # of the norms and of a row's product for any draw width far below 1e6.
@@ -453,35 +459,67 @@ class _Experiment:
     fixed: dict[str, DispatchSolution]
 
 
-def _solve(problem: PreparedProblem, method: str, n_scenarios: int, seed: int) -> DispatchSolution:
-    """solve_prepared, with a solver breakdown as a 'solver-error' dispatch."""
+def _solve(problem: PreparedProblem, offsets: np.ndarray) -> DispatchSolution:
+    """solve_offsets, with a solver breakdown as a 'solver-error' dispatch."""
     try:
-        return solve_prepared(problem, method, n_scenarios, seed)
+        return solve_offsets(problem, offsets)
     except SolverError:
         return DispatchSolution.unsolved("solver-error")
 
 
-def _run_one(experiment: _Experiment, method: str, rep: int) -> DispatchSolution:
+def _offsets(problem: PreparedProblem, method: str, n_scenarios: int, seed: int) -> np.ndarray:
+    """scenario_offsets of one solve on the prepared problem."""
+    return scenario_offsets(problem.poly, problem.margins, problem.mixture, method,
+                            n_scenarios, seed)
+
+
+def _run_one(
+    experiment: _Experiment, method: str, rep: int, drawn: dict[tuple[str, int], np.ndarray]
+) -> DispatchSolution:
     """One method's solution under one repetition seed.
 
-    A method whose resolved count is 0 gets its fixed dispatch, solved once.
+    drawn maps (method, rep) to the offsets drawn for that solve. A
+    method whose resolved count is 0 gets its fixed dispatch, solved
+    once; drawn holds nothing for it.
     """
     if method in experiment.fixed:
         return experiment.fixed[method]
-    return _solve(
-        experiment.problem, method, experiment.resolved[method], experiment.config.seed + rep
-    )
+    return _solve(experiment.problem, drawn[method, rep])
 
 
-def _run_rep(experiment: _Experiment, rep: int) -> list[RepetitionRecord]:
-    """Every method's record under one repetition seed, in config.methods order.
+def _run_reps(experiment: _Experiment, reps: range) -> list[list[RepetitionRecord]]:
+    """Every method's records under each repetition seed of reps, in config.methods order.
+
+    The repetitions run in blocks of at most _REP_BLOCK, and each block
+    in three stages: the offsets of every drawing method and repetition,
+    then every LP, then every repetition's check. NumPy's draws and
+    checks and HiGHS's solves each run back to back, which keeps each
+    stage's code and data warm. An offset depends only on its seed, a
+    dispatch only on its offsets and a check only on its seed and
+    dispatches, so the records are those of one repetition at a time.
+    """
+    config, problem = experiment.config, experiment.problem
+    drawing = [m for m in config.methods if m not in experiment.fixed]
+    by_rep = []
+    for start in range(0, len(reps), _REP_BLOCK):
+        block = reps[start:start + _REP_BLOCK]
+        drawn = {(m, rep): _offsets(problem, m, experiment.resolved[m], config.seed + rep)
+                 for rep in block for m in drawing}
+        sols = [[_run_one(experiment, m, rep, drawn) for m in config.methods] for rep in block]
+        by_rep += [_records(experiment, rep, rep_sols) for rep, rep_sols in zip(block, sols)]
+    return by_rep
+
+
+def _records(
+    experiment: _Experiment, rep: int, sols: list[DispatchSolution]
+) -> list[RepetitionRecord]:
+    """The records of one repetition's solutions, in config.methods order.
 
     The optimal dispatches are checked together against one draw of the
     repetition's test deviations, and then each record is built once;
     a method that is not optimal gets nan objective and confidence.
     """
     config, problem = experiment.config, experiment.problem
-    sols = [_run_one(experiment, m, rep) for m in config.methods]
     optimal = [i for i, sol in enumerate(sols) if sol.status == "optimal"]
     confidence, stderr = np.full((2, len(sols)), math.nan)
     if optimal:
@@ -704,10 +742,14 @@ def run_experiment(
     method-major. problem, when given, is prepare_experiment(config), so
     a caller that already prepared the case does not prepare it twice.
     With jobs > 1 the repetitions go to min(jobs, reps, usable cores)
-    pool workers in one chunk per worker; pickle sends the prepared
-    experiment once per chunk, so a run unpickles it at most once per
-    worker. jobs is the only parallelism of a run. The pool is the process's
-    own (_pool): it outlives the run, and the next pooled run with as
+    pool workers in one chunk (a range of ceil(reps / workers)
+    repetitions) per worker; pickle sends the prepared experiment once
+    per chunk, so a run unpickles it at most once per worker. A chunk,
+    like a serial run's repetitions, runs in blocks of at most
+    _REP_BLOCK repetitions, stage by stage: every draw of the block,
+    then every LP, then every check (_run_reps); the records are those
+    of one repetition at a time. jobs is the only parallelism of a run.
+    The pool is the process's own (_pool): it outlives the run, and the next pooled run with as
     many workers reuses its warm workers. Pooled runs of one process
     take turns on it, so a run in another thread waits for the one in
     progress. The workers keep the module state of when the pool
@@ -729,19 +771,22 @@ def run_experiment(
     case = problem.case
     resolved = {m: resolve_scenario_count(config, case, m, problem) for m in config.methods}
     # a dispatch from no draws is the same under every seed: solve it once
-    fixed = {m: _solve(problem, m, 0, config.seed) for m, n in resolved.items() if n == 0}
+    fixed = {m: _solve(problem, _offsets(problem, m, 0, config.seed))
+             for m, n in resolved.items() if n == 0}
     experiment = _Experiment(config, problem, resolved, fixed)
     _one_blas_thread()
     _steady_heap()
     workers = min(config.jobs, config.reps, _usable_cores())
+    reps = range(config.reps)
     if workers > 1:
+        size = -(-config.reps // workers)
         with _POOL_LOCK:
-            by_rep = list(_pool(workers).map(
-                _run_rep, itertools.repeat(experiment), range(config.reps),
-                chunksize=-(-config.reps // workers),
-            ))
+            by_rep = list(itertools.chain.from_iterable(_pool(workers).map(
+                _run_reps, itertools.repeat(experiment),
+                [reps[start:start + size] for start in range(0, config.reps, size)],
+            )))
     else:
-        by_rep = [_run_rep(experiment, rep) for rep in range(config.reps)]
+        by_rep = _run_reps(experiment, reps)
     records = tuple(
         by_rep[rep][i] for i in range(len(config.methods)) for rep in range(config.reps)
     )

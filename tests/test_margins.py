@@ -12,11 +12,13 @@ from ccopf import (
     FeasibilityPolytope,
     GaussianSpec,
     MarginSet,
+    build_mixture,
     build_uncertainty,
     compute_margins,
     contains_inner,
     estimate_pi,
     prepare_problem,
+    scenario_offsets,
     tightened_polytope,
 )
 from ccopf.kernels import norm_isf, norm_sf
@@ -174,6 +176,24 @@ def test_deterministic_rows_flagged():
     assert np.isinf(m.beta[1])
     assert m.tail_probs[1] == 0.0
     assert m.tail_probs[0] == pytest.approx(0.05, rel=1e-10)
+
+
+def test_a_row_the_draws_cannot_see_is_deterministic():
+    # sigma of the second row is 1e-7 of the first's, far above zero, but
+    # its variance 1e-14 is below the support cut, so its row of the draw
+    # factor is zero: the draws leave it alone, and so must the margins
+    poly = FeasibilityPolytope(normals=np.array([[1.0, 0.0], [0.0, 1e-7]]),
+                               offsets=np.ones(2), labels=(("row", 0), ("row", 1)))
+    g = GaussianSpec.from_covariance(np.eye(2))
+    m = compute_margins(poly, g, 0.05)
+    assert m.sigma[1] == 1e-7 and not m.draw_factor[1].any()
+    assert list(m.stochastic) == [True, False]
+    assert m.delta[1] == 0.0
+    mixture = build_mixture(poly, m, g)
+    assert mixture.n_components == 1
+    offsets = scenario_offsets(poly, m, mixture, "sa-is", 200, seed=0)
+    assert offsets[1] == 1.0
+    assert offsets[0] <= 1.0 - m.delta[0]
 
 
 def test_tightened_polytope_offsets():

@@ -129,18 +129,18 @@ def test_repetition_runs_in_bounded_memory(monkeypatch):
     # one rare-eta repetition on case30: 85,230 sa draws, 1,064 sa-is draws
     # and a 100,000-draw check; each streams in blocks of CHUNK draws, so
     # the traced peak is a block's (16,384-draw blocks peaked at 13.4 MB)
-    run_rep, peaks = validation._run_rep, []
+    run_reps, peaks = validation._run_reps, []
 
-    def traced(experiment, rep):
+    def traced(experiment, reps):
         tracemalloc.start()
         try:
-            records = run_rep(experiment, rep)
+            records = run_reps(experiment, reps)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         return records
 
-    monkeypatch.setattr(validation, "_run_rep", traced)
+    monkeypatch.setattr(validation, "_run_reps", traced)
     config = ExperimentConfig(case="case30", methods=("dc-opf", "sa", "sa-is"), eta=1e-3,
                               reps=1, n_test=100_000)
     report = run_experiment(config)
@@ -915,10 +915,10 @@ def test_a_worker_dying_in_a_run_fails_that_run_alone(monkeypatch):
                               n_test=2000, seed=47, jobs=2)
     want = run_experiment(replace(config, jobs=1)).records
 
-    def die(experiment, method, rep):
+    def die(experiment, method, rep, drawn):
         os._exit(1)
 
-    # the workers fork after the patch, so their _run_rep calls die
+    # the workers fork after the patch, so their _run_one calls die
     with monkeypatch.context() as patched:
         patched.setattr(validation, "_run_one", die)
         with pytest.raises(BrokenProcessPool):
@@ -1009,7 +1009,7 @@ if __name__ == "__main__":
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
 def test_pooled_run_under_a_start_method_without_fork(tmp_path, method):
     # a spawned or forkserver worker inherits nothing: it imports ccopf,
-    # starts in _start_worker and gets _run_rep and the experiment by
+    # starts in _start_worker and gets _run_reps and the experiment by
     # pickle, two chunks of 3 and 2 repetitions. The script's guard keeps
     # a worker that imports it as its main module from running it
     if method not in multiprocessing.get_all_start_methods():
@@ -1382,8 +1382,8 @@ def test_pool_workers_never_start_blas_threads(monkeypatch, tmp_path):
 
     # the pool's workers fork after the patch, and the run's one method
     # solves once per repetition
-    def run_and_report(experiment, method, rep):
-        solution = run_one(experiment, method, rep)
+    def run_and_report(experiment, method, rep, drawn):
+        solution = run_one(experiment, method, rep, drawn)
         _threads_after_blas(tmp_path, rep)
         return solution
 
@@ -1411,11 +1411,48 @@ def test_runs_solve_a_dispatch_from_no_draws_once(monkeypatch):
     report = run_experiment(config, problem)
     assert len(solves) == 3
     per_rep = validation._Experiment(config, problem, report.resolved, fixed={})
-    by_rep = [validation._run_rep(per_rep, rep) for rep in range(config.reps)]
+    by_rep = validation._run_reps(per_rep, range(config.reps))
     assert len(solves) == 3 + 3 * config.reps
     assert report.records == tuple(by_rep[rep][i] for i in range(3) for rep in range(config.reps))
     assert {r.status for r in report.records} == {"optimal"}
     assert run_experiment(replace(config, jobs=2), problem).records == report.records
+
+
+def test_a_block_draws_then_solves_then_checks(monkeypatch):
+    # the fixed dc-opf dispatch is solved before the repetitions; then the
+    # block draws all six offsets, solves all six LPs and checks its three
+    # repetitions, in that order
+    events = []
+
+    def recording(name, fn):
+        return functools.wraps(fn)(lambda *a, **k: events.append(name) or fn(*a, **k))
+
+    draw = recording("draw", scenario.scenario_offsets)
+    monkeypatch.setattr(scenario, "scenario_offsets", draw)
+    monkeypatch.setattr(validation, "scenario_offsets", draw)
+    monkeypatch.setattr(scenario, "solve", recording("solve", scenario.solve))
+    monkeypatch.setattr(validation, "out_of_sample_confidence",
+                        recording("check", validation.out_of_sample_confidence))
+    config = ExperimentConfig(case="case57", methods=("dc-opf", "sa", "sa-is"), scenarios=20,
+                              reps=3, n_test=200, seed=5)
+    report = run_experiment(config)
+    assert {r.status for r in report.records} == {"optimal"}
+    assert events == ["draw", "solve"] + ["draw"] * 6 + ["solve"] * 6 + ["check"] * 3
+
+
+def test_records_cross_block_and_chunk_boundaries_unchanged(monkeypatch):
+    # 70 repetitions run as blocks of 64 and 6 serially, and as chunks of
+    # 35 on two workers: every record is the one its repetition gets alone
+    monkeypatch.setattr(validation, "_usable_cores", lambda: 2)
+    config = ExperimentConfig(case="case57", methods=("dc-opf", "sa", "sa-is"), scenarios=20,
+                              reps=validation._REP_BLOCK + 6, n_test=200, seed=61)
+    problem = validation.prepare_experiment(config)
+    report = run_experiment(config, problem)
+    alone = validation._Experiment(config, problem, report.resolved, fixed={})
+    by_rep = [validation._run_reps(alone, range(rep, rep + 1))[0] for rep in range(config.reps)]
+    want = tuple(by_rep[rep][i] for i in range(3) for rep in range(config.reps))
+    assert report.records == want
+    assert run_experiment(replace(config, jobs=2), problem).records == want
 
 
 def test_experiment_records_infeasible_runs(tmp_path):
