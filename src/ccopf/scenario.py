@@ -63,8 +63,16 @@ FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 _HIGHS_LOAD = threading.Lock()
 
-# This thread's HiGHS instance and the id of the process that built it.
+# This thread's HiGHS instance, the id of the process that built it, and
+# the optimal bases its solves start from (bases, see _warm_start).
 _SOLVER = threading.local()
+
+# Most optimal bases a thread keeps, most recently used first.
+_KEPT_BASES = 3
+
+# HiGHS drops constraint coefficients at or below this magnitude
+# (its small_matrix_value) as it loads an LP; _skeleton drops them first.
+_SMALL_MATRIX_VALUE = 1e-9
 
 
 def __getattr__(name: str):
@@ -496,6 +504,7 @@ def _skeleton(case: GridCase, poly: FeasibilityPolytope) -> LinearProgram:
         )
         labels += [("residual-upper", slack_bus), ("residual-lower", slack_bus)]
 
+    a_ub[np.abs(a_ub) <= _SMALL_MATRIX_VALUE] = 0.0  # HiGHS would drop them at each load
     a_start, a_index, a_value = _columns(a_ub)
     return LinearProgram(
         cost=cost,
@@ -552,16 +561,25 @@ def solve(lp: LinearProgram) -> DispatchSolution:
     One direct HiGHS call with linprog's options and post-solve check,
     so status and x equal linprog(method="highs") bit for bit without its
     per-call conversions. Each process and thread keeps one HiGHS
-    instance (_highs); every solve clears its model and solver data and
-    passes the options again before loading the LP, so no solve sees
-    what an earlier one left behind. Returns a DispatchSolution with status
-    'optimal', 'infeasible' or 'unbounded'. Solver breakdowns (any other
-    model status, including unbounded-or-infeasible and iteration or time
-    limits, or a solution off its constraints) raise SolverError instead
-    of masquerading as infeasibility. That check is one pass over x and
-    the row slack, b_ub less HiGHS's row activity, against
-    lp.solution_window, which no NaN passes; the slack also gives
-    active_rows.
+    instance (_highs). A solve first starts HiGHS from the optimal bases
+    that this thread's earlier solves of the same skeleton left
+    (_warm_start), and keeps an answer reached with no simplex iteration
+    at a nondegenerate vertex. Otherwise it clears the model and solver
+    data, passes the options again and loads the LP, so it sees nothing
+    an earlier solve left behind, and keeps its optimal basis for the
+    next solves. Either way the answer is linprog's: a presolved solve
+    ends by solving the original LP from its postsolved basis, and a kept
+    answer is that final solve at an optimal basis, with no iteration to
+    round apart. That the two bases agree is measured, not proven: the
+    tests start thousands of LPs from every optimal basis of their
+    skeleton, and ROADMAP's appendix gives the evidence. Returns a
+    DispatchSolution with status 'optimal', 'infeasible' or 'unbounded'.
+    Solver breakdowns (any other model status, including
+    unbounded-or-infeasible and iteration or time limits, or a solution
+    off its constraints) raise SolverError instead of masquerading as
+    infeasibility. That check is one pass over x and the row slack, b_ub
+    less HiGHS's row activity, against lp.solution_window, which no NaN
+    passes; the slack also gives active_rows.
     """
     d = lp.cost.shape[0]
     if d == 0:
@@ -572,10 +590,42 @@ def solve(lp: LinearProgram) -> DispatchSolution:
             return DispatchSolution.unsolved("infeasible")
         return _package_solution(lp, np.zeros(0), lp.b_ub)
 
-    m = lp.b_ub.shape[0]
     solver = _highs()
+    values = _warm_start(solver, lp)
+    if values is None:
+        _load(solver, lp, HIGHS_OPTIONS)
+        if solver.run() == highs.HighsStatus.kError:
+            raise SolverError(f"HiGHS failed: {solver.modelStatusToString(solver.getModelStatus())}")
+        status = solver.getModelStatus()
+        if status == highs.HighsModelStatus.kInfeasible:
+            return DispatchSolution.unsolved("infeasible")
+        if status == highs.HighsModelStatus.kUnbounded:
+            return DispatchSolution.unsolved("unbounded")
+        if status != highs.HighsModelStatus.kOptimal:
+            raise SolverError(f"LP solver failed: {solver.modelStatusToString(status)}")
+        bases = _SOLVER.bases
+        bases.insert(0, (lp.solution_window, solver.getBasis()))
+        del bases[_KEPT_BASES:]
+        values = _values(lp, solver)
+    low, high = lp.solution_window
+    if math.isnan(solver.getObjectiveValue()) or not ((low <= values) & (values <= high)).all():
+        raise SolverError(
+            f"LP solution violates its constraints by more than {FEASIBILITY_TOL:.2e}"
+        )
+    return _package_solution(lp, values[:d], values[d:])
+
+
+def _values(lp: LinearProgram, solver: highs._Highs) -> np.ndarray:
+    """HiGHS's x, then each row's slack, b_ub less HiGHS's row activity."""
+    solution = solver.getSolution()
+    return np.concatenate([solution.col_value, lp.b_ub - np.array(solution.row_value)])
+
+
+def _load(solver: highs._Highs, lp: LinearProgram, options: highs.HighsOptions) -> None:
+    """Clear solver's model and solver data, pass options, then load lp."""
+    d, m = lp.cost.shape[0], lp.b_ub.shape[0]
     solver.clearModel()  # the model and every piece of solver data
-    solver.passOptions(HIGHS_OPTIONS)
+    solver.passOptions(options)
     loaded = solver.passModel(
         d, m, lp.a_value.size, int(highs.MatrixFormat.kColwise),
         int(highs.ObjSense.kMinimize), 0.0,
@@ -585,43 +635,66 @@ def solve(lp: LinearProgram) -> DispatchSolution:
     )
     if loaded == highs.HighsStatus.kError:
         raise SolverError("HiGHS rejected the dispatch LP")
-    if solver.run() == highs.HighsStatus.kError:
-        raise SolverError(f"HiGHS failed: {solver.modelStatusToString(solver.getModelStatus())}")
-    status = solver.getModelStatus()
-    if status == highs.HighsModelStatus.kInfeasible:
-        return DispatchSolution.unsolved("infeasible")
-    if status == highs.HighsModelStatus.kUnbounded:
-        return DispatchSolution.unsolved("unbounded")
-    if status != highs.HighsModelStatus.kOptimal:
-        raise SolverError(f"LP solver failed: {solver.modelStatusToString(status)}")
-    solution = solver.getSolution()
-    values = np.concatenate([solution.col_value, lp.b_ub - np.array(solution.row_value)])
-    low, high = lp.solution_window
-    if math.isnan(solver.getObjectiveValue()) or not ((low <= values) & (values <= high)).all():
-        raise SolverError(
-            f"LP solution violates its constraints by more than {FEASIBILITY_TOL:.2e}"
-        )
-    return _package_solution(lp, values[:d], values[d:])
+
+
+def _warm_start(solver: highs._Highs, lp: LinearProgram) -> np.ndarray | None:
+    """lp's x and row slack (as _values) from a kept basis, or None.
+
+    The kept bases are this thread's last _KEPT_BASES optimal ones, each
+    with its LP's solution_window. __post_init__ builds a new window for
+    every checked LinearProgram and _with_offsets shares it, so a basis
+    is tried only on LPs that differ from its own in b_ub alone: same
+    skeleton, same shape. lp is loaded once under _WARM_OPTIONS (presolve
+    off, no simplex iteration allowed) and started from each such basis,
+    most recently used first, until HiGHS reports one optimal after zero
+    iterations. That answer is kept, and its basis moves to the front,
+    only if its vertex is nondegenerate: exactly as many constraints,
+    rows and bounds, active (within ACTIVE_TOL) as there are decisions.
+    At a degenerate vertex several bases are optimal, and the one HiGHS
+    starts from can round x apart from the presolved solve's.
+    """
+    bases = _SOLVER.bases
+    tries = [i for i, (window, _) in enumerate(bases) if window is lp.solution_window]
+    if not tries:
+        return None
+    _load(solver, lp, _WARM_OPTIONS)
+    for i in tries:
+        if (solver.setBasis(bases[i][1]) != highs.HighsStatus.kError
+                and solver.run() != highs.HighsStatus.kError
+                and solver.getModelStatus() == highs.HighsModelStatus.kOptimal
+                and solver.getInfo().simplex_iteration_count == 0):
+            break
+    else:
+        return None
+    values = _values(lp, solver)
+    d = lp.cost.shape[0]
+    x = values[:d]
+    at_bound = (x - lp.lower <= ACTIVE_TOL) | (lp.upper - x <= ACTIVE_TOL)
+    if np.count_nonzero(at_bound) + np.count_nonzero(values[d:] <= ACTIVE_TOL) != d:
+        return None
+    bases.insert(0, bases.pop(i))
+    return values
 
 
 def _highs() -> highs._Highs:
     """This thread's HiGHS instance, built once per process and thread.
 
     The first call in a process loads the binding (_load_highs); nothing
-    else loads it. A forked process builds its own instance rather than
-    use its parent's copy.
+    else loads it. A forked process builds its own instance, with no
+    kept basis, rather than use its parent's copy.
     """
     if "highs" not in globals():
         _load_highs()
     pid = os.getpid()
     if getattr(_SOLVER, "pid", None) != pid:
         _SOLVER.instance = highs._Highs()
+        _SOLVER.bases = []
         _SOLVER.pid = pid
     return _SOLVER.instance
 
 
 def _load_highs() -> None:
-    """Bind HIGHS_OPTIONS, then the HiGHS binding as highs, once.
+    """Bind HIGHS_OPTIONS and _WARM_OPTIONS, then the HiGHS binding as highs, once.
 
     Its one caller is _highs, so the first solve in a process loads it.
 
@@ -640,6 +713,8 @@ def _load_highs() -> None:
 
     HIGHS_OPTIONS are the options linprog(method="highs") passes to
     HiGHS, so a direct solve returns linprog's status and x bit for bit.
+    _WARM_OPTIONS are the same with presolve off and a simplex iteration
+    limit of 0, for starts from a kept basis (_warm_start).
     """
     with _HIGHS_LOAD:
         if "highs" in globals():
@@ -647,14 +722,21 @@ def _load_highs() -> None:
         core = sys.modules.get(_HIGHS_MODULE)
         if core is None:
             core = _load_binding_file()
-        options = core.HighsOptions()
-        options.presolve = "on"
-        options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        options.output_flag = False
-        options.log_to_console = False
-        options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
-        globals()["HIGHS_OPTIONS"] = options
-        globals()["highs"] = core  # last: _highs reads it, without the lock, as "both are bound"
+
+        def options(presolve: str):
+            chosen = core.HighsOptions()
+            chosen.presolve = presolve
+            chosen.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+            chosen.output_flag = False
+            chosen.log_to_console = False
+            chosen.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+            return chosen
+
+        warm = options("off")
+        warm.simplex_iteration_limit = 0
+        globals()["HIGHS_OPTIONS"] = options("on")
+        globals()["_WARM_OPTIONS"] = warm
+        globals()["highs"] = core  # last: _highs reads it, without the lock, as "all are bound"
 
 
 def _load_binding_file():

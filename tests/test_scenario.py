@@ -236,27 +236,31 @@ def test_exact_counts_match_the_scipy_betaincc_count(monkeypatch):
     assert [sample_size_exact(*args) for args in grid] == ours
 
 
+# Each case keeps the id pytest first gave it by position, written out, so
+# that deleting a case renames no other.
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: sample_size_cc(0.0, 0.01, 2),
-        lambda: sample_size_cc(1.0, 0.01, 2),
-        lambda: sample_size_cc(0.05, 0.0, 2),
-        lambda: sample_size_cc(0.05, 1.0, 2),
-        lambda: sample_size_cc(0.05, 0.01, 0),
-        lambda: sample_size_filtered(0.05, 0.01, 2, -0.1),
-        lambda: sample_size_filtered(0.05, 0.01, 2, 1.0),
-        lambda: sample_size_is(0.05, 0.01, 2, 0.5, 0.99),
-        lambda: sample_size_is(0.05, 0.01, 2, 0.5, math.inf),
-        lambda: sample_size_is(0.05, 0.01, 2, 0.5, math.nan),
-        lambda: sample_size_is(0.05, 0.01, 2, 0.5, 1e308),  # finite, but the count overflows
-        lambda: sample_size_exact(0.0, 0.01, 2),
-        lambda: sample_size_exact(1.5, 0.01, 2),
-        lambda: sample_size_exact(math.nan, 0.01, 2),
-        lambda: sample_size_exact(0.05, 0.0, 2),
-        lambda: sample_size_exact(0.05, 1.0, 2),
-        lambda: sample_size_exact(0.05, 0.01, 0),
-        lambda: sample_size_exact(1e-320, 0.01, 2),  # the closed form overflows
+        pytest.param(lambda: sample_size_cc(0.0, 0.01, 2), id="<lambda>0"),
+        pytest.param(lambda: sample_size_cc(1.0, 0.01, 2), id="<lambda>1"),
+        pytest.param(lambda: sample_size_cc(0.05, 0.0, 2), id="<lambda>2"),
+        pytest.param(lambda: sample_size_cc(0.05, 1.0, 2), id="<lambda>3"),
+        pytest.param(lambda: sample_size_cc(0.05, 0.01, 0), id="<lambda>4"),
+        pytest.param(lambda: sample_size_filtered(0.05, 0.01, 2, -0.1), id="<lambda>5"),
+        pytest.param(lambda: sample_size_filtered(0.05, 0.01, 2, 1.0), id="<lambda>6"),
+        pytest.param(lambda: sample_size_is(0.05, 0.01, 2, 0.5, 0.99), id="<lambda>7"),
+        pytest.param(lambda: sample_size_is(0.05, 0.01, 2, 0.5, math.inf), id="<lambda>8"),
+        pytest.param(lambda: sample_size_is(0.05, 0.01, 2, 0.5, math.nan), id="<lambda>9"),
+        # finite, but the count overflows
+        pytest.param(lambda: sample_size_is(0.05, 0.01, 2, 0.5, 1e308), id="<lambda>10"),
+        pytest.param(lambda: sample_size_exact(0.0, 0.01, 2), id="<lambda>11"),
+        pytest.param(lambda: sample_size_exact(1.5, 0.01, 2), id="<lambda>12"),
+        pytest.param(lambda: sample_size_exact(math.nan, 0.01, 2), id="<lambda>13"),
+        pytest.param(lambda: sample_size_exact(0.05, 0.0, 2), id="<lambda>14"),
+        pytest.param(lambda: sample_size_exact(0.05, 1.0, 2), id="<lambda>15"),
+        pytest.param(lambda: sample_size_exact(0.05, 0.01, 0), id="<lambda>16"),
+        # the closed form overflows
+        pytest.param(lambda: sample_size_exact(1e-320, 0.01, 2), id="<lambda>17"),
     ],
 )
 def test_size_argument_validation(call):
@@ -642,7 +646,8 @@ def test_solve_equals_linprog_on_an_unbounded_lp(monkeypatch, triangle):
 
 def test_other_model_status_is_a_solver_error(monkeypatch, case30):
     prep = prepared(case30, 0.05)
-    scenario._load_highs()  # HIGHS_OPTIONS exists once the binding is loaded
+    scenario._highs()  # HIGHS_OPTIONS exists once the binding is loaded
+    monkeypatch.setattr(scenario._SOLVER, "bases", [])  # no kept basis to start from
     monkeypatch.setattr(scenario.HIGHS_OPTIONS, "presolve", "off")
     monkeypatch.setattr(scenario.HIGHS_OPTIONS, "simplex_iteration_limit", 0)
     with pytest.raises(SolverError, match="Iteration limit"):
@@ -741,6 +746,22 @@ def test_skeleton_columns_equal_scipy_csc(request, source):
         assert ours.tobytes() == theirs.tobytes()
 
 
+@pytest.mark.parametrize("case_name, tiny", [("case30", 56), ("case57", 0)])
+def test_skeleton_passes_highs_the_matrix_it_keeps(request, case_name, tiny):
+    # HiGHS drops the coefficients at or below its small_matrix_value
+    # each time it loads an LP; the skeleton drops them once, so HiGHS
+    # keeps every coefficient it is passed
+    scenario._load_highs()  # HIGHS_OPTIONS exists once the binding is loaded
+    assert scenario._SMALL_MATRIX_VALUE == scenario.HIGHS_OPTIONS.small_matrix_value
+    prep = prepared(request.getfixturevalue(case_name), 0.05)
+    raw = prep.poly.normals @ prep.lp.injection_map
+    small = np.abs(raw) <= scenario._SMALL_MATRIX_VALUE
+    assert np.count_nonzero(small & (raw != 0)) == tiny
+    assert prep.lp.a_ub[:prep.poly.n_rows].tobytes() == np.where(small, 0.0, raw).tobytes()
+    solve_prepared(prep, "sa", 600, 0)
+    assert scenario._highs().getNumNz() == prep.lp.a_value.size
+
+
 # HiGHS's x of each thread's last optimal solve, as bytes (see record_x)
 _LAST_X = threading.local()
 
@@ -786,6 +807,7 @@ def fresh_solver_bits(monkeypatch, lps) -> list[tuple]:
     scenario._load_highs()  # the stand-in _highs below loads nothing
     with monkeypatch.context() as m:
         m.setattr(scenario, "_highs", lambda: scenario.highs._Highs())
+        m.setattr(scenario, "_warm_start", lambda solver, lp: None)  # presolved solves only
         return solved_bits(lps)
 
 
@@ -824,6 +846,231 @@ def test_solver_is_rebuilt_in_another_process(monkeypatch):
     theirs = scenario._highs()
     assert theirs is not ours
     assert scenario._highs() is theirs
+
+
+# ---------------------------------------------------------------------------
+# solves started from kept optimal bases
+
+def family_lps(request, case_name, methods, eta, scenarios, seeds) -> list:
+    """The LPs solve_prepared would solve for these methods and seeds, on one prepared problem."""
+    case = request.getfixturevalue(case_name)
+    prep = prepared(case, eta)
+    config = ExperimentConfig(case=case_name, eta=eta, scenarios=scenarios)
+    lps = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scenario, "solve", lps.append)
+        for method in methods:
+            n = resolve_scenario_count(config, case, method, prep)
+            for seed in seeds:
+                solve_prepared(prep, method, n, seed)
+    return lps
+
+
+def answers(lps) -> list[tuple]:
+    """Each LP's status, HiGHS's x and active rows, objective and injections; needs record_x."""
+    bits = []
+    for lp in lps:
+        _LAST_X.x = None
+        sol = solve(lp)
+        injections = None if sol.injection_pu is None else sol.injection_pu.tobytes()
+        bits.append((sol.status, _LAST_X.x, sol.active_rows,
+                     np.float64(sol.objective).tobytes(), injections))
+    return bits
+
+
+def presolved_answers(monkeypatch, lps) -> list[tuple]:
+    """answers with no solve started from a kept basis."""
+    with monkeypatch.context() as m:
+        m.setattr(scenario, "_warm_start", lambda solver, lp: None)
+        return answers(lps)
+
+
+@pytest.fixture
+def hits(monkeypatch) -> list:
+    """Starts no kept basis, and lists each LP whose solve keeps a start from one."""
+    scenario._highs()
+    monkeypatch.setattr(scenario._SOLVER, "bases", [])
+    kept = []
+    warm = scenario._warm_start
+
+    def counted(solver, lp):
+        values = warm(solver, lp)
+        if values is not None:
+            kept.append(lp)
+        return values
+
+    monkeypatch.setattr(scenario, "_warm_start", counted)
+    return kept
+
+
+@pytest.mark.parametrize("case_name, method, eta, scenarios", LP_FAMILIES)
+def test_kept_bases_never_change_an_answer(monkeypatch, request, record_x, hits,
+                                           case_name, method, eta, scenarios):
+    lps = family_lps(request, case_name, [method], eta, scenarios, range(8))
+    want = presolved_answers(monkeypatch, lps)
+    order = np.random.default_rng(0).permutation(len(lps))
+    assert answers(lps) == want
+    assert answers(lps[::-1])[::-1] == want
+    assert answers([lps[i] for i in order]) == [want[i] for i in order]
+    assert len(hits) >= len(lps)  # most of the 3 x 8 solves start from a kept basis
+
+
+def test_a_basis_not_optimal_for_the_lp_falls_back(monkeypatch, request, record_x, hits, mixed_lps):
+    # dc-opf's basis on sa LPs, and the basis HiGHS leaves after an
+    # infeasible LP, on the optimal LPs of the same skeleton
+    # dc-opf draws nothing, so its 8 seeds give one LP
+    dc_opf, *sa = family_lps(request, "case30", ["dc-opf", "sa"], 0.05, 600, range(8))[7:]
+    statuses = [status for status, *_ in presolved_answers(monkeypatch, mixed_lps)]
+    infeasible = [lp for lp, status in zip(mixed_lps, statuses) if status == "infeasible"]
+    optimal = [lp for lp, status in zip(mixed_lps, statuses) if status == "optimal"]
+    for source, targets in ((dc_opf, sa), (infeasible[0], optimal)):
+        assert answers([source])[0][0] in ("optimal", "infeasible")
+        basis = scenario._highs().getBasis()
+        want = presolved_answers(monkeypatch, targets)
+        for lp, bits in zip(targets, want):
+            scenario._SOLVER.bases[:] = [(lp.solution_window, basis)]
+            assert answers([lp]) == [bits]
+    assert hits == []
+
+
+def test_an_infeasible_lp_stays_infeasible_with_bases_kept(monkeypatch, record_x, hits, mixed_lps):
+    want = presolved_answers(monkeypatch, mixed_lps)
+    optimal = [lp for lp, (status, *_) in zip(mixed_lps, want) if status == "optimal"]
+    answers(optimal)
+    for lp, (status, *_) in zip(mixed_lps, want):
+        if status == "infeasible":
+            assert any(window is lp.solution_window for window, _ in scenario._SOLVER.bases)
+            assert solve(lp).status == "infeasible"
+    assert hits
+
+
+def test_a_basis_is_tried_only_on_lps_of_its_own_skeleton(monkeypatch, request):
+    scenario._load_highs()  # highs exists once the binding is loaded
+    tried = []  # (basis shape, shape of the LP loaded), per basis HiGHS is given
+
+    class Recording(scenario.highs._Highs):
+        def passModel(self, *args):
+            self.shape = args[:2]  # columns, rows
+            return super().passModel(*args)
+
+        def setBasis(self, basis):
+            tried.append(((len(basis.col_status), len(basis.row_status)), self.shape))
+            return super().setBasis(basis)
+
+    # a fresh thread-local store, so this thread builds a Recording instance
+    monkeypatch.setattr(scenario, "_SOLVER", threading.local())
+    monkeypatch.setattr(scenario.highs, "_Highs", Recording)
+    lps57 = family_lps(request, "case57", ["sa"], 0.05, 600, range(2))
+    lps30 = family_lps(request, "case30", ["sa"], 0.05, 600, range(3))
+    other30 = family_lps(request, "case30", ["sa"], 0.05, 600, range(1))[0]  # another skeleton
+    for lp in (lps57[0], lps30[0], lps57[1], lps30[1], lps30[2]):
+        solve(lp)
+    shapes = {(lp.cost.size, lp.b_ub.size) for lp in (lps57[0], lps30[0])}
+    assert {loaded for _, loaded in tried} == shapes  # case57's and case30's
+    assert all(basis == loaded for basis, loaded in tried)
+    before = len(tried)
+    solve(other30)  # the same shape as lps30, but none of its bases
+    assert len(tried) == before
+
+
+def test_kept_bases_are_dropped_in_another_process(monkeypatch, case30):
+    prep = prepared(case30, 0.05)
+    solve_prepared(prep, "sa", 600, 0)
+    assert scenario._SOLVER.bases
+    monkeypatch.setattr(scenario.os, "getpid", lambda: -1)
+    scenario._highs()
+    assert scenario._SOLVER.bases == []
+
+
+def test_kept_bases_are_bounded(case30):
+    prep = prepared(case30, 0.05)
+    scenario._highs()
+    for n in (0, 5, 60, 600, 5000):
+        for seed in range(4):
+            solve_prepared(prep, "sa", n, seed)
+            assert len(scenario._SOLVER.bases) <= scenario._KEPT_BASES
+
+
+def highs_bits(solver) -> tuple[bytes, bytes]:
+    """HiGHS's x and row activities, as bytes."""
+    solution = solver.getSolution()
+    return np.array(solution.col_value).tobytes(), np.array(solution.row_value).tobytes()
+
+
+def test_every_kept_start_equals_the_presolved_solve(monkeypatch, request):
+    # every LP of dc-opf, sa and sa-is at 60, 600 and auto scenarios
+    # (seeds 0-89) is started from every distinct optimal basis its
+    # skeleton has, in turn, as _warm_start tries its kept bases: each
+    # start it keeps gives the presolved solve's x and row activities,
+    # byte for byte
+    solver = scenario._highs()
+    monkeypatch.setattr(scenario._SOLVER, "bases", [])
+    bases = scenario._SOLVER.bases
+    kept = 0
+    for case_name in ("case30", "case57"):
+        case = request.getfixturevalue(case_name)
+        for eta in (0.05, 0.01):
+            prep = prepared(case, eta)
+            auto = ExperimentConfig(case=case_name, eta=eta, scenarios="auto")
+            lps = []
+            with monkeypatch.context() as m:
+                m.setattr(scenario, "solve", lps.append)
+                solve_prepared(prep, "dc-opf", 0, None)
+                for method in ("sa", "sa-is"):
+                    for n in (60, 600, resolve_scenario_count(auto, case, method, prep)):
+                        for seed in range(90):
+                            solve_prepared(prep, method, n, seed)
+            want, optimal = [], {}
+            for lp in lps:
+                bases.clear()
+                assert solve(lp).status == "optimal"
+                want.append(highs_bits(solver))
+                basis = solver.getBasis()
+                optimal.setdefault((tuple(map(int, basis.col_status)),
+                                    tuple(map(int, basis.row_status))), basis)
+            optimal = list(optimal.values())
+            assert len(optimal) > 1
+            for i, (lp, bits) in enumerate(zip(lps, want)):
+                turn = i % len(optimal)
+                bases[:] = [(lp.solution_window, b) for b in optimal[turn:] + optimal[:turn]]
+                if scenario._warm_start(solver, lp) is not None:
+                    assert highs_bits(solver) == bits
+                    kept += 1
+    assert kept >= 2000
+
+
+def zero_iteration_start(solver, lp, basis) -> bool:
+    """Whether HiGHS, started from basis without presolve, reports lp optimal at once."""
+    scenario._load(solver, lp, scenario._WARM_OPTIONS)
+    return (solver.setBasis(basis) != scenario.highs.HighsStatus.kError
+            and solver.run() != scenario.highs.HighsStatus.kError
+            and solver.getModelStatus() == scenario.highs.HighsModelStatus.kOptimal
+            and solver.getInfo().simplex_iteration_count == 0)
+
+
+@pytest.mark.parametrize("case_name", ["case30", "case57"])
+def test_a_start_at_a_degenerate_vertex_is_refused(monkeypatch, request, record_x, hits, case_name):
+    # dc-opf's LP at the rows' own offsets is primal degenerate: a basic
+    # variable sits on its bound, so two bases are optimal at its vertex,
+    # and a zero-iteration start from the one the presolved solve does
+    # not end at rounds x apart (case30) or flips a zero's sign (case57)
+    # (sa at 60 scenarios, seed 29, ends at that other basis on case30)
+    lps = family_lps(request, case_name, ["dc-opf", "sa", "sa-is"], 0.05, 60, range(30))
+    dc_opf, *others = lps[29:]  # dc-opf draws nothing: its 30 seeds give one LP
+    solver = scenario._highs()
+    optimal = []
+    for lp in [dc_opf, *others]:
+        presolved_answers(monkeypatch, [lp])
+        optimal.append(solver.getBasis())
+    want = presolved_answers(monkeypatch, [dc_opf])
+    bits = highs_bits(solver)
+    apart = 0
+    for basis in optimal:
+        apart += zero_iteration_start(solver, dc_opf, basis) and highs_bits(solver) != bits
+        scenario._SOLVER.bases[:] = [(dc_opf.solution_window, basis)]
+        assert answers([dc_opf]) == want
+    assert apart
+    assert hits == []
 
 
 # ---------------------------------------------------------------------------
