@@ -3,8 +3,8 @@
 Subcommands: run (experiments on a grid case), nsamples (certified
 scenario counts), sweep1d (hard-offset versus sample-count trade on the
 1-D problem), validate (quick self-checks). Exit codes: 0 success,
-1 usage, failed validation or unwritable output, 2 unreadable or invalid
-input data.
+1 usage, failed validation, unwritable output or an allocation that
+does not fit in memory, 2 unreadable or invalid input data.
 """
 from __future__ import annotations
 
@@ -144,6 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         # after FileNotFoundError: an OSError left here is a failed write
         print(f"ccopf: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # an array the arguments ask for does not fit in memory
+        print(f"ccopf: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -8,16 +8,16 @@ and B = R V_k from rank_factor(R), the rows' law in rank R
 coordinates, where the Gaussian draws and the tail mixture both live.
 Rows invisible to the uncertainty (zero variance along the normal)
 stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
-is what the margins cover. Its probability pi (estimate_pi, which no
-code in the package calls) enters only the filtered sample size bound,
-for which nsamples takes --pi from the user. An experiment's certified
-sa-is count and sweep1d's come from the total tail mass S instead, by
-the one count rule scenario.certified_count: no draw at S <= eta, else
-the exact binomial count at eta / S.
+is what the margins cover. Its probability pi enters only the filtered
+and importance sample size bounds, and only as the certified lower bound
+1 - S (estimate_pi), S the total tail mass; nsamples takes --pi from the
+user. An experiment's certified sa-is count and sweep1d's come from S
+itself, by the one count rule scenario.certified_count: no draw at
+S <= eta, else the exact binomial count at eta / S.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -127,9 +127,8 @@ class MarginSet:
     deterministic rows, where delta is 0). row_factor is R = W U
     (n_rows x reduced_dim): row i sees support coordinates w as R_i w,
     and sigma holds its row norms. draw_factor B = R V_k (n_rows x
-    rank R) and rank_basis V_k are rank_factor(R), built with the set
-    unless passed in as factored (compute_margins reads B first, to find
-    the stochastic rows).
+    rank R) and rank_basis V_k are rank_factor(R), which compute_margins
+    builds once.
     Every draw of the solves and checks, Gaussian or tail mixture, holds
     rank R coordinates w' and reaches the rows as B w' = R (V_k w'); the
     mixture axes are B_i / sigma_i, unit vectors since B B' = R R'. At
@@ -140,20 +139,18 @@ class MarginSet:
     beta: np.ndarray
     row_factor: np.ndarray
     sigma: np.ndarray
-    draw_factor: np.ndarray = field(init=False, repr=False, compare=False)
-    rank_basis: np.ndarray | None = field(init=False, repr=False, compare=False)
-    factored: InitVar[tuple[np.ndarray, np.ndarray | None] | None] = None
+    draw_factor: np.ndarray
+    rank_basis: np.ndarray | None = None
 
-    def __post_init__(self, factored):
+    def __post_init__(self):
         n_rows = self.delta.shape[0]
         for name in ("beta", "sigma"):
             if getattr(self, name).shape != (n_rows,):
                 raise ValueError(f"{name} must have shape ({n_rows},)")
-        if self.row_factor.ndim != 2 or self.row_factor.shape[0] != n_rows:
-            raise ValueError("row_factor needs one row per margin row")
-        draw_factor, rank_basis = factored or rank_factor(self.row_factor)
-        object.__setattr__(self, "draw_factor", draw_factor)
-        object.__setattr__(self, "rank_basis", rank_basis)
+        for name in ("row_factor", "draw_factor"):
+            arr = getattr(self, name)
+            if arr.ndim != 2 or arr.shape[0] != n_rows:
+                raise ValueError(f"{name} needs one row per margin row")
         for arr in (self.delta, self.beta, self.row_factor, self.sigma, self.draw_factor,
                     self.rank_basis):
             if arr is not None:
@@ -174,16 +171,6 @@ class MarginSet:
         probs[self.stochastic] = norm_sf(self.beta[self.stochastic])
         probs.setflags(write=False)
         return probs
-
-
-@dataclass(frozen=True)
-class PiEstimate:
-    """Estimated probability of the inner deviation set."""
-
-    value: float
-    mode: str
-    is_lower_bound: bool
-    stderr: float | None = None
 
 
 def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> MarginSet:
@@ -216,14 +203,14 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
     sigma = np.linalg.norm(row_factor, axis=1)
     # the draws reach row i through row i of B, which rank_factor's cut
     # may zero where sigma_i is far from zero: B alone decides
-    factored = rank_factor(row_factor)
-    stochastic = _support(np.einsum("ij,ij->i", factored[0], factored[0]))
+    draw_factor, rank_basis = rank_factor(row_factor)
+    stochastic = _support(np.einsum("ij,ij->i", draw_factor, draw_factor))
 
     z = float(norm_isf(eta)) + 0.0  # +0.0 normalises -0.0 at eta = 0.5
     delta = np.where(stochastic, sigma * z, 0.0)
     beta = np.where(stochastic, z, np.inf)
     return MarginSet(delta=delta, beta=beta, row_factor=row_factor, sigma=sigma,
-                     factored=factored)
+                     draw_factor=draw_factor, rank_basis=rank_basis)
 
 
 def tightened_polytope(poly: FeasibilityPolytope, m: MarginSet) -> FeasibilityPolytope:
@@ -253,51 +240,11 @@ def contains_inner(m: MarginSet, poly: FeasibilityPolytope, xi: np.ndarray) -> b
     return bool(inside) if xi.ndim == 1 else inside
 
 
-def estimate_pi(
-    m: MarginSet,
-    g: GaussianSpec,
-    mode: str = "union-bound",
-    n_samples: int = 100_000,
-    seed: int | None = None,
-) -> PiEstimate:
-    """Probability that a deviation stays inside the inner set.
+def estimate_pi(m: MarginSet) -> float:
+    """Certified lower bound on the probability of the inner set.
 
-    'union-bound' returns the closed-form lower bound
-    1 - sum_i Phi(-beta_i), clipped at zero; it is conservative and
-    needs no sampling. 'monte-carlo' draws the rows' Gaussian law as the
-    out-of-sample check does: the scenario._support_draws blocks, rank R
-    normals each, projected through m.draw_factor, so memory stays
-    bounded for any n_samples. It counts the fraction inside and reports
-    a binomial standard error.
-
-    Parameters
-    ----------
-    m : MarginSet
-        Margins defining the inner set.
-    g : GaussianSpec
-        Deviation model the margins were computed under. m carries its
-        law on the rows (row_factor, draw_factor), so neither mode reads it.
-    mode : str
-        'union-bound' or 'monte-carlo'.
-    n_samples : int
-        Sample count for monte-carlo mode.
-    seed : int, optional
-        Seed for the sampling stream.
+    1 - S, S = sum_i Phi(-beta_i) the total tail mass, clipped at zero:
+    by the union bound the inner set holds at least this mass. It is the
+    certified pi that sample_size_filtered and sample_size_is may take.
     """
-    if mode == "union-bound":
-        value = max(0.0, 1.0 - float(np.sum(m.tail_probs)))
-        return PiEstimate(value=value, mode=mode, is_lower_bound=True)
-    if mode == "monte-carlo":
-        from .scenario import _support_draws  # scenario imports this module
-
-        if n_samples <= 0:
-            raise ValueError(f"n_samples must be positive, got {n_samples}")
-        bound = (m.delta + _CONTAINS_TOL)[:, None]
-        inside = sum(
-            np.count_nonzero(np.all(m.draw_factor @ z.T <= bound, axis=0))
-            for z in _support_draws(n_samples, seed, m.draw_factor.shape[1])
-        )
-        value = float(inside / n_samples)
-        stderr = float(np.sqrt(value * (1.0 - value) / n_samples))
-        return PiEstimate(value=value, mode=mode, is_lower_bound=False, stderr=stderr)
-    raise ValueError(f"unknown mode {mode!r}; use 'union-bound' or 'monte-carlo'")
+    return max(0.0, 1.0 - float(np.sum(m.tail_probs)))

@@ -17,8 +17,8 @@ into the same HiGHS instance.
 
 Importing this module loads nothing from SciPy. The first solve in a
 process loads the HiGHS binding from its file (_highs), the one place
-that loads it, and only the linprog name, which the benchmark's tracer
-counts iterations through, imports scipy.optimize.
+that loads it. Only a call of linprog, which the package never makes,
+imports scipy.optimize.
 """
 from __future__ import annotations
 
@@ -75,20 +75,15 @@ _KEPT_BASES = 3
 _SMALL_MATRIX_VALUE = 1e-9
 
 
-def __getattr__(name: str):
-    """linprog, bound on first access.
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the call.
 
-    It imports scipy.optimize, which the package itself never needs;
-    perfbench/layers.py rebinds it by name. It is written into the
-    module dict, where a later access, or a tracer scanning the module's
-    names, finds it. highs and HIGHS_OPTIONS are not served here: they
-    exist once a solve has loaded the binding.
+    The package never calls it; perfbench/layers.py rebinds it by name
+    to count HiGHS iterations. Looking the name up imports nothing.
     """
-    if name != "linprog":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.optimize import linprog
-    globals()["linprog"] = linprog
-    return linprog
+
+    return linprog(*args, **kwargs)
 
 
 class SolverError(RuntimeError):

@@ -297,8 +297,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.sigma_frac < math.inf:
             raise ValueError(f"sigma_frac must be finite and non-negative, got {self.sigma_frac}")
-        if self.n_test < 1:
-            raise ValueError(f"n_test must be positive, got {self.n_test}")
+        if not 1 <= self.n_test <= MAX_ROWS:
+            raise ValueError(f"n_test must lie in [1, {MAX_ROWS}], got {self.n_test}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.jobs < 1:

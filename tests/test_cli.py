@@ -121,6 +121,9 @@ NSAMPLES = ["nsamples", "--eta", "0.05", "--delta", "0.01", "--d", "5"]
         # every count is resolved before the first is printed
         (["run", "--case", "case30", "--method", "dc-opf,sa-is", "--scenarios", "1" + "0" * 26,
           "--reps", "1"], "sa-is: scenario count exceeds the index range"),
+        # the check's draw count exceeds the index range: refused before the solve
+        (["run", "--case", "case30", "--method", "sa", "--scenarios", "10", "--reps", "1",
+          "--ntest", "1" + "0" * 19], "n_test"),
         # floats near a are spaced beyond the sweep's feasibility slack
         (["sweep1d", "--a", "1e308", "--grid", "3", "--reps", "2"], "row offset a"),
         # a subnormal eta: the last offset's certified count exceeds any float
@@ -133,8 +136,8 @@ NSAMPLES = ["nsamples", "--eta", "0.05", "--delta", "0.01", "--d", "5"]
         (NSAMPLES + ["--M", "2"], "--M requires --pi"),
     ],
     ids=["sigma-overflow", "sa-count-overflow", "fixed-count-overflow",
-         "sa-is-fixed-count-overflow", "sweep-large-a", "sweep-tiny-eta", "nsamples-m-inf",
-         "nsamples-m-below-one", "nsamples-pi-above-one", "nsamples-m-without-pi"],
+         "sa-is-fixed-count-overflow", "ntest-overflow", "sweep-large-a", "sweep-tiny-eta",
+         "nsamples-m-inf", "nsamples-m-below-one", "nsamples-pi-above-one", "nsamples-m-without-pi"],
 )
 def test_out_of_range_arguments_are_one_error_line(tmp_path, args, message):
     out = [] if args[0] == "nsamples" else ["--out", str(tmp_path / "r.json")]
@@ -145,6 +148,21 @@ def test_out_of_range_arguments_are_one_error_line(tmp_path, args, message):
     errors = [line for line in proc.stderr.splitlines() if line.startswith("ccopf: error:")]
     assert len(errors) == 1 and message in errors[0]
     assert proc.stdout == ""
+
+
+def test_allocation_failure_is_one_error_line(monkeypatch, capsys):
+    # a sweep1d grid of 1e11 offsets asks NumPy for 745 GiB; raised here
+    # rather than allocated, since an overcommitting host may kill the process
+    import ccopf.cli
+
+    def sweep_1d(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(ccopf.cli, "sweep_1d", sweep_1d)
+    code, out, err = run_cli(["sweep1d", "--grid", "100000000000", "--reps", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "ccopf: error: Unable to allocate 745. GiB for an array\n"
 
 
 @pytest.mark.parametrize("target", ["r.csv", "r_summary.csv"])

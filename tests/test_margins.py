@@ -1,8 +1,6 @@
 """Per-row margins, the tightened polytope, and the inner-set probability."""
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +11,9 @@ from ccopf import (
     GaussianSpec,
     MarginSet,
     build_mixture,
-    build_uncertainty,
     compute_margins,
     contains_inner,
     estimate_pi,
-    prepare_problem,
     scenario_offsets,
     tightened_polytope,
 )
@@ -132,11 +128,13 @@ def test_eta_half_margins_vanish_exactly():
         ({"sigma": np.ones((2, 1))}, r"sigma must have shape \(2,\)"),
         ({"row_factor": np.ones(2)}, "row_factor needs one row per margin row"),
         ({"row_factor": np.eye(3)}, "row_factor needs one row per margin row"),
+        ({"draw_factor": np.ones((3, 1))}, "draw_factor needs one row per margin row"),
     ],
-    ids=["beta-length", "sigma-2d", "row-factor-1d", "row-factor-rows"],
+    ids=["beta-length", "sigma-2d", "row-factor-1d", "row-factor-rows", "draw-factor-rows"],
 )
 def test_margin_set_refuses_mismatched_shapes(changes, message):
-    fields = dict(delta=np.ones(2), beta=np.ones(2), row_factor=np.eye(2), sigma=np.ones(2))
+    fields = dict(delta=np.ones(2), beta=np.ones(2), row_factor=np.eye(2), sigma=np.ones(2),
+                  draw_factor=np.eye(2))
     with pytest.raises(ValueError, match=message):
         MarginSet(**{**fields, **changes})
 
@@ -231,69 +229,22 @@ def test_contains_inner_shape_mismatch():
 
 def test_union_bound_single_row():
     m = compute_margins(one_row(), GaussianSpec.from_covariance(np.eye(1)), 0.05)
-    est = estimate_pi(m, GaussianSpec.from_covariance(np.eye(1)))
-    assert est.mode == "union-bound"
-    assert est.is_lower_bound
-    assert est.stderr is None
-    assert est.value == pytest.approx(0.95, rel=1e-10)
+    assert estimate_pi(m) == pytest.approx(0.95, rel=1e-10)
 
 
 def test_union_bound_sums_rows_and_clips():
     poly = box_polytope(2, 9.0)
     g = iid_gaussian(2)
-    est = estimate_pi(compute_margins(poly, g, 0.05), g)
-    assert est.value == pytest.approx(1.0 - 4 * 0.05, rel=1e-9)
-    clipped = estimate_pi(compute_margins(poly, g, 0.4), g)
-    assert clipped.value == 0.0
-
-
-def test_monte_carlo_matches_closed_form():
-    g = GaussianSpec.from_covariance(np.eye(1))
-    m = compute_margins(one_row(), g, 0.05)
-    est = estimate_pi(m, g, mode="monte-carlo", n_samples=200_000, seed=42)
-    assert not est.is_lower_bound
-    assert est.stderr == pytest.approx(np.sqrt(0.95 * 0.05 / 200_000), rel=0.05)
-    assert abs(est.value - 0.95) < 4 * est.stderr
-
-
-def test_monte_carlo_beats_union_bound_when_rows_overlap():
-    # two identical rows: union bound counts the tail twice
-    poly = FeasibilityPolytope(
+    assert estimate_pi(compute_margins(poly, g, 0.05)) == pytest.approx(1.0 - 4 * 0.05, rel=1e-9)
+    assert estimate_pi(compute_margins(poly, g, 0.4)) == 0.0
+    # two identical rows: the union bound counts their one tail twice
+    twin = FeasibilityPolytope(
         normals=np.array([[1.0], [1.0]]),
         offsets=np.array([3.0, 3.0]),
         labels=(("row", 0), ("row", 1)),
     )
-    g = GaussianSpec.from_covariance(np.eye(1))
-    m = compute_margins(poly, g, 0.1)
-    union = estimate_pi(m, g)
-    mc = estimate_pi(m, g, mode="monte-carlo", n_samples=100_000, seed=0)
-    assert union.value == pytest.approx(0.8, rel=1e-9)
-    assert abs(mc.value - 0.9) < 4 * mc.stderr
-    assert mc.value > union.value
-
-
-def test_monte_carlo_streams_in_bounded_memory(case30):
-    # 200,000 draws at once, with their projection onto case30's 94 rows,
-    # peaked at 188 MB; blocks of scenario.CHUNK draws stay near 2 MB
-    prep = prepare_problem(case30, build_uncertainty(case30, 0.07), 0.05)
-    tracemalloc.start()
-    try:
-        est = estimate_pi(prep.margins, prep.g, mode="monte-carlo", n_samples=200_000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
-    # the union bound 1 - 92 * 0.05 clips at 0; the draws see the rows overlap
-    assert 0.0 < est.value < 1.0
-
-
-def test_estimate_pi_argument_validation():
-    g = iid_gaussian(1)
-    m = compute_margins(one_row(), g, 0.05)
-    with pytest.raises(ValueError, match="unknown mode"):
-        estimate_pi(m, g, mode="bootstrap")
-    with pytest.raises(ValueError, match="n_samples"):
-        estimate_pi(m, g, mode="monte-carlo", n_samples=0)
+    m = compute_margins(twin, GaussianSpec.from_covariance(np.eye(1)), 0.1)
+    assert estimate_pi(m) == pytest.approx(0.8, rel=1e-9)
 
 
 def test_margin_set_arrays_read_only():

@@ -50,6 +50,7 @@ def two_threshold_mixture():
         beta=beta,
         row_factor=np.eye(2),
         sigma=sigma,
+        draw_factor=np.eye(2),
     )
     poly = FeasibilityPolytope(
         normals=normals.copy(),
@@ -183,6 +184,7 @@ def test_tail_sample_deep_threshold():
         beta=np.array([8.0, 8.0]),
         row_factor=np.eye(2),
         sigma=np.ones(2),
+        draw_factor=np.eye(2),
     )
     poly = FeasibilityPolytope(
         normals=np.eye(2), offsets=np.array([5.0, 5.0]), labels=(("r", 0), ("r", 1))

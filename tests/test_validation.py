@@ -33,6 +33,7 @@ from ccopf import (
     build_polytope,
     build_uncertainty,
     bundled_case_path,
+    estimate_pi,
     out_of_sample_confidence,
     parse_case,
     prepare_problem,
@@ -494,6 +495,7 @@ def test_config_defaults():
         {"reps": 0},
         {"sigma_frac": -0.1},
         {"n_test": 0},
+        {"n_test": scenario.MAX_ROWS + 1},
         {"delta": 0.0},
         {"delta": 1.0},
         {"jobs": 0},
@@ -668,6 +670,8 @@ def test_tail_probabilities_have_one_source(request, name):
         m = prep.margins
         assert prep.mixture.tail_probs.tobytes() == m.tail_probs[m.stochastic].tobytes()
         np.testing.assert_allclose(prep.mixture.tail_probs, eta, rtol=1e-10, atol=0)
+        # the certified pi is 1 - S of the same tail mass
+        assert estimate_pi(m) == max(0.0, 1.0 - prep.mixture.tail_mass)
         config = ExperimentConfig(case=name, eta=eta)
         want = sample_size_exact(eta / prep.mixture.tail_mass, config.delta,
                                  len(case.generators) - 1)
