@@ -113,20 +113,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"ccopf: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help and friends
-        return int(exc.code or 0)
-
-    if hasattr(args, "seed") and args.seed < 0:  # NumPy's generators take no negative seed
-        print(f"ccopf: error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
+        args = _build_parser().parse_args(argv)
+        if hasattr(args, "seed") and args.seed < 0:  # NumPy's generators take no negative seed
+            raise _UsageError(f"--seed must be non-negative, got {args.seed}")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "nsamples":
@@ -134,14 +124,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep1d":
             return _cmd_sweep(args)
         return _cmd_validate(args)
-    except _UsageError as exc:
-        print(f"ccopf: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # --help and friends
+        return int(exc.code or 0)
     except (FileNotFoundError, CaseError) as exc:
         # before ValueError: CaseError subclasses it but is a data problem
         print(f"ccopf: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         # after FileNotFoundError: an OSError left here is a failed write
         print(f"ccopf: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -211,7 +200,8 @@ def _cmd_run(args) -> int:
 
     report = run_experiment(config, problem)
 
-    for method, entry in report.summary().items():
+    summary = report.summary()
+    for method, entry in summary.items():
         if entry.get("optimal", 0):
             print(
                 f"{method}: {entry['optimal']}/{entry['reps']} optimal, "
@@ -222,7 +212,7 @@ def _cmd_run(args) -> int:
             print(f"{method}: 0/{entry['reps']} optimal")
 
     if args.out is not None:
-        _write_report(report, Path(args.out))
+        _write_report(report, summary, Path(args.out))
     return EXIT_OK
 
 
@@ -234,9 +224,9 @@ def _report_paths(out: Path, methods: tuple[str, ...]) -> list[Path]:
     return paths
 
 
-def _write_report(report: ExperimentReport, out: Path):
+def _write_report(report: ExperimentReport, summary: dict[str, dict[str, float]], out: Path):
+    """Write the report and its CSVs; summary is report.summary(), built once by the caller."""
     columns = [f.name for f in dataclasses.fields(RepetitionRecord)]
-    summary = report.summary()
     summary_columns = ["method", "n_scenarios", "optimal", "reps", "mean_objective",
                        "min_objective", "max_objective", "mean_confidence",
                        "min_confidence"]

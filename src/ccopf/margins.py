@@ -3,15 +3,17 @@
 Fluctuations enter as a zero-mean Gaussian deviation xi of the injection
 vector. Each polytope row picks up a margin delta_i so that a dispatch
 satisfying the tightened system keeps the row's violation probability at
-eta; they also hold R = W U, the one view of xi that every row reads,
-and B = R V_k from rank_factor(R), the rows' law in rank R
-coordinates, where the Gaussian draws and the tail mixture both live.
-Rows invisible to the uncertainty (zero variance along the normal)
-stay untouched. The inner deviation set {xi : w_i' xi <= delta_i for all i}
-is what the margins cover. Its probability pi enters only the filtered
-and importance sample size bounds, and only as the certified lower bound
-1 - S (estimate_pi), S the total tail mass; nsamples takes --pi from the
-user. An experiment's certified sa-is count and sweep1d's come from S
+eta. compute_margins forms R = W U, the one view of xi that every row
+reads, and keeps its row norms sigma and B = R V_k from rank_factor(R),
+the rows' law in rank R coordinates, where the Gaussian draws and the
+tail mixture both live; R itself is not kept. Rows invisible to the
+uncertainty (zero variance along the normal) stay untouched. A row
+whose variance the draws see only in part is refused by name. The inner
+deviation set {xi : w_i' xi <= delta_i for all i} is what the margins
+cover. Its probability pi enters only the filtered and importance sample
+size bounds, and only as the certified lower bound 1 - S (estimate_pi),
+S the total tail mass; nsamples takes --pi from the user. An
+experiment's certified sa-is count and sweep1d's come from S
 itself, by the one count rule scenario.certified_count: no draw at
 S <= eta, else the exact binomial count at eta / S.
 """
@@ -28,6 +30,10 @@ from .kernels import norm_isf, norm_sf
 # Slack when testing xi against the inner deviation set; absorbs rounding
 # on rows orthogonal to the uncertainty.
 _CONTAINS_TOL = 1e-12
+
+# Slack on the length of a mixture axis B_i / sigma_i: compute_margins
+# refuses a row beyond it, and MixtureSampler any axis.
+_UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,20 +130,18 @@ class MarginSet:
 
     delta is the offset shrink in p.u.; beta = delta / sigma is the same
     margin in standard deviations of the row projection (inf on
-    deterministic rows, where delta is 0). row_factor is R = W U
-    (n_rows x reduced_dim): row i sees support coordinates w as R_i w,
-    and sigma holds its row norms. draw_factor B = R V_k (n_rows x
-    rank R) and rank_basis V_k are rank_factor(R), which compute_margins
-    builds once.
-    Every draw of the solves and checks, Gaussian or tail mixture, holds
-    rank R coordinates w' and reaches the rows as B w' = R (V_k w'); the
-    mixture axes are B_i / sigma_i, unit vectors since B B' = R R'. At
-    full column rank B is row_factor itself and rank_basis is None.
+    deterministic rows, where delta is 0). sigma holds the row norms of
+    R = W U (n_rows x reduced_dim), the rows' view of the support
+    coordinates, which compute_margins forms and does not keep.
+    draw_factor B = R V_k (n_rows x rank R) and rank_basis V_k are
+    rank_factor(R). Every draw of the solves and checks, Gaussian or
+    tail mixture, holds rank R coordinates w' and reaches the rows as
+    B w' = R (V_k w'); the mixture axes are B_i / sigma_i, unit vectors
+    since B B' = R R'. At full column rank B is R and rank_basis is None.
     """
 
     delta: np.ndarray
     beta: np.ndarray
-    row_factor: np.ndarray
     sigma: np.ndarray
     draw_factor: np.ndarray
     rank_basis: np.ndarray | None = None
@@ -147,12 +151,9 @@ class MarginSet:
         for name in ("beta", "sigma"):
             if getattr(self, name).shape != (n_rows,):
                 raise ValueError(f"{name} must have shape ({n_rows},)")
-        for name in ("row_factor", "draw_factor"):
-            arr = getattr(self, name)
-            if arr.ndim != 2 or arr.shape[0] != n_rows:
-                raise ValueError(f"{name} needs one row per margin row")
-        for arr in (self.delta, self.beta, self.row_factor, self.sigma, self.draw_factor,
-                    self.rank_basis):
+        if self.draw_factor.ndim != 2 or self.draw_factor.shape[0] != n_rows:
+            raise ValueError("draw_factor needs one row per margin row")
+        for arr in (self.delta, self.beta, self.sigma, self.draw_factor, self.rank_basis):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -178,11 +179,16 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
 
     For stochastic row i, delta_i = sigma_i * z with z the upper eta
     quantile of the standard normal and sigma_i the norm of row i of
-    R = poly.normals @ g.reduced_factor, kept as row_factor. A row is
-    stochastic when the draws move it: its variance as they see it, the
-    squared norm of its row of the draw factor B = rank_factor(R)[0],
-    passes the one support cut of GaussianSpec.reduced_factor (above
-    1e-12 times the largest). eta must lie in (0, 0.5].
+    R = poly.normals @ g.reduced_factor, which is formed here and not
+    kept. A row is stochastic when the draws move it: its variance as
+    they see it, the squared norm of its row of the draw factor
+    B = rank_factor(R)[0], passes the one support cut of
+    GaussianSpec.reduced_factor (above 1e-12 times the largest). A
+    stochastic row must also show the draws all of its spread,
+    ||B_i|| = sigma_i within the unit tolerance its mixture axis
+    B_i / sigma_i is held to; a row whose variance splits between kept
+    and dropped directions is refused by its label. eta must lie in
+    (0, 0.5].
 
     Parameters
     ----------
@@ -204,13 +210,19 @@ def compute_margins(poly: FeasibilityPolytope, g: GaussianSpec, eta: float) -> M
     # the draws reach row i through row i of B, which rank_factor's cut
     # may zero where sigma_i is far from zero: B alone decides
     draw_factor, rank_basis = rank_factor(row_factor)
-    stochastic = _support(np.einsum("ij,ij->i", draw_factor, draw_factor))
+    seen = np.einsum("ij,ij->i", draw_factor, draw_factor)
+    stochastic = _support(seen)
+    split = np.flatnonzero(stochastic & (np.abs(np.sqrt(seen) - sigma) > _UNIT_TOL * sigma))
+    if split.size:
+        names = ", ".join("{} {}".format(*poly.labels[i]) for i in split)
+        raise ValueError(f"rows {names} split their variance between support directions the "
+                         "draws keep and ones they drop, so no draw has their law")
 
     z = float(norm_isf(eta)) + 0.0  # +0.0 normalises -0.0 at eta = 0.5
     delta = np.where(stochastic, sigma * z, 0.0)
     beta = np.where(stochastic, z, np.inf)
-    return MarginSet(delta=delta, beta=beta, row_factor=row_factor, sigma=sigma,
-                     draw_factor=draw_factor, rank_basis=rank_basis)
+    return MarginSet(delta=delta, beta=beta, sigma=sigma, draw_factor=draw_factor,
+                     rank_basis=rank_basis)
 
 
 def tightened_polytope(poly: FeasibilityPolytope, m: MarginSet) -> FeasibilityPolytope:

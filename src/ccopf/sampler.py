@@ -34,9 +34,7 @@ import numpy as np
 from .grid import FeasibilityPolytope
 from .kernels import norm_isf  # noqa: F401  (perfbench/test_perfbench.py reads it)
 from .kernels import normal_density, tail_quantile
-from .margins import GaussianSpec, MarginSet
-
-_UNIT_TOL = 1e-9
+from .margins import _UNIT_TOL, GaussianSpec, MarginSet
 
 
 @dataclass(frozen=True)

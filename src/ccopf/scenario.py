@@ -257,8 +257,8 @@ def draw_gaussian_scenarios(g: GaussianSpec, n: int, seed: int | None) -> Scenar
 
     g.from_reduced of the _support_draws blocks: for any n, the rows of
     standard_normal((n, g.reduced_dim)). The 'sa' solves (scenario_offsets)
-    share these draws where draw_factor is row_factor (case30), elsewhere
-    their law.
+    share these draws where the margins' draw_factor is R = W U itself
+    (full column rank, case30), elsewhere their law.
     """
     w = np.concatenate(list(_support_draws(n, seed, g.reduced_dim)))
     return ScenarioSet(scenarios=g.from_reduced(w), origin="gaussian", seed=seed)

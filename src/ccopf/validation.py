@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -353,7 +353,8 @@ class ExperimentReport:
         def _clean(v: float):
             return None if isinstance(v, float) and math.isnan(v) else v
 
-        cfg = asdict(self.config)
+        names = [f.name for f in fields(RepetitionRecord)]
+        cfg = {f.name: getattr(self.config, f.name) for f in fields(ExperimentConfig)}
         cfg["methods"] = list(self.config.methods)
         # the job count changes no record, so reports at any --jobs match
         del cfg["jobs"]
@@ -361,7 +362,7 @@ class ExperimentReport:
             "config": cfg,
             "case_name": self.case_name,
             "resolved": dict(self.resolved),
-            "records": [{k: _clean(v) for k, v in asdict(r).items()} for r in self.records],
+            "records": [{k: _clean(getattr(r, k)) for k in names} for r in self.records],
         }
 
     @classmethod
@@ -542,14 +543,16 @@ def _records(
     ]
 
 
-def _openblas(entry: str) -> list:
-    """The named entry point of every OpenBLAS mapped into this process.
+def _openblas() -> list[tuple]:
+    """(get_num_threads, set_num_threads) of every OpenBLAS mapped into this process.
 
     NumPy and SciPy each bundle their own OpenBLAS, with its own symbol
     prefix and suffix (e.g. scipy_openblas_set_num_threads64_ in NumPy's
     wheel). A run maps NumPy's alone; SciPy's is there when the caller
-    imports SciPy itself. Empty when none is found: another BLAS, or no
-    /proc to list libraries.
+    imports SciPy itself. Both functions of a pair come from the one
+    library, under one prefix and suffix, typed; a library lacking either
+    is skipped. Empty when none is found: another BLAS, or no /proc to
+    list libraries.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -562,11 +565,14 @@ def _openblas(entry: str) -> list:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        names = (f"{prefix}_{entry}{suffix}" for prefix in ("scipy_openblas", "openblas")
-                 for suffix in ("64_", ""))
-        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-        if fn is not None:
-            found.append(fn)
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_threads is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                found.append((get, set_threads))
+                break
     return found
 
 
@@ -577,10 +583,7 @@ def _one_blas_thread() -> None:
     starts its thread server on the first set_num_threads, and those
     threads busy-wait before they sleep.
     """
-    gets, sets = _openblas("get_num_threads"), _openblas("set_num_threads")
-    for get, set_threads in zip(gets, sets, strict=True):
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    for get, set_threads in _openblas():
         if get() > 1:
             set_threads(1)
 

@@ -346,14 +346,20 @@ def test_python_m_runs_the_cli(module, tri_path):
     assert bad.returncode == 1
 
 
-def test_run_writes_report_files(tri_path, tmp_path, capsys):
+def test_run_writes_report_files(tri_path, tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "reports" / "exp.json"
+    # the printout and the summary CSV share one summary
+    summaries = []
+    summary = ExperimentReport.summary
+    monkeypatch.setattr(ExperimentReport, "summary",
+                        lambda self: summaries.append(self) or summary(self))
     code, out, _ = run_cli(
         ["run", "--case", tri_path, "--method", "dc-opf,sa", "--scenarios", "5",
          "--reps", "2", "--ntest", "100", "--out", str(out_path)],
         capsys,
     )
     assert code == 0
+    assert len(summaries) == 1
     assert f"report written to {out_path}" in out
 
     report = ExperimentReport.from_dict(json.loads(out_path.read_text()))

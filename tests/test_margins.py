@@ -10,7 +10,10 @@ from ccopf import (
     FeasibilityPolytope,
     GaussianSpec,
     MarginSet,
+    build_matrices,
     build_mixture,
+    build_polytope,
+    build_uncertainty,
     compute_margins,
     contains_inner,
     estimate_pi,
@@ -126,15 +129,13 @@ def test_eta_half_margins_vanish_exactly():
     [
         ({"beta": np.ones(3)}, r"beta must have shape \(2,\)"),
         ({"sigma": np.ones((2, 1))}, r"sigma must have shape \(2,\)"),
-        ({"row_factor": np.ones(2)}, "row_factor needs one row per margin row"),
-        ({"row_factor": np.eye(3)}, "row_factor needs one row per margin row"),
+        ({"draw_factor": np.ones(2)}, "draw_factor needs one row per margin row"),
         ({"draw_factor": np.ones((3, 1))}, "draw_factor needs one row per margin row"),
     ],
-    ids=["beta-length", "sigma-2d", "row-factor-1d", "row-factor-rows", "draw-factor-rows"],
+    ids=["beta-length", "sigma-2d", "draw-factor-1d", "draw-factor-rows"],
 )
 def test_margin_set_refuses_mismatched_shapes(changes, message):
-    fields = dict(delta=np.ones(2), beta=np.ones(2), row_factor=np.eye(2), sigma=np.ones(2),
-                  draw_factor=np.eye(2))
+    fields = dict(delta=np.ones(2), beta=np.ones(2), sigma=np.ones(2), draw_factor=np.eye(2))
     with pytest.raises(ValueError, match=message):
         MarginSet(**{**fields, **changes})
 
@@ -192,6 +193,34 @@ def test_a_row_the_draws_cannot_see_is_deterministic():
     offsets = scenario_offsets(poly, m, mixture, "sa-is", 200, seed=0)
     assert offsets[1] == 1.0
     assert offsets[0] <= 1.0 - m.delta[0]
+
+
+def test_a_row_with_split_variance_is_refused_by_name():
+    # rows 1 and 2 put variance 1.2e-12 on a direction the draws keep and
+    # 0.4e-12 on one rank_factor's cut drops: B_i passes the stochastic
+    # cut, but ||B_i|| = 1.10e-6 against sigma_i = 1.26e-6, so no draw has
+    # their law. compute_margins names both rows; row 0 is sound
+    a, c = np.sqrt(1.2e-12), np.sqrt(0.4e-12)
+    poly = FeasibilityPolytope(normals=np.array([[1.0, 0.0, 0.0], [0.0, a, c], [0.0, a, -c]]),
+                               offsets=np.ones(3),
+                               labels=(("row", 0), ("injection-upper", 7), ("injection-lower", 7)))
+    with pytest.raises(ValueError, match=r"^rows injection-upper 7, injection-lower 7 split "):
+        compute_margins(poly, GaussianSpec.from_covariance(np.eye(3)), 0.05)
+
+
+@pytest.mark.parametrize("sigma", [0.03, 0.07, 0.2])
+@pytest.mark.parametrize("case_name", ["case30", "case57"])
+def test_bundled_rows_show_the_draws_their_whole_spread(request, case_name, sigma):
+    # on every stochastic row of the bundled cases ||B_i|| equals sigma_i
+    # to rounding (at most 6.7e-16 relative, on case57), far inside the
+    # unit tolerance the split-variance refusal reads
+    case = request.getfixturevalue(case_name)
+    m = compute_margins(build_polytope(case, build_matrices(case)),
+                        build_uncertainty(case, sigma), 0.05)
+    rows = m.stochastic
+    assert rows.any()
+    ratio = np.linalg.norm(m.draw_factor[rows], axis=1) / m.sigma[rows]
+    assert np.max(np.abs(ratio - 1.0)) <= 4 * np.finfo(float).eps
 
 
 def test_tightened_polytope_offsets():

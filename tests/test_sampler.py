@@ -39,8 +39,8 @@ def bus_draws(ms, n, seed):
 def two_threshold_mixture():
     """Hand-built margins with thresholds 1 and 2 on orthogonal rows.
 
-    Under the iid model U is the identity, so the row factor R = W U is
-    the identity too.
+    Under the iid model U is the identity, so the row factor R = W U,
+    and with it the draw factor B, is the identity too.
     """
     normals = np.eye(2)
     sigma = np.ones(2)
@@ -48,7 +48,6 @@ def two_threshold_mixture():
     m = MarginSet(
         delta=beta * sigma,
         beta=beta,
-        row_factor=np.eye(2),
         sigma=sigma,
         draw_factor=np.eye(2),
     )
@@ -182,7 +181,6 @@ def test_tail_sample_deep_threshold():
     deep = MarginSet(
         delta=np.array([8.0, 8.0]),
         beta=np.array([8.0, 8.0]),
-        row_factor=np.eye(2),
         sigma=np.ones(2),
         draw_factor=np.eye(2),
     )

@@ -335,8 +335,9 @@ def test_row_geometry_has_one_source(request, case_name, rho):
         g = GaussianSpec.from_covariance(rho * np.outer(s, s) + (1.0 - rho) * np.diag(s**2))
     prep = prepare_problem(case, g, 0.05)
     m, poly = prep.margins, prep.poly
-    np.testing.assert_array_equal(m.row_factor, poly.normals @ g.reduced_factor)
-    np.testing.assert_array_equal(m.sigma, np.linalg.norm(m.row_factor, axis=1))
+    # the margins keep what the draws read: B, its sigmas and V_k, not R
+    assert [f.name for f in fields(m)] == ["delta", "beta", "sigma", "draw_factor", "rank_basis"]
+    np.testing.assert_array_equal(m.sigma, np.linalg.norm(poly.normals @ g.reduced_factor, axis=1))
     assert (m.rank_basis is None) == (case_name == "case30")
     b = poly.normals @ g.reduced_factor
     if m.rank_basis is not None:
@@ -363,8 +364,8 @@ def test_draw_factor_reproduces_the_rows_covariance(request, case_name, rho):
     g = build_uncertainty(case, 0.07)
     if rho is not None:
         g = _one_factor(g, rho)
-    m = prepare_problem(case, g, 0.05).margins
-    r, b = m.row_factor, m.draw_factor
+    prep = prepare_problem(case, g, 0.05)
+    r, b = prep.poly.normals @ g.reduced_factor, prep.margins.draw_factor
     assert b.shape == (r.shape[0], np.linalg.matrix_rank(r))
     assert b.shape[1] == {"case30": 23, "case57": 7}[case_name]
     assert r.shape[1] == {"case30": 23, "case57": 41}[case_name]
@@ -376,9 +377,11 @@ def test_draw_factor_reproduces_the_rows_covariance(request, case_name, rho):
 def test_draw_factor_is_empty_without_uncertainty(case30, capsys):
     # at sigma 0 no bus fluctuates: R and B have no column and every row is
     # deterministic, and a run still solves every method
-    m = prepare_problem(case30, build_uncertainty(case30, 0.0), 0.05).margins
+    prep = prepare_problem(case30, build_uncertainty(case30, 0.0), 0.05)
+    m = prep.margins
     n_rows = m.delta.shape[0]
-    assert m.row_factor.shape == m.draw_factor.shape == (n_rows, 0)
+    assert prep.g.reduced_dim == 0
+    assert m.draw_factor.shape == (n_rows, 0)
     np.testing.assert_array_equal(m.draw_factor @ m.draw_factor.T, np.zeros((n_rows, n_rows)))
     args = ["run", "--case", "case30", "--method", "dc-opf,sa,sa-is", "--sigma", "0",
             "--scenarios", "50", "--reps", "2", "--ntest", "100"]
@@ -393,7 +396,7 @@ def test_draw_factor_keeps_paired_rows_exact_negatives(case57):
     labels = prep.poly.labels
     assert [kind for kind, _ in labels] == ["injection-upper"] * 7 + ["injection-lower"] * 7
     assert [bus for _, bus in labels[:7]] == [bus for _, bus in labels[7:]]
-    r, b = prep.margins.row_factor, prep.margins.draw_factor
+    r, b = prep.poly.normals @ prep.g.reduced_factor, prep.margins.draw_factor
     np.testing.assert_array_equal(r[:7], -r[7:])
     np.testing.assert_array_equal(b[:7], -b[7:])
 
@@ -1187,7 +1190,7 @@ def test_empty_draws_rejected():
     poly, g = box_polytope(2, 1.0), iid_gaussian(2)
     m = compute_margins(poly, g, 0.05)
     mixture = build_mixture(poly, m, g)
-    width = m.row_factor.shape[1]
+    width = g.reduced_dim
     for draw in (lambda: next(_support_draws(0, 0, width)),
                  lambda: next(_support_draws(0, 0, width, mixture)),
                  lambda: draw_gaussian_scenarios(g, 0, 0),
@@ -1207,9 +1210,10 @@ def test_projected_blocks_are_rows_by_draws(case30):
     # bit, and the offsets are the rows' own less their maximum over
     # every block
     prep = _prepared(case30)
-    r = prep.margins.row_factor
+    r = prep.margins.draw_factor
     # case30's rows see every support direction, so sa draws through R itself
-    assert prep.margins.draw_factor is r
+    assert prep.margins.rank_basis is None
+    assert r.tobytes() == (prep.poly.normals @ prep.g.reduced_factor).tobytes()
     n, seed = scenario.CHUNK + 3, 12
     rng = np.random.default_rng(seed)
     blocks = _projected(r, n, seed)
@@ -1295,15 +1299,16 @@ def test_rank_coordinate_mixture_has_the_support_construction_row_law(case57, rh
         g = _one_factor(g, rho)
     prep = prepare_problem(case57, g, 0.05)
     m, ms = prep.margins, prep.mixture
+    r = prep.poly.normals @ g.reduced_factor
     rows = np.array(ms.row_indices)
     support = MixtureSampler(
-        reduced_directions=m.row_factor[rows] / m.sigma[rows][:, None],
+        reduced_directions=r[rows] / m.sigma[rows][:, None],
         thresholds=ms.thresholds, tail_probs=ms.tail_probs,
         row_indices=ms.row_indices, bus_map=g.reduced_factor,
     )
     assert (support.reduced_dim, ms.reduced_dim) == (41, 7)
     n = 100_000
-    ref = np.concatenate(_projected(m.row_factor, n, 1, support), axis=1).T
+    ref = np.concatenate(_projected(r, n, 1, support), axis=1).T
     w = np.concatenate(list(_support_draws(n, 2, ms.reduced_dim, ms)))
     b = m.draw_factor
     assert _same_row_law(w @ b.T, ref)
@@ -1317,11 +1322,12 @@ def test_case30_mixture_is_built_on_the_row_factor_itself(case30):
     # stream is the support-coordinate one
     prep = _prepared(case30)
     m, ms = prep.margins, prep.mixture
-    assert m.draw_factor is m.row_factor
+    r = prep.poly.normals @ prep.g.reduced_factor
+    assert m.draw_factor.tobytes() == r.tobytes()
     assert m.rank_basis is None
     assert ms.bus_map is prep.g.reduced_factor
     rows = np.array(ms.row_indices)
-    want = m.row_factor[rows] / m.sigma[rows][:, None]
+    want = r[rows] / m.sigma[rows][:, None]
     assert ms.reduced_directions.tobytes() == want.tobytes()
 
 

@@ -5,6 +5,7 @@ import contextlib
 import ctypes
 import functools
 import importlib.util
+import io
 import json
 import math
 import multiprocessing
@@ -17,6 +18,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -589,6 +591,8 @@ def test_report_round_trips_through_json():
     # nan became null and back
     assert data["records"][3]["objective"] is None
     assert math.isnan(back.records[3].objective)
+    # each record's dict holds its fields, as asdict gives them
+    assert data["records"] == _nan_as_none(report.records)
 
 
 def test_report_leaves_out_the_job_count():
@@ -1154,11 +1158,7 @@ def test_run_with_mixed_statuses_in_a_repetition():
 
 
 def _worker_blas_threads() -> list[int]:
-    counts = []
-    for get in validation._openblas("get_num_threads"):
-        get.argtypes, get.restype = [], ctypes.c_int
-        counts.append(get())
-    return counts
+    return [get() for get, _ in validation._openblas()]
 
 
 def _mapped_openblas() -> set[str]:
@@ -1179,16 +1179,47 @@ def _scipy_dirs() -> tuple[str, ...]:
 def threaded_blas():
     # every OpenBLAS library the caller has mapped at two threads, so a run
     # or a worker has counts to lower; the former counts are restored after
-    sets = validation._openblas("set_num_threads")
-    if not sets:
+    pairs = validation._openblas()
+    if not pairs:
         pytest.skip("no OpenBLAS library found")
     before = _worker_blas_threads()
-    for set_threads in sets:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    for _, set_threads in pairs:
         set_threads(2)
     yield _worker_blas_threads()
-    for set_threads, count in zip(sets, before, strict=True):
+    for (_, set_threads), count in zip(pairs, before, strict=True):
         set_threads(count)
+
+
+def test_blas_rule_pairs_each_library_with_itself(monkeypatch):
+    # two mapped libraries, the first exporting only a getter: one scan of
+    # the map pairs each library's own getter and setter, skips the
+    # incomplete one, and sets only the complete library's threads
+    maps = "".join(f"7f00-7f01 r-xp 0 08:01 1 /lib/{name}/libopenblas.so\n"
+                   for name in ("a-getter-only", "b-complete"))
+    reads, calls = [], []
+
+    def fake_open(path, encoding=None):
+        reads.append(path)
+        return io.StringIO(maps)
+
+    def entry(lib, call, result=None):
+        def fn(*args):
+            calls.append((lib, call, *args))
+            return result
+        return fn
+
+    libs = {
+        "/lib/a-getter-only/libopenblas.so": SimpleNamespace(
+            openblas_get_num_threads=entry("a", "get", 8)),
+        "/lib/b-complete/libopenblas.so": SimpleNamespace(
+            scipy_openblas_get_num_threads64_=entry("b", "get", 4),
+            scipy_openblas_set_num_threads64_=entry("b", "set")),
+    }
+    monkeypatch.setattr(validation, "open", fake_open, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", libs.__getitem__)
+    validation._one_blas_thread()
+    assert reads == ["/proc/self/maps"]
+    assert calls == [("b", "get"), ("b", "set", 1)]
 
 
 def test_pool_workers_use_one_blas_thread(threaded_blas):
